@@ -1,12 +1,12 @@
-"""Perf benchmark — per-record vs batch vs parallel vs streamed vs
-sharded vs pooled engines.
+"""Perf benchmark — per-record vs batch vs streamed vs sharded vs
+pooled engines.
 
 Times LSH and SA-LSH blocking on synthetic NC-Voter at 10k/50k records
 (the paper's §6.1 voter parameters q=2, k=9, l=15) under the per-record
-and batch engines, the batch engine with ``workers`` threads, the
-process-sharded runtime (``processes`` worker processes: record-slab
-signatures + band-sharded grouping) both fresh-pool-per-call and on a
-warm persistent :class:`~repro.utils.parallel.ShardPool` (shared-memory
+and batch engines, the process-sharded runtime (``processes`` worker
+processes: record-slab signatures + band-sharded grouping) both on an
+ephemeral pool per call and on a warm persistent
+:class:`~repro.utils.parallel.ShardPool` (shared-memory
 slab transport, record slabs interned across calls), the slab-streamed
 LSH path with a memory-mapped signature spill, and the streamed SA-LSH
 path (encoder frozen from the full corpus, growable spill). A further section times
@@ -40,7 +40,8 @@ the same < 10 ms budget at 50k, WAL replay to ≥ 10k ops/s, and the
 happy-path journal tax to < 5%.
 
 Every run doubles as a large-scale equivalence check: blocks are
-asserted identical across per-record/batch/parallel/streamed engines,
+asserted identical across per-record/batch/sharded/pooled/streamed
+engines,
 and the pair pipeline asserts identical pair sets, metrics,
 retained-edge sets and match decisions between the legacy and array
 engines (``main`` and the pytest wrapper both fail if the speedup
@@ -50,11 +51,9 @@ Environment knobs (see benchmarks/README.md):
 
 * ``REPRO_BENCH_PERF_SIZES=2000,5000`` — override the 10k/50k ladder
   (CI smoke uses one small size);
-* ``REPRO_BENCH_WORKERS=4`` — thread count of the parallel run
-  (default 4; the recorded ``cpu_count`` tells you whether the host
-  could actually exploit it);
 * ``REPRO_BENCH_PROCESSES=4`` — process count of the sharded run
-  (default 4; same caveat — the ≥2× multicore headline only holds on
+  (default 4; the recorded ``cpu_count`` tells you whether the host
+  could actually exploit it — the ≥2× multicore headline only holds on
   ≥4-core hosts, single-core hosts pay pool overhead and record it);
 * ``REPRO_BENCH_SCALE=paper`` keeps the default ladder.
 """
@@ -97,7 +96,6 @@ from _shared import (
 )
 
 DEFAULT_SIZES = (10_000, 50_000)
-DEFAULT_WORKERS = 4
 DEFAULT_PROCESSES = 4
 #: The multicore sharded-speedup headline (vs the serial batch engine)
 #: is only asserted at this ladder size and on hosts with this many
@@ -105,10 +103,10 @@ DEFAULT_PROCESSES = 4
 SHARDED_HEADLINE_SIZE = 50_000
 SHARDED_HEADLINE_CORES = 4
 SHARDED_HEADLINE_SPEEDUP = 2.0
-#: Warm-pool repeated blocking must beat the fresh-pool-per-call path
-#: by this factor at the headline size (the amortisation the persistent
-#: shard pool exists for); below the size the column is recorded and
-#: only required not to regress past the fresh path.
+#: Warm-pool repeated blocking must beat the per-call ephemeral-pool
+#: path by this factor at the headline size (the amortisation the
+#: persistent shard pool exists for); below the size the column is
+#: recorded, not asserted.
 POOLED_HEADLINE_SIZE = 10_000
 POOLED_HEADLINE_SPEEDUP = 1.5
 #: Happy-path cost of the fault-tolerance layer (integrity footers +
@@ -158,10 +156,6 @@ def sizes() -> tuple[int, ...]:
     return DEFAULT_SIZES
 
 
-def bench_workers() -> int:
-    return int(os.environ.get("REPRO_BENCH_WORKERS", str(DEFAULT_WORKERS)))
-
-
 def bench_processes() -> int:
     return int(os.environ.get("REPRO_BENCH_PROCESSES", str(DEFAULT_PROCESSES)))
 
@@ -196,19 +190,10 @@ def _run_engine_pair(
         "batch and per-record engines disagree — equivalence broken"
     )
 
-    workers = bench_workers()
-    parallel_result, parallel_seconds = _timed(
-        lambda: make_blocker(batch=True, workers=workers).block(dataset),
-        repeats=3,
-    )
-    assert parallel_result.blocks == batch_result.blocks, (
-        "parallel and serial batch engines disagree — equivalence broken"
-    )
-
-    # Fresh pool per call, timed before any persistent pool exists: a
-    # fresh executor fork pays for the parent's whole address space, so
-    # sharing a window with live pools (and their retained intern
-    # payloads) would bill pool memory to the fresh path.
+    # Ephemeral pool per call, timed before any persistent pool exists:
+    # a fresh executor fork pays for the parent's whole address space,
+    # so sharing a window with live pools (and their retained intern
+    # payloads) would bill pool memory to the per-call path.
     processes = bench_processes()
     sharded_result, sharded_seconds = _timed(
         lambda: make_blocker(batch=True, processes=processes).block(dataset),
@@ -286,10 +271,6 @@ def _run_engine_pair(
         "per_record_records_per_sec": round(n / legacy_seconds, 1),
         "batch_records_per_sec": round(n / batch_seconds, 1),
         "speedup": round(legacy_seconds / batch_seconds, 2),
-        "workers": workers,
-        "workers_seconds": round(parallel_seconds, 4),
-        "workers_records_per_sec": round(n / parallel_seconds, 1),
-        "parallel_speedup": round(batch_seconds / parallel_seconds, 2),
         "processes": processes,
         "sharded_seconds": round(sharded_seconds, 4),
         "sharded_records_per_sec": round(n / sharded_seconds, 1),
@@ -305,8 +286,8 @@ def _run_engine_pair(
         # Guard column: the warm pool must stay ahead of the
         # per-record legacy floor on any host.
         "pooled_speedup": round(legacy_seconds / pooled_seconds, 2),
-        # Headline column: warm-pool amortisation vs the
-        # fresh-pool-per-call sharded path; ≥1.5× asserted at 10k+.
+        # Headline column: warm-pool amortisation vs the per-call
+        # ephemeral-pool sharded path; ≥1.5× asserted at 10k+.
         "pooled_vs_fresh_speedup": round(sharded_seconds / pooled_seconds, 2),
         "pooled_bare_seconds": round(bare_seconds, 4),
         # Resilience column: fractional happy-path cost of integrity
@@ -320,7 +301,7 @@ def _run_engine_pair(
     slab = max(1, len(records) // STREAM_SLABS)
     slabs = [records[i : i + slab] for i in range(0, len(records), slab)]
     if stream == "lsh":
-        blocker = make_blocker(batch=True, workers=workers)
+        blocker = make_blocker(batch=True)
         with tempfile.TemporaryDirectory() as spill_dir:
             spill = Path(spill_dir) / "signatures.npy"
 
@@ -346,7 +327,7 @@ def _run_engine_pair(
         # equivalence configuration) + growable spill — the unknown-
         # length streaming path of DESIGN.md, "Process-sharded
         # streaming runtime".
-        blocker = make_blocker(batch=True, workers=workers)
+        blocker = make_blocker(batch=True)
         with tempfile.TemporaryDirectory() as spill_dir:
             spill_path = Path(spill_dir) / "salsh-signatures.npy"
 
@@ -819,13 +800,11 @@ def check_sharded_stream(report: dict) -> None:
 def check_pooled(report: dict) -> None:
     """Guard the persistent shard pool columns.
 
-    The pooled columns must exist at every ladder size, never fall
-    below the per-record legacy floor, and never regress past the
-    fresh-pool-per-call path. At the 10k+ headline sizes the warm pool
-    must additionally beat the fresh path by ≥1.5× — the amortisation
-    the pool exists for (the pre-pool committed run showed
-    ``sharded_parallel_speedup < 1`` on this single-core host because
-    every call re-paid fork + pickle).
+    The pooled columns must exist at every ladder size and never fall
+    below the per-record legacy floor. At the 10k+ headline sizes the
+    warm pool must additionally beat the per-call ephemeral-pool path
+    (``sharded_seconds``) by ≥1.5× — the amortisation the pool exists
+    for, since every per-call pool re-pays fork + slab transport.
     """
     for n, entry in report["sizes"].items():
         for technique in ("lsh", "salsh"):
@@ -846,7 +825,7 @@ def check_pooled(report: dict) -> None:
             if int(n) >= POOLED_HEADLINE_SIZE:
                 assert fresh >= POOLED_HEADLINE_SPEEDUP, (
                     f"size {n} {technique}: warm-pool speedup {fresh!r} "
-                    f"vs the fresh-pool path < {POOLED_HEADLINE_SPEEDUP} "
+                    f"vs the per-call pool < {POOLED_HEADLINE_SPEEDUP} "
                     "— pool reuse is not amortising the per-call "
                     "fork/pickle overhead"
                 )
@@ -981,7 +960,6 @@ def _persist(report: dict) -> None:
                 technique.upper(),
                 stats["per_record_seconds"],
                 stats["batch_seconds"],
-                stats["workers_seconds"],
                 stats["sharded_seconds"],
                 stats["pooled_seconds"],
                 stats.get(
@@ -989,7 +967,6 @@ def _persist(report: dict) -> None:
                 ),
                 stats["batch_records_per_sec"],
                 stats["speedup"],
-                stats["parallel_speedup"],
                 stats["sharded_parallel_speedup"],
                 stats["pooled_vs_fresh_speedup"],
                 stats["resilience_overhead"],
@@ -998,13 +975,12 @@ def _persist(report: dict) -> None:
         "perf_blocking",
         format_table(
             ["records", "blocker", "t(loop)s", "t(batch)s",
-             f"t(w={bench_workers()})s", f"t(p={bench_processes()})s",
+             f"t(p={bench_processes()})s",
              "t(pool)s", "t(stream)s", "rec/s(batch)", "speedup",
-             "par.speedup", "shard.speedup", "pool.speedup",
-             "resil.ovh"],
+             "shard.speedup", "pool.speedup", "resil.ovh"],
             rows,
-            title="Perf — per-record vs batch vs parallel vs sharded vs "
-                  "pooled vs streamed (q=2, k=9, l=15)",
+            title="Perf — per-record vs batch vs sharded vs pooled vs "
+                  "streamed (q=2, k=9, l=15)",
         ),
     )
     baseline_rows = [
@@ -1104,10 +1080,10 @@ def test_perf_blocking(benchmark):
             # claim is asserted on the committed 10k/50k run, while CI
             # smoke sizes only check a real win to stay timing-robust.
             assert entry[technique]["speedup"] > 1.0
-            # Parallel/streamed/sharded equivalence is asserted inside
-            # the run; parallel *speedup* is only meaningful with spare
-            # cores, so it is recorded (with cpu_count) rather than
-            # asserted here.
+            # Streamed/sharded/pooled equivalence is asserted inside
+            # the run; multicore *speedup* is only meaningful with
+            # spare cores, so it is recorded (with cpu_count) rather
+            # than asserted here.
     check_pair_pipeline(report)
     check_sharded_stream(report)
     check_pooled(report)

@@ -91,29 +91,28 @@ def _make_blocker(args, pool: ShardPool | None = None) -> object:
     if not attributes:
         raise ReproError("--attributes must name at least one attribute")
     technique = args.technique.lower()
-    workers = args.workers if args.workers else None
-    processes = getattr(args, "processes", 1) or None
+    processes = args.processes or None
     if technique == "lsh":
         return LSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            workers=workers, processes=processes, pool=pool,
+            processes=processes, pool=pool,
         )
     if technique == "salsh":
         return SALSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
             semantic_function=_semantic_function(args.domain),
             w=args.w if args.w else "all", mode=args.mode,
-            workers=workers, processes=processes, pool=pool,
+            processes=processes, pool=pool,
         )
     if technique == "mplsh":
         return MultiProbeLSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            workers=workers, processes=processes, pool=pool,
+            processes=processes, pool=pool,
         )
     if technique == "forest":
         return LSHForestBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            workers=workers, processes=processes, pool=pool,
+            processes=processes, pool=pool,
         )
     for name in TECHNIQUE_ORDER:
         if technique == name.lower():
@@ -125,29 +124,20 @@ def _make_blocker(args, pool: ShardPool | None = None) -> object:
 
 
 def _pool_context(args) -> "ShardPool | contextlib.nullcontext":
-    """The --pooled / --processes contract shared by block and query.
+    """The --processes contract shared by every blocking command.
 
-    ``--pooled`` keeps one warm ShardPool alive for the whole command,
-    so every parallel map shares one executor instead of forking
-    afresh; without it the per-call runtime is used. When
-    ``--processes`` is not given, ``--pooled`` defaults it to all CPUs
-    — a one-process pool would silently take the serial path and never
-    use the pool.
+    ``--processes N`` with N ≠ 1 (0 = all CPUs) keeps one warm
+    ShardPool alive for the whole command, built with the
+    ``--retries``/``--map-timeout`` policy, so every parallel map
+    shares one executor and one recovery ladder; ``--processes 1``
+    runs the serial engine with no pool.
     """
-    if getattr(args, "processes", None) is None:
-        args.processes = 0 if getattr(args, "pooled", False) else 1
-    if not getattr(args, "pooled", False):
-        return contextlib.nullcontext()
     if args.processes == 1:
-        print(
-            "note: --pooled with --processes 1 runs the serial "
-            "engine; the pool is unused",
-            file=sys.stderr,
-        )
+        return contextlib.nullcontext()
     return ShardPool(
         args.processes or None,
-        retry=getattr(args, "retries", None),
-        map_timeout=getattr(args, "map_timeout", None),
+        retry=args.retries,
+        map_timeout=args.map_timeout,
     )
 
 
@@ -477,30 +467,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--w", type=int, default=0,
                          help="w-way size for salsh (0 = all bits)")
         sub.add_argument("--mode", choices=("and", "or"), default="or")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="threads for the batch signature engine "
-                              "(0 = all CPUs); identical blocks either way")
-        sub.add_argument("--processes", type=int, default=None,
+        sub.add_argument("--processes", type=int, default=1,
                          help="worker processes for the sharded runtime: "
                               "record slabs are shingled/minhashed in "
                               "parallel and bucket grouping is band-sharded "
-                              "(0 = all CPUs, default 1 — or all CPUs when "
-                              "--pooled is set); identical blocks either way")
-        sub.add_argument("--pooled", action="store_true",
-                         help="run the sharded runtime on one persistent "
-                              "shard pool spanning all stages (warm "
-                              "executor + shared-memory slab transport) "
-                              "instead of a fresh pool per parallel map; "
-                              "identical blocks either way")
+                              "on one shard pool (warm executor + "
+                              "shared-memory slab transport) spanning the "
+                              "whole command (0 = all CPUs, default 1 = "
+                              "serial); identical blocks either way")
         sub.add_argument("--retries", type=int, default=None,
                          help="retry rounds after a recoverable pool "
                               "failure (broken worker, corrupt slab, "
-                              "timeout) before the pooled map degrades "
+                              "timeout) before the map degrades "
                               "to serial execution; 0 disables recovery "
                               "and surfaces typed errors (default: the "
                               "pool's self-healing policy)")
         sub.add_argument("--map-timeout", type=float, default=None,
-                         help="seconds each pooled map attempt may run "
+                         help="seconds each pool map attempt may run "
                               "before hung workers are terminated and "
                               "the unfinished payloads retried "
                               "(default: no timeout)")

@@ -8,9 +8,8 @@ Two engines produce identical blocks:
 
 * ``batch`` (default) — the corpus-level vectorized path: one
   shingling pass with an interned vocabulary, one chunked
-  ``reduceat`` minhash over the CSR layout (optionally spread over
-  ``workers`` threads), byte-view band keys and bulk bucket grouping
-  (see DESIGN.md, "Batch signature engine");
+  ``reduceat`` minhash over the CSR layout, byte-view band keys and
+  bulk bucket grouping (see DESIGN.md, "Batch signature engine");
 * ``per-record`` — the legacy record-at-a-time loop, kept as the
   equivalence/benchmark reference.
 
@@ -61,7 +60,6 @@ def stream_slab_signatures(
     corpus,
     signatures_out: "np.ndarray | GrowableSignatureSpill | None",
     cursor: int,
-    workers: int | None,
 ) -> np.ndarray:
     """Compute one streamed slab's signatures, honouring the spill target.
 
@@ -82,7 +80,7 @@ def stream_slab_signatures(
                 f"streamed records exceed it at {cursor + n}"
             )
         out = signatures_out[cursor : cursor + n]
-    signatures = hasher.signature_matrix(corpus, workers=workers, out=out)
+    signatures = hasher.signature_matrix(corpus, out=out)
     if isinstance(signatures_out, GrowableSignatureSpill):
         signatures = signatures_out.append(signatures)
     return signatures
@@ -130,8 +128,7 @@ class OnlineLSHIndex(OnlineIndex):
         if corpus.num_records == 0:
             return
         signatures = stream_slab_signatures(
-            blocker.hasher, corpus, self._signatures_out,
-            self._cursor, blocker.workers,
+            blocker.hasher, corpus, self._signatures_out, self._cursor
         )
         self._index.add_many(
             corpus.record_ids,
@@ -197,9 +194,6 @@ class LSHBlocker(Blocker):
         Use the corpus-level vectorized engine (default). The
         per-record engine produces identical blocks and exists for
         equivalence tests and the perf benchmark.
-    workers:
-        Threads evaluating signature chunks concurrently (``None`` =
-        all CPUs). Any worker count produces byte-identical blocks.
     processes:
         Worker *processes* for the sharded runtime (``None`` = all
         CPUs): record slabs are shingled/minhashed in parallel
@@ -226,7 +220,6 @@ class LSHBlocker(Blocker):
         seed: int = 0,
         padded: bool = False,
         batch: bool = True,
-        workers: int | None = 1,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
@@ -239,7 +232,6 @@ class LSHBlocker(Blocker):
         self.l = l
         self.seed = seed
         self.batch = batch
-        self.workers = workers
         self.processes = processes
         self.pool = pool
         self.shingler = Shingler(self.attributes, q=q, padded=padded)
@@ -259,16 +251,14 @@ class LSHBlocker(Blocker):
         elif effective_processes(self.processes, self.pool) > 1:
             for record_ids, signatures in signature_slabs(
                 self.shingler, self.hasher, dataset, self.processes,
-                workers=self.workers, pool=self.pool,
+                pool=self.pool,
             ):
                 index.add_many(
                     record_ids, split_bands_matrix(signatures, self.k, self.l)
                 )
         else:
             corpus = self.shingler.shingle_corpus(dataset)
-            signatures = self.hasher.signature_matrix(
-                corpus, workers=self.workers
-            )
+            signatures = self.hasher.signature_matrix(corpus)
             keys = split_bands_matrix(signatures, self.k, self.l)
             index.add_many(corpus.record_ids, keys)
 
@@ -286,7 +276,6 @@ class LSHBlocker(Blocker):
                 "k": self.k,
                 "l": self.l,
                 "q": self.q,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "batch" if self.batch else "per-record",
@@ -330,7 +319,6 @@ class LSHBlocker(Blocker):
                 "k": self.k,
                 "l": self.l,
                 "q": self.q,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "linkage-online",
@@ -351,7 +339,7 @@ class LSHBlocker(Blocker):
 
         Each slab is shingled against one growing
         :class:`~repro.minhash.corpus.ShingleVocabulary`, minhashed on
-        the batch engine (with this blocker's ``workers``), banded, and
+        the batch engine, banded, and
         bulk-inserted; buckets merge across slabs, so the blocks are
         byte-identical to :meth:`block` over the concatenated records.
         ``slabs`` may be any iterable — including a plain generator of
@@ -399,7 +387,7 @@ class LSHBlocker(Blocker):
             for slab in slabs:
                 corpus = self.shingler.shingle_corpus(slab, vocabulary=vocab)
                 signatures = stream_slab_signatures(
-                    self.hasher, corpus, signatures_out, cursor, self.workers
+                    self.hasher, corpus, signatures_out, cursor
                 )
                 index.add_many(
                     corpus.record_ids,
@@ -421,7 +409,6 @@ class LSHBlocker(Blocker):
                 "k": self.k,
                 "l": self.l,
                 "q": self.q,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "streaming",

@@ -40,12 +40,7 @@ from repro.minhash.shingling import Shingler
 from repro.records.dataset import Dataset
 from repro.records.record import Record
 from repro.utils.hashing import MERSENNE_PRIME_61, UniversalHashFamily
-from repro.utils.parallel import (
-    ShardPool,
-    chunk_spans,
-    effective_processes,
-    run_chunked,
-)
+from repro.utils.parallel import ShardPool, chunk_spans, effective_processes
 
 
 class _MinHasherWithRunnerUp(MinHasher):
@@ -76,7 +71,6 @@ class _MinHasherWithRunnerUp(MinHasher):
         corpus: ShingledCorpus,
         *,
         chunk_elements: int = 2_000_000,
-        workers: int | None = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batch minima and runner-ups for a whole corpus.
 
@@ -86,8 +80,8 @@ class _MinHasherWithRunnerUp(MinHasher):
         occurrence of the minimum with the sentinel and reducing again —
         duplicated minima therefore survive as their own runner-up,
         byte-identical to the per-record sort. Like the plain signature
-        matrix, hash-function chunks are independent and may be
-        evaluated by ``workers`` threads without changing the result.
+        matrix, the hash functions run as a serial loop over chunks
+        capped at ``chunk_elements`` gathered values.
         """
         n = corpus.num_records
         sentinel = np.uint64(MERSENNE_PRIME_61)
@@ -108,7 +102,9 @@ class _MinHasherWithRunnerUp(MinHasher):
         segment_lengths = np.diff(np.append(starts, stream))
         columns = np.arange(stream, dtype=np.int64)[None, :]
 
-        def compute(lo: int, hi: int) -> None:
+        for lo, hi in chunk_spans(
+            self.num_hashes, self.rows_per_chunk(stream, chunk_elements)
+        ):
             gathered = self.gathered_span(vocab_hashes, tokens_ext, lo, hi)
             min1 = np.minimum.reduceat(gathered, starts, axis=1)
             # Position of the first occurrence of each segment's minimum.
@@ -127,14 +123,6 @@ class _MinHasherWithRunnerUp(MinHasher):
             min2[:, single_rows] = min1[:, single_rows]
             minima[:, lo:hi] = min1.T
             runners[:, lo:hi] = min2.T
-
-        run_chunked(
-            compute,
-            chunk_spans(
-                self.num_hashes, self.rows_per_chunk(stream, chunk_elements)
-            ),
-            workers,
-        )
         return minima, runners
 
 
@@ -158,7 +146,6 @@ class MultiProbeLSHBlocker(Blocker):
         num_probes: int | None = None,
         seed: int = 0,
         batch: bool = True,
-        workers: int | None = 1,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
@@ -176,7 +163,6 @@ class MultiProbeLSHBlocker(Blocker):
             )
         self.seed = seed
         self.batch = batch
-        self.workers = workers
         self.processes = processes
         self.pool = pool
         self.shingler = Shingler(self.attributes, q=q)
@@ -198,7 +184,7 @@ class MultiProbeLSHBlocker(Blocker):
             # handles it.)
             parts = runner_up_signature_slabs(
                 self.shingler, self.hasher, dataset, self.processes,
-                workers=self.workers, pool=self.pool,
+                pool=self.pool,
             )
             record_ids = tuple(rid for p in parts for rid in p[0])
             minima = np.concatenate([p[1] for p in parts])
@@ -207,7 +193,7 @@ class MultiProbeLSHBlocker(Blocker):
             corpus = self.shingler.shingle_corpus(dataset)
             record_ids = corpus.record_ids
             minima, runners = self.hasher.signature_matrix_with_runner_up(
-                corpus, workers=self.workers
+                corpus
             )
         return self._probe_groups(
             np.asarray(record_ids, dtype=object), minima, runners
@@ -376,7 +362,6 @@ class LSHForestBlocker(Blocker):
         max_block_size: int = 50,
         seed: int = 0,
         batch: bool = True,
-        workers: int | None = 1,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
@@ -394,7 +379,6 @@ class LSHForestBlocker(Blocker):
         self.max_block_size = max_block_size
         self.seed = seed
         self.batch = batch
-        self.workers = workers
         self.processes = processes
         self.pool = pool
         self.shingler = Shingler(self.attributes, q=q)
@@ -432,16 +416,14 @@ class LSHForestBlocker(Blocker):
             if effective_processes(self.processes, self.pool) > 1 and len(dataset):
                 parts = signature_slabs(
                     self.shingler, self.hasher, dataset, self.processes,
-                    workers=self.workers, pool=self.pool,
+                    pool=self.pool,
                 )
                 return (
                     tuple(rid for p in parts for rid in p[0]),
                     np.concatenate([p[1] for p in parts]),
                 )
             corpus = self.shingler.shingle_corpus(dataset)
-            return corpus.record_ids, self.hasher.signature_matrix(
-                corpus, workers=self.workers
-            )
+            return corpus.record_ids, self.hasher.signature_matrix(corpus)
         ids = []
         rows = np.empty((len(dataset), self.hasher.num_hashes), dtype=np.uint64)
         for i, record in enumerate(dataset):
@@ -642,7 +624,7 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
             return
         self._guard_new_ids(corpus.record_ids)
         minima, runners = blocker.hasher.signature_matrix_with_runner_up(
-            corpus, workers=blocker.workers
+            corpus
         )
         self._id_slabs.append(np.asarray(corpus.record_ids, dtype=object))
         self._minima_slabs.append(minima)
@@ -755,9 +737,7 @@ class OnlineForestIndex(_VariantOnlineBase):
         if corpus.num_records == 0:
             return
         self._guard_new_ids(corpus.record_ids)
-        signatures = blocker.hasher.signature_matrix(
-            corpus, workers=blocker.workers
-        )
+        signatures = blocker.hasher.signature_matrix(corpus)
         self._id_slabs.append(np.asarray(corpus.record_ids, dtype=object))
         self._signature_slabs.append(signatures)
         self._live = None

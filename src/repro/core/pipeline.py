@@ -30,7 +30,6 @@ from repro.semantic.analysis import (
 from repro.semantic.interpretation import SemanticFunction
 from repro.semantic.semhash import SemhashEncoder
 from repro.utils.parallel import ShardPool
-from repro.utils.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -39,25 +38,15 @@ class PipelineConfig:
 
     ``epsilon``, ``ph``, ``pl`` and ``sl_gap`` drive §5.3 tuning; gate
     selection is automatic unless ``w``/``mode`` are pinned.
-    ``workers`` is passed to the blocker's batch signature engine
-    (threads over hash-function chunks; ``None`` = all CPUs);
-    ``processes`` to its process-sharded runtime (record-slab
-    signatures + band-sharded grouping; blocks are byte-identical for
-    any count). ``pool`` hands the blocker a persistent
-    :class:`~repro.utils.parallel.ShardPool`, so the blocking stage of
-    repeated pipeline runs shares one warm executor with shared-memory
-    slab transport (tuning and evaluation are serial); the pool's
-    process count wins over ``processes``.
-
-    ``retry`` and ``map_timeout`` tune the pool's fault tolerance
-    (DESIGN.md, "Fault tolerance & the degradation ladder"): ``retry``
-    is a :class:`~repro.utils.retry.RetryPolicy` or an int retry count
-    (``0`` disables recovery, surfacing typed errors instead of the
-    serial fallback), ``map_timeout`` bounds each pooled map attempt
-    in seconds. ``None`` (the default) leaves the pool's own settings
-    untouched; both apply to ``pool`` via
-    :meth:`~repro.utils.parallel.ShardPool.configure` when a blocker
-    is built.
+    ``processes`` is passed to the blocker's process-sharded runtime
+    (record-slab signatures + band-sharded grouping on an ephemeral
+    :class:`~repro.utils.parallel.ShardPool` per call; blocks are
+    byte-identical for any count). ``pool`` hands the blocker a
+    persistent pool instead, so the blocking stage of repeated
+    pipeline runs shares one warm executor with shared-memory slab
+    transport (tuning and evaluation are serial); the pool's process
+    count wins over ``processes``, and its fault tolerance is whatever
+    the pool was built with (``ShardPool(retry=..., map_timeout=...)``).
     """
 
     attributes: tuple[str, ...]
@@ -70,11 +59,8 @@ class PipelineConfig:
     seed: int = 0
     w: int | str | None = None
     mode: str | None = None
-    workers: int | None = 1
     processes: int | None = 1
     pool: ShardPool | None = None
-    retry: "RetryPolicy | int | None" = None
-    map_timeout: float | None = None
 
 
 @dataclass(frozen=True)
@@ -129,21 +115,13 @@ def build_blocker(
     Returns ``(blocker, gate, feature_quality)``; the latter two are
     ``None`` for plain LSH (no semantic function). Shared by
     :func:`run_pipeline` and :func:`build_resolver` so the batch and
-    online surfaces make identical parameter choices. A caller-owned
-    ``pool`` picks up the config's fault-tolerance knobs here.
+    online surfaces make identical parameter choices.
     """
-    if config.pool is not None and (
-        config.retry is not None or config.map_timeout is not None
-    ):
-        config.pool.configure(
-            retry=config.retry, map_timeout=config.map_timeout
-        )
     if semantic_function is None:
         blocker = LSHBlocker(
             config.attributes, q=config.q,
             k=parameters.k, l=parameters.l, seed=config.seed,
-            workers=config.workers, processes=config.processes,
-            pool=config.pool,
+            processes=config.processes, pool=config.pool,
         )
         return blocker, None, None
     quality = analyse_semantic_features(training, semantic_function)
@@ -157,8 +135,7 @@ def build_blocker(
         config.attributes, q=config.q,
         k=parameters.k, l=parameters.l, seed=config.seed,
         semantic_function=semantic_function, w=w, mode=mode,
-        workers=config.workers, processes=config.processes,
-        pool=config.pool,
+        processes=config.processes, pool=config.pool,
     )
     return blocker, (mode, w), quality
 

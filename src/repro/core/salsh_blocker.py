@@ -97,8 +97,7 @@ class OnlineSALSHIndex(OnlineIndex):
             records, vocabulary=self._vocabulary
         )
         signatures = stream_slab_signatures(
-            blocker.hasher, corpus, self._signatures_out,
-            self._cursor, blocker.workers,
+            blocker.hasher, corpus, self._signatures_out, self._cursor
         )
         semhash = self.encoder.signature_matrix(records)
         entries = [
@@ -194,9 +193,6 @@ class SALSHBlocker(Blocker):
         Use the corpus-level vectorized engine (default); the
         per-record engine produces identical blocks and exists for
         equivalence tests and the perf benchmark.
-    workers:
-        Threads evaluating minhash signature chunks concurrently
-        (``None`` = all CPUs); byte-identical blocks for any count.
     processes:
         Worker processes for the sharded runtime (``None`` = all CPUs):
         record slabs are shingled, minhashed *and interpreted* in
@@ -224,7 +220,6 @@ class SALSHBlocker(Blocker):
         seed: int = 0,
         padded: bool = False,
         batch: bool = True,
-        workers: int | None = 1,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
@@ -241,7 +236,6 @@ class SALSHBlocker(Blocker):
         self.mode = mode
         self.seed = seed
         self.batch = batch
-        self.workers = workers
         self.processes = processes
         self.pool = pool
         self.semantic_function = semantic_function
@@ -293,9 +287,7 @@ class SALSHBlocker(Blocker):
         index = BandedLSHIndex(self.l)
         if self.batch:
             corpus = self.shingler.shingle_corpus(dataset)
-            signature_matrix = self.hasher.signature_matrix(
-                corpus, workers=self.workers
-            )
+            signature_matrix = self.hasher.signature_matrix(corpus)
             keys = split_bands_matrix(signature_matrix, self.k, self.l)
             entries = [
                 gates.gate_entries(table, semhash_matrix)
@@ -330,7 +322,6 @@ class SALSHBlocker(Blocker):
                 "mode": self.mode,
                 "num_semantic_bits": encoder.num_bits,
                 "sf_seconds": sf_seconds,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "batch" if self.batch else "per-record",
@@ -350,7 +341,6 @@ class SALSHBlocker(Blocker):
                 "mode": self.mode,
                 "num_semantic_bits": 0,
                 "sf_seconds": 0.0,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "batch" if self.batch else "per-record",
@@ -385,7 +375,7 @@ class SALSHBlocker(Blocker):
         if cached is None:
             slabs = semantic_signature_slabs(
                 self.shingler, self.hasher, self.semantic_function,
-                dataset, self.processes, workers=self.workers, pool=self.pool,
+                dataset, self.processes, pool=self.pool,
             )
             # sf_seconds covers the parent-side bit-set fix + semhash
             # encode; per-record interpretation time is folded into the
@@ -413,7 +403,7 @@ class SALSHBlocker(Blocker):
             encoder, semhash_slabs = cached
             signature_parts = signature_slabs(
                 self.shingler, self.hasher, dataset, self.processes,
-                workers=self.workers, pool=self.pool,
+                pool=self.pool,
             )
             sf_seconds = 0.0
 
@@ -444,7 +434,6 @@ class SALSHBlocker(Blocker):
                 "mode": self.mode,
                 "num_semantic_bits": encoder.num_bits,
                 "sf_seconds": sf_seconds,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "sharded",
@@ -505,7 +494,6 @@ class SALSHBlocker(Blocker):
                 "mode": self.mode,
                 "num_semantic_bits": encoder.num_bits,
                 "sf_seconds": sf_seconds,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "linkage-online",
@@ -568,7 +556,7 @@ class SALSHBlocker(Blocker):
                 records = slab if isinstance(slab, (list, tuple)) else list(slab)
                 corpus = self.shingler.shingle_corpus(records, vocabulary=vocab)
                 signatures = stream_slab_signatures(
-                    self.hasher, corpus, signatures_out, cursor, self.workers
+                    self.hasher, corpus, signatures_out, cursor
                 )
                 semhash = encoder.signature_matrix(records)
                 entries = [
@@ -598,7 +586,6 @@ class SALSHBlocker(Blocker):
                 "w": gates.w,
                 "mode": self.mode,
                 "num_semantic_bits": encoder.num_bits,
-                "workers": self.workers,
                 "processes": self.processes,
                 "pooled": self.pool is not None,
                 "engine": "streaming",

@@ -189,7 +189,7 @@ class BandedLSHIndex:
     first-occurrence order — :meth:`blocks` is byte-identical for every
     process count. ``pool`` runs that grouping on a persistent
     :class:`~repro.utils.parallel.ShardPool` (its process count wins)
-    instead of forking a fresh executor per grouping pass.
+    instead of an ephemeral pool per grouping pass.
     """
 
     def __init__(

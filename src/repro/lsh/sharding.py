@@ -1,11 +1,11 @@
 """Process-level sharding of the blocking hot loops.
 
-The ``workers=`` runtime (threads) only helps the numpy kernels that
-release the GIL; the remaining hot loops — string shingling, semantic
-interpretation and the sort-and-segment bucket grouping — are GIL-bound
-Python/numpy work. This module maps them over a
-:class:`~concurrent.futures.ProcessPoolExecutor` in two phases (see
-DESIGN.md, "Process-sharded streaming runtime"):
+The blocking hot loops — string shingling, minhash, semantic
+interpretation and the sort-and-segment bucket grouping — are mostly
+GIL-bound Python/numpy work. This module maps them over a
+:class:`~repro.utils.parallel.ShardPool` (a caller's warm pool, or an
+ephemeral one per call) in two phases (see DESIGN.md, "Process-sharded
+streaming runtime"):
 
 * **Record slabs** (map): the corpus is cut into contiguous record
   slabs; each worker shingles, minhashes and (for SA-LSH) interprets
@@ -26,7 +26,7 @@ shingler/hasher/semantic-function objects plus plain record lists.
 
 Because every sharded map goes through that one contract, the runtime's
 fault tolerance (DESIGN.md, "Fault tolerance & the degradation ladder")
-applies uniformly: a pooled map that loses a worker, times out or hits
+applies uniformly: a map that loses a worker, times out or hits
 a corrupt slab re-ships only the unfinished slabs — and, in the worst
 case, computes them serially in-process — so the reassembled output
 stays byte-identical to the serial pass under any single fault.
@@ -66,29 +66,23 @@ def record_slabs(
 
 
 def _plain_slab(payload):
-    shingler, hasher, records, workers = payload
+    shingler, hasher, records = payload
     corpus = shingler.shingle_corpus(records)
-    return corpus.record_ids, hasher.signature_matrix(corpus, workers=workers)
+    return corpus.record_ids, hasher.signature_matrix(corpus)
 
 
 def _runner_up_slab(payload):
-    shingler, hasher, records, workers = payload
+    shingler, hasher, records = payload
     corpus = shingler.shingle_corpus(records)
-    minima, runners = hasher.signature_matrix_with_runner_up(
-        corpus, workers=workers
-    )
+    minima, runners = hasher.signature_matrix_with_runner_up(corpus)
     return corpus.record_ids, minima, runners
 
 
 def _semantic_slab(payload):
-    shingler, hasher, semantic_function, records, workers = payload
+    shingler, hasher, semantic_function, records = payload
     corpus = shingler.shingle_corpus(records)
     zetas = [semantic_function.interpret(record) for record in records]
-    return (
-        corpus.record_ids,
-        hasher.signature_matrix(corpus, workers=workers),
-        zetas,
-    )
+    return corpus.record_ids, hasher.signature_matrix(corpus), zetas
 
 
 def _pooled_slabs(records, processes, pool):
@@ -116,48 +110,42 @@ def _pooled_slabs(records, processes, pool):
     return slabs
 
 
-def signature_slabs(
-    shingler, hasher, records, processes, *, workers=1, pool=None
-):
+def signature_slabs(shingler, hasher, records, processes, *, pool=None):
     """Shingle + minhash record slabs across processes.
 
     Returns one ``(record_ids, signature_matrix)`` tuple per slab, in
     record order — concatenated they equal the single-process corpus
     pass byte for byte (each worker interns a private vocabulary, which
-    signatures do not depend on). ``workers`` threads evaluate each
-    slab's hash-function chunks *inside* its worker process, so the two
-    knobs compose (processes × workers) instead of one silently
-    disabling the other. ``pool`` runs the map on a persistent
+    signatures do not depend on). ``pool`` runs the map on a persistent
     :class:`~repro.utils.parallel.ShardPool` (its process count also
-    sets the slab layout) instead of a per-call executor, and interns
-    the record slabs so repeated calls over one corpus stop
+    sets the slab layout) instead of an ephemeral per-call one, and
+    interns the record slabs so repeated calls over one corpus stop
     re-pickling them.
     """
     slabs = _pooled_slabs(records, processes, pool)
     return map_processes(
         _plain_slab,
-        [(shingler, hasher, slab, workers) for slab in slabs],
+        [(shingler, hasher, slab) for slab in slabs],
         processes,
         pool=pool,
     )
 
 
 def runner_up_signature_slabs(
-    shingler, hasher, records, processes, *, workers=1, pool=None
+    shingler, hasher, records, processes, *, pool=None
 ):
     """Like :func:`signature_slabs` for minima + runner-up matrices."""
     slabs = _pooled_slabs(records, processes, pool)
     return map_processes(
         _runner_up_slab,
-        [(shingler, hasher, slab, workers) for slab in slabs],
+        [(shingler, hasher, slab) for slab in slabs],
         processes,
         pool=pool,
     )
 
 
 def semantic_signature_slabs(
-    shingler, hasher, semantic_function, records, processes, *,
-    workers=1, pool=None,
+    shingler, hasher, semantic_function, records, processes, *, pool=None
 ):
     """Shingle + minhash + interpret record slabs across processes.
 
@@ -170,7 +158,7 @@ def semantic_signature_slabs(
     slabs = _pooled_slabs(records, processes, pool)
     return map_processes(
         _semantic_slab,
-        [(shingler, hasher, semantic_function, slab, workers) for slab in slabs],
+        [(shingler, hasher, semantic_function, slab) for slab in slabs],
         processes,
         pool=pool,
     )

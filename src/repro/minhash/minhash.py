@@ -13,13 +13,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.minhash.corpus import ShingledCorpus
 from repro.utils.hashing import MERSENNE_PRIME_61, UniversalHashFamily
-from repro.utils.parallel import chunk_spans, run_chunked
+from repro.utils.parallel import chunk_spans
 
 #: Upper bound on the number of gathered hash values a single batch
 #: chunk may materialise (elements, not bytes): bounds the working set
 #: of :meth:`MinHasher.signature_matrix` at ~64 MiB of uint64 per chunk.
-#: With ``workers=w`` up to w chunks are in flight, so the transient
-#: bound scales to w * 64 MiB.
 _CHUNK_ELEMENTS = 8_000_000
 
 
@@ -128,7 +126,6 @@ class MinHasher:
         corpus: ShingledCorpus,
         *,
         chunk_elements: int = _CHUNK_ELEMENTS,
-        workers: int | None = 1,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Minhash signatures for a whole corpus in one vectorized pass.
@@ -137,22 +134,16 @@ class MinHasher:
         *vocabulary* once (each distinct shingle hashed ``num_hashes``
         times total, however many records contain it), gathers the
         values along the corpus's CSR token stream, and reduces
-        per-record minima with ``np.minimum.reduceat``. The work is
-        chunked over hash functions so no intermediate exceeds
-        ``chunk_elements`` values (see DESIGN.md, "Batch signature
-        engine").
+        per-record minima with ``np.minimum.reduceat``. The work runs
+        as a serial loop over hash-function chunks so no intermediate
+        exceeds ``chunk_elements`` values (see DESIGN.md, "Batch
+        signature engine"); each chunk writes a disjoint column slice,
+        so the chunk size never changes a byte of the result.
 
         Parameters
         ----------
         chunk_elements:
             Per-chunk working-set cap (gathered uint64 values).
-        workers:
-            Number of threads evaluating hash-function chunks
-            concurrently; ``None`` uses every CPU. Chunks are
-            independent and write disjoint column slices, and the numpy
-            kernels they run release the GIL — results are
-            byte-identical for every worker count (see DESIGN.md,
-            "Parallel & streaming runtime").
         out:
             Optional preallocated ``(num_records, num_hashes)`` uint64
             buffer, e.g. a memory-mapped ``.npy`` slice from
@@ -174,20 +165,14 @@ class MinHasher:
         tokens_ext, starts, empty_rows = sentinel_stream(corpus)
         vocab_hashes, tokens_ext = compact_vocabulary(corpus, tokens_ext)
 
-        def compute(lo: int, hi: int) -> None:
+        for lo, hi in chunk_spans(
+            self.num_hashes,
+            self.rows_per_chunk(tokens_ext.shape[0], chunk_elements),
+        ):
             gathered = self.gathered_span(vocab_hashes, tokens_ext, lo, hi)
             minima = np.minimum.reduceat(gathered, starts, axis=1)
             minima[:, empty_rows] = MERSENNE_PRIME_61
             out[:, lo:hi] = minima.T
-
-        run_chunked(
-            compute,
-            chunk_spans(
-                self.num_hashes,
-                self.rows_per_chunk(tokens_ext.shape[0], chunk_elements),
-            ),
-            workers,
-        )
         return out
 
     def rows_per_chunk(self, stream: int, chunk_elements: int) -> int:
@@ -207,8 +192,7 @@ class MinHasher:
         the sentinel-extended token stream: the family is evaluated over
         ``vocab_hashes`` (plus the sentinel column at value p, indexed
         by ``len(vocab_hashes)``) and gathered to the stream. Pure
-        function of its inputs — safe to evaluate concurrently for
-        disjoint spans.
+        function of its inputs.
         """
         sentinel = np.uint64(MERSENNE_PRIME_61)
         vocab_values = self._family.hash_values(vocab_hashes, lo, hi)

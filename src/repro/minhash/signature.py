@@ -85,19 +85,17 @@ def build_signature_matrix(
     dataset: Dataset,
     shingler: Shingler,
     hasher: MinHasher,
-    *,
-    workers: int | None = 1,
 ) -> SignatureMatrix:
     """Shingle and minhash every record of ``dataset``.
 
     Runs on the corpus-level batch engine: one interned shingling pass
-    and a chunked vectorized minhash (``workers`` threads evaluate the
-    chunks), byte-identical to hashing each record separately.
+    and a chunked vectorized minhash, byte-identical to hashing each
+    record separately.
     """
     corpus = shingler.shingle_corpus(dataset)
     return SignatureMatrix(
         record_ids=corpus.record_ids,
-        matrix=hasher.signature_matrix(corpus, workers=workers),
+        matrix=hasher.signature_matrix(corpus),
     )
 
 

@@ -19,6 +19,16 @@ from repro.text.levenshtein import edit_similarity
 
 StringSimilarity = Callable[[str, str], float]
 
+
+def exact_similarity(s1: str, s2: str) -> float:
+    """1.0 for identical strings, else 0.0.
+
+    Module-level (not a lambda) so a matcher using it pickles — durable
+    resolvers checkpoint their matcher.
+    """
+    return 1.0 if s1 == s2 else 0.0
+
+
 _REGISTRY: dict[str, StringSimilarity] = {
     "jaro": jaro_similarity,
     "jaro_winkler": jaro_winkler_similarity,
@@ -27,7 +37,7 @@ _REGISTRY: dict[str, StringSimilarity] = {
     "lcs": lcs_similarity,
     "jaccard_q2": partial(qgram_jaccard, q=2),
     "jaccard_q3": partial(qgram_jaccard, q=3),
-    "exact": lambda s1, s2: 1.0 if s1 == s2 else 0.0,
+    "exact": exact_similarity,
 }
 
 #: The four comparators the paper sweeps for ASor / RSuA / StMT / StMNN.

@@ -1,8 +1,8 @@
 """Small shared utilities: seeded randomness, universal hashing,
-bounded caching, thread-/process-parallel execution (including the
-persistent :class:`~repro.utils.parallel.ShardPool`), retry policies
-for the fault-tolerant pooled runtime, and deterministic fault
-injection (:mod:`repro.utils.faults`)."""
+bounded caching, process-parallel execution on the
+:class:`~repro.utils.parallel.ShardPool`, retry policies for its
+fault-tolerant runtime, and deterministic fault injection
+(:mod:`repro.utils.faults`)."""
 
 from repro.utils.rand import derive_seed, rng_from_seed
 from repro.utils.hashing import MERSENNE_PRIME_61, UniversalHashFamily, stable_hash
@@ -12,8 +12,6 @@ from repro.utils.parallel import (
     chunk_spans,
     map_processes,
     resolve_processes,
-    resolve_workers,
-    run_chunked,
     set_slab_integrity,
     slab_integrity_enabled,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "chunk_spans",
     "map_processes",
     "resolve_processes",
-    "resolve_workers",
-    "run_chunked",
     "set_slab_integrity",
     "slab_integrity_enabled",
     "NO_RETRY",

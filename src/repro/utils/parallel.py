@@ -1,25 +1,16 @@
-"""Thread- and process-parallel execution of independent work units.
-
-The batch signature engine splits its work over hash-function chunks
-that touch disjoint output slices (see DESIGN.md, "Parallel & streaming
-runtime"). Those chunks are dominated by numpy kernels — the exact
-modular multiply, fancy-indexed gathers and ``np.minimum.reduceat`` —
-which release the GIL on large arrays, so plain threads scale across
-cores without pickling the corpus into worker processes.
+"""Process-parallel execution of independent work units.
 
 The ``processes=`` runtime (DESIGN.md, "Process-sharded streaming
-runtime") complements it for the GIL-bound hot loops — string
-shingling, semantic interpretation, bucket grouping — by mapping
-picklable payloads over a :class:`~concurrent.futures.ProcessPoolExecutor`:
-record slabs and band-key shards are evaluated in worker processes and
-reassembled deterministically, so any process count produces
-byte-identical blocks.
+runtime") maps picklable payloads — record slabs and band-key shards —
+over worker processes and reassembles the results deterministically,
+so any process count produces byte-identical blocks.
 
-:class:`ShardPool` (DESIGN.md, "Persistent shard pool") makes that
-runtime amortisable: it owns one executor for its lifetime and
+:class:`ShardPool` (DESIGN.md, "Persistent shard pool") is the one
+executor behind it: it owns a process pool for its lifetime and
 transports payloads/results through shared-memory slab files instead of
-the executor's pipes, so repeated blocking calls stop paying a fresh
-fork-and-pickle round per call.
+the executor's pipes. A caller that keeps a pool warm stops paying a
+fork-and-pickle round per blocking call; :func:`map_processes` without
+a pool runs each call on an ephemeral pool closed before it returns.
 
 The pool is also *self-healing* (DESIGN.md, "Fault tolerance & the
 degradation ladder"): slab files carry length+checksum footers
@@ -47,7 +38,7 @@ import warnings
 import weakref
 import zlib
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
@@ -78,15 +69,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):
         return os.cpu_count() or 1
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a ``workers=`` argument: ``None`` means all usable CPUs."""
-    if workers is None:
-        return _available_cpus()
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1 or None, got {workers}")
-    return workers
 
 
 def resolve_processes(processes: int | None) -> int:
@@ -573,20 +555,19 @@ class ShardPool:
 
     Owns one :class:`~concurrent.futures.ProcessPoolExecutor` for its
     lifetime (workers start on the first parallel map and stay warm),
-    so repeated blocking calls stop paying the fork-and-join round that
-    :func:`map_processes` pays per call. Payloads and results move
-    through slab files in a shared-memory directory — large arrays as
+    so repeated blocking calls stop paying the fork-and-join round an
+    ephemeral per-call pool pays. Payloads and results move through
+    slab files in a shared-memory directory — large arrays as
     memory-mapped ``.npy`` slabs, the rest as one pickle file per
     payload — instead of the executor's pipes. Every slab file carries
     a length+checksum footer validated on attach.
 
-    :meth:`map` keeps the :func:`map_processes` contract: order
-    preserved, serial in-process fallback for ``processes=1`` (or a
-    single payload) with results identical to any parallel execution,
-    exceptions propagated. On top it is *self-healing*: a broken
-    executor (killed worker), a hung task past ``timeout``, or a
-    corrupt slab tears the executor down, re-ships only the unfinished
-    payloads under ``retry`` (a
+    :meth:`map` preserves order, runs serially in-process for
+    ``processes=1`` (or a single payload) with results identical to any
+    parallel execution, and propagates exceptions. It is also
+    *self-healing*: a broken executor (killed worker), a hung task past
+    ``timeout``, or a corrupt slab tears the executor down, re-ships
+    only the unfinished payloads under ``retry`` (a
     :class:`~repro.utils.retry.RetryPolicy`, an int retry count, or
     ``None`` for the default policy; ``0`` disables recovery and
     surfaces :class:`~repro.errors.PoolBrokenError` /
@@ -657,29 +638,6 @@ class ShardPool:
         """Whether an ENOSPC pushed slab traffic onto a disk-backed dir."""
         return self._on_disk_fallback
 
-    def configure(
-        self,
-        *,
-        retry: "RetryPolicy | int | None" = None,
-        map_timeout: float | None = None,
-    ) -> "ShardPool":
-        """Adjust the pool's fault-tolerance defaults in place.
-
-        ``None`` leaves a knob unchanged — this is how
-        :class:`~repro.core.pipeline.PipelineConfig` threads its
-        ``retry``/``map_timeout`` onto a caller-owned pool without
-        clobbering explicit constructor choices. Returns ``self``.
-        """
-        if retry is not None:
-            self._retry = as_retry_policy(retry)
-        if map_timeout is not None:
-            if map_timeout <= 0:
-                raise ConfigurationError(
-                    f"map_timeout must be > 0 or None, got {map_timeout}"
-                )
-            self._map_timeout = map_timeout
-        return self
-
     def __enter__(self) -> "ShardPool":
         return self
 
@@ -702,11 +660,11 @@ class ShardPool:
         """Map ``fn`` over payloads on the persistent pool, in order.
 
         ``fn`` must be a module-level function and payloads/results
-        picklable, as for :func:`map_processes`. Arrays returned from
-        workers come back as read-only memory maps over slab files —
-        value-identical to the serial path's in-RAM arrays. Slab files
-        are unlinked as soon as both sides are done with them (the
-        maps stay valid; POSIX keeps unlinked pages mapped).
+        picklable. Arrays returned from workers come back as read-only
+        memory maps over slab files — value-identical to the serial
+        path's in-RAM arrays. Slab files are unlinked as soon as both
+        sides are done with them (the maps stay valid; POSIX keeps
+        unlinked pages mapped).
 
         ``timeout`` (seconds, default: the pool's ``map_timeout``)
         bounds every *attempt*: futures still pending at the deadline
@@ -1156,11 +1114,6 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
-def _unlink_many(paths: list[str]) -> None:
-    for path in paths:
-        _unlink_quietly(path)
-
-
 def map_processes(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -1168,26 +1121,18 @@ def map_processes(
     *,
     pool: ShardPool | None = None,
 ) -> list[Any]:
-    """Map ``fn`` over payloads on a process pool, preserving order.
+    """Map ``fn`` over payloads on a :class:`ShardPool`, preserving order.
 
     ``fn`` must be a module-level function and every payload (and
-    result) picklable — the contract of
-    :class:`~concurrent.futures.ProcessPoolExecutor`. With
-    ``processes<=1`` (or a single payload) the map runs serially in
-    this process, so results are identical for every process count;
-    parallelism only changes who executes the payloads. Exceptions
+    result) picklable. With ``pool`` set the map runs on that
+    persistent pool (its process count wins over ``processes``), so
+    fork and slab transport costs are amortised across calls. Without
+    one, ``min(processes, len(payloads))`` decides: one or fewer runs
+    the payloads serially in this process and creates no pool; more
+    runs them on an ephemeral pool of that size, closed before this
+    returns. Results are identical for every process count, the pool's
+    self-healing ladder applies either way, and exceptions from ``fn``
     propagate to the caller.
-
-    With ``pool`` set the map runs on that persistent
-    :class:`ShardPool` (its process count wins over ``processes``) —
-    same ordering and serial-fallback contract, but fork and slab
-    transport costs are amortised across calls, and the pool's
-    self-healing recovery applies.
-
-    The fresh-executor path degrades gracefully too: a
-    ``BrokenProcessPool`` (e.g. an OOM-killed worker) completes the
-    unfinished payloads serially in-process instead of aborting — the
-    short ladder for a pool nobody will reuse.
     """
     if pool is not None:
         return pool.map(fn, payloads)
@@ -1195,37 +1140,8 @@ def map_processes(
     effective = min(resolve_processes(processes), len(payloads))
     if effective <= 1:
         return [fn(payload) for payload in payloads]
-    results: list[Any] = [_PENDING] * len(payloads)
-    broken: Exception | None = None
-    with ProcessPoolExecutor(max_workers=effective) as executor:
-        futures = [executor.submit(fn, payload) for payload in payloads]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except BrokenProcessPool as exc:
-                broken = exc
-                break
-        if broken is not None:
-            # Keep out-of-order completions; everything else reruns
-            # serially below.
-            for i, future in enumerate(futures):
-                if results[i] is not _PENDING or not future.done():
-                    continue
-                try:
-                    results[i] = future.result(0)
-                except Exception:
-                    pass
-    if broken is not None:
-        warnings.warn(
-            f"process pool broke mid-map ({broken}); completing "
-            "remaining payloads serially in-process",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        for i, payload in enumerate(payloads):
-            if results[i] is _PENDING:
-                results[i] = fn(payload)
-    return results
+    with ShardPool(effective) as ephemeral:
+        return ephemeral.map(fn, payloads)
 
 
 def chunk_spans(total: int, per_chunk: int) -> list[tuple[int, int]]:
@@ -1233,27 +1149,3 @@ def chunk_spans(total: int, per_chunk: int) -> list[tuple[int, int]]:
     if per_chunk < 1:
         raise ConfigurationError(f"per_chunk must be >= 1, got {per_chunk}")
     return [(lo, min(lo + per_chunk, total)) for lo in range(0, total, per_chunk)]
-
-
-def run_chunked(
-    fn: Callable[[int, int], None],
-    spans: Sequence[tuple[int, int]],
-    workers: int | None = 1,
-) -> None:
-    """Run ``fn(lo, hi)`` over every span, serially or on a thread pool.
-
-    ``fn`` must be safe to run concurrently for distinct spans (each
-    span writes a disjoint output slice). Results are identical
-    regardless of ``workers`` — the spans themselves define the work,
-    parallelism only changes who executes them. Exceptions propagate to
-    the caller.
-    """
-    effective = min(resolve_workers(workers), len(spans))
-    if effective <= 1:
-        for lo, hi in spans:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=effective) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in spans]
-        for future in futures:
-            future.result()

@@ -2,8 +2,35 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core import LSHBlocker
 from repro.records import read_csv, read_pairs_csv
+from repro.utils.parallel import ShardPool, _available_cpus
+from repro.utils.retry import NO_RETRY
+
+
+def _block_lsh_args(csv_path):
+    """``block`` arguments for the LSH runs the pool tests compare."""
+    return [
+        "block", "--input", str(csv_path), "--technique", "lsh",
+        "--attributes", "first_name,last_name",
+        "--q", "2", "--k", "5", "--l", "10",
+    ]
+
+
+@pytest.fixture()
+def built_pools(monkeypatch):
+    """Every ShardPool the CLI builds during the test, in order."""
+    built = []
+
+    class RecordingPool(ShardPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "ShardPool", RecordingPool)
+    return built
 
 
 @pytest.fixture()
@@ -57,36 +84,57 @@ class TestBlock:
         assert exit_code == 0
         assert isinstance(read_pairs_csv(pairs_path), set)
 
-    def test_pooled_blocking_matches_fresh_pool(self, generated_csv, tmp_path):
-        # --pooled runs the sharded runtime on one persistent shard
-        # pool spanning the command; the pairs must equal the
-        # fresh-pool-per-call --processes path.
-        fresh_path = tmp_path / "fresh.csv"
-        pooled_path = tmp_path / "pooled.csv"
-        common = [
-            "block", "--input", str(generated_csv), "--technique", "lsh",
-            "--attributes", "first_name,last_name",
-            "--q", "2", "--k", "5", "--l", "10", "--processes", "2",
-        ]
-        assert main(common + ["--out", str(fresh_path)]) == 0
-        assert main(common + ["--pooled", "--out", str(pooled_path)]) == 0
-        assert read_pairs_csv(pooled_path) == read_pairs_csv(fresh_path)
-
-    def test_pooled_without_processes_defaults_to_all_cpus(
-        self, generated_csv, tmp_path
+    def test_pooled_blocking_matches_fresh_pool(
+        self, generated_csv, tmp_path, built_pools
     ):
-        # --pooled with no --processes must not silently fall back to
-        # the serial path (a one-process pool would never be used); it
-        # defaults the process count to all CPUs instead.
+        # --processes 2 runs the sharded runtime on one shard pool
+        # spanning the command; its pairs equal the serial run and the
+        # library's fresh (ephemeral) pool per call.
         serial_path = tmp_path / "serial.csv"
         pooled_path = tmp_path / "pooled.csv"
-        common = [
-            "block", "--input", str(generated_csv), "--technique", "lsh",
-            "--attributes", "first_name,last_name",
-            "--q", "2", "--k", "5", "--l", "10",
-        ]
-        assert main(common + ["--out", str(serial_path)]) == 0
-        assert main(common + ["--pooled", "--out", str(pooled_path)]) == 0
+        assert main(_block_lsh_args(generated_csv) + [
+            "--processes", "1", "--out", str(serial_path),
+        ]) == 0
+        assert built_pools == []  # serial: no pool at all
+        assert main(_block_lsh_args(generated_csv) + [
+            "--processes", "2", "--out", str(pooled_path),
+        ]) == 0
+        assert [pool.processes for pool in built_pools] == [2]
+        assert built_pools[0].closed
+        fresh = LSHBlocker(
+            ("first_name", "last_name"), q=2, k=5, l=10, processes=2
+        ).block(read_csv(generated_csv))
+        assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
+        assert read_pairs_csv(pooled_path) == fresh.distinct_pairs
+
+    def test_processes_zero_pools_all_cpus(
+        self, generated_csv, tmp_path, built_pools
+    ):
+        serial_path = tmp_path / "serial.csv"
+        pooled_path = tmp_path / "pooled.csv"
+        assert main(_block_lsh_args(generated_csv) + ["--out", str(serial_path)]) == 0
+        assert main(_block_lsh_args(generated_csv) + [
+            "--processes", "0", "--out", str(pooled_path),
+        ]) == 0
+        assert [pool.processes for pool in built_pools] == [_available_cpus()]
+        assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
+
+    def test_retry_flags_configure_the_pool(
+        self, generated_csv, tmp_path, built_pools
+    ):
+        # --retries/--map-timeout shape the command's one pool.
+        serial_path = tmp_path / "serial.csv"
+        pooled_path = tmp_path / "pooled.csv"
+        assert main(_block_lsh_args(generated_csv) + [
+            "--processes", "1", "--out", str(serial_path),
+        ]) == 0
+        assert main(_block_lsh_args(generated_csv) + [
+            "--processes", "2", "--retries", "0", "--map-timeout", "30",
+            "--out", str(pooled_path),
+        ]) == 0
+        (pool,) = built_pools
+        assert pool._retry is NO_RETRY
+        assert pool._map_timeout == 30.0
         assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
 
     def test_survey_technique_by_name(self, generated_csv, tmp_path):

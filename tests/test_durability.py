@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from durability_driver import apply_op, load_corpus, make_blocker, plan
 from repro.core import LSHBlocker, MultiProbeLSHBlocker, SALSHBlocker
 from repro.datasets import fig1_dataset, fig1_semantic_function
-from repro.er import Resolver
+from repro.er import Resolver, SimilarityMatcher
 from repro.errors import (
     ConfigurationError,
     DatasetError,
@@ -53,6 +53,7 @@ from repro.store import (
 )
 from repro.store.checkpoint import CURRENT_NAME, TMP_MARKER
 from repro.store.journal import journal_path
+from repro.text import available_similarities
 
 BLOCKER_KINDS = ("lsh", "salsh", "mplsh", "forest")
 
@@ -391,6 +392,27 @@ class TestResolverPersistenceEdges:
         assert len(recovered) == 0
         recovered.close()
 
+    @pytest.mark.parametrize("measure", available_similarities())
+    def test_every_similarity_survives_save_open(
+        self, measure, tmp_path, fig1
+    ):
+        # The matcher is pickled into every checkpoint, so each
+        # registered measure must pickle.
+        records = list(fig1)
+        matcher = SimilarityMatcher(
+            {"title": measure, "authors": measure},
+            match_threshold=0.8, possible_threshold=0.4,
+        )
+        state = tmp_path / "state"
+        resolver = Resolver(
+            _fig1_blocker(), records[:-1], matcher=matcher, state_dir=state
+        )
+        resolver.save()
+        expected = resolver.resolve_many(records)
+        resolver.close()
+        with Resolver.open(state) as recovered:
+            assert recovered.resolve_many(records) == expected
+
     def test_failed_add_leaves_durable_state_unchanged(
         self, tmp_path, fig1
     ):
@@ -688,6 +710,25 @@ class TestCLIDurability:
         assert rc == 0
         rows = list(_csv.DictReader(open(results)))
         assert [row["query_id"] for row in rows] == ["p1"]
+
+    def test_serve_batch_exact_similarity_state_dir(self, tmp_path):
+        from repro.cli import main
+
+        corpus = self._corpus_csv(tmp_path)
+        state = tmp_path / "state"
+        ops = tmp_path / "ops.csv"
+        ops.write_text(
+            "op,record_id,title,authors\n"
+            "add,x1,entity resolution,someone\n"
+            "query,p1,entity resolution,someone\n"
+        )
+        rc = main([
+            "serve-batch", "--input", str(corpus), "--ops", str(ops),
+            *self._blocker_args(), "--similarity", "exact",
+            "--state-dir", str(state), "--out", str(tmp_path / "out.csv"),
+        ])
+        assert rc == 0
+        assert latest_checkpoint(state) is not None
 
     def test_recover_without_state_exits_2(self, tmp_path, capsys):
         from repro.cli import main

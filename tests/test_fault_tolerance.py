@@ -26,7 +26,6 @@ from repro.core import (
     MultiProbeLSHBlocker,
     SALSHBlocker,
 )
-from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.er import Resolver
 from repro.errors import (
     ConfigurationError,
@@ -39,7 +38,7 @@ from repro.minhash.signature import validate_spill
 from repro.records import Record
 from repro.semantic import PatternSemanticFunction, cora_patterns
 from repro.taxonomy.builders import bibliographic_tree
-from repro.utils import faults
+from repro.utils import faults, parallel
 from repro.utils.faults import FaultPlan
 from repro.utils.parallel import (
     ShardPool,
@@ -427,32 +426,6 @@ class TestRecoveryLadder:
                     pool.map(_triple, [1, 2, 3], timeout=1.0)
             assert pool.map(_triple, [1, 2, 3]) == [3, 6, 9]
 
-    def test_configure_updates_knobs(self):
-        pool = ShardPool(2)
-        try:
-            assert pool._retry.fallback_serial
-            pool.configure(retry=0, map_timeout=5.0)
-            assert pool._retry is NO_RETRY
-            assert pool._map_timeout == 5.0
-            pool.configure()  # no-op leaves both untouched
-            assert pool._retry is NO_RETRY
-            assert pool._map_timeout == 5.0
-            with pytest.raises(ConfigurationError):
-                pool.configure(map_timeout=-1.0)
-        finally:
-            pool.close()
-
-    def test_pipeline_threads_knobs_to_pool(self, cora_small):
-        with ShardPool(2) as pool:
-            config = PipelineConfig(
-                attributes=CORA_ATTRS, q=2, pool=pool,
-                retry=0, map_timeout=30.0,
-            )
-            report = run_pipeline(cora_small, config)
-            assert report.outcome.result.blocks
-            assert pool._retry is NO_RETRY
-            assert pool._map_timeout == 30.0
-
     def test_map_timeout_validation(self):
         with pytest.raises(ConfigurationError, match="map_timeout"):
             ShardPool(2, map_timeout=0)
@@ -492,16 +465,60 @@ class TestOrphanSweep:
 
 
 class TestMapProcessesDegradation:
-    def test_fresh_pool_broken_completes_serially(self, tmp_path):
+    """``map_processes`` without ``pool=`` runs on an ephemeral
+    :class:`ShardPool`: the pool's recovery ladder applies, and its slab
+    directory never outlives the call — success or failure."""
+
+    @pytest.fixture
+    def slab_parent(self, tmp_path, monkeypatch):
+        parent = tmp_path / "slabs"
+        parent.mkdir()
+        monkeypatch.setenv("REPRO_SHARDPOOL_DIR", str(parent))
+        return parent
+
+    @staticmethod
+    def _pool_dirs(parent):
+        return [n for n in os.listdir(parent) if n.startswith(_SLAB_DIR_PREFIX)]
+
+    def test_fresh_pool_broken_completes_serially(self, tmp_path, slab_parent):
         marker = str(tmp_path / "kill-once")
         payloads = [(1, marker), (2, None), (3, None), (4, None)]
-        with pytest.warns(RuntimeWarning, match="serially"):
-            results = map_processes(_exit_once, payloads, processes=2)
+        results = map_processes(_exit_once, payloads, processes=2)
         assert results == [3, 6, 9, 12]
+        assert os.path.exists(marker)  # a worker really died
+        assert self._pool_dirs(slab_parent) == []
 
-    def test_genuine_errors_still_propagate(self):
+    def test_genuine_errors_still_propagate(self, slab_parent):
         with pytest.raises(ValueError, match="boom"):
             map_processes(_raise_on_negative, [1, -1, 2], processes=2)
+        assert self._pool_dirs(slab_parent) == []
+
+    def test_ephemeral_pool_matches_serial(self, slab_parent):
+        # Large arrays ride slab files and come back as memory maps;
+        # they stay readable after the pool removed its directory.
+        payloads = [np.arange(i, i + 20_000, dtype=np.uint64) for i in range(5)]
+        serial = map_processes(_triple, payloads, processes=1)
+        pooled = map_processes(_triple, payloads, processes=2)
+        assert len(pooled) == len(serial) == 5
+        for got, want in zip(pooled, serial):
+            assert np.array_equal(got, want)
+        assert self._pool_dirs(slab_parent) == []
+
+    def test_ephemeral_pool_sized_to_payloads(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ShardPool):
+            def __init__(self, processes=None, **kwargs):
+                sizes.append(processes)
+                super().__init__(processes, **kwargs)
+
+        monkeypatch.setattr(parallel, "ShardPool", RecordingPool)
+        assert map_processes(_triple, [1, 2, 3], processes=8) == [3, 6, 9]
+        # One or no payloads, or one process: serial, no pool at all.
+        assert map_processes(_triple, [4], processes=8) == [12]
+        assert map_processes(_triple, [], processes=8) == []
+        assert map_processes(_triple, [1, 2], processes=1) == [3, 6]
+        assert sizes == [3]
 
 
 class TestResolverErrorIsolation:

@@ -131,6 +131,7 @@ class TestMetaBlockingPipeline:
 class TestScalabilityShape:
     def test_blocking_time_grows_subquadratically(self):
         """Fig. 13 (d): doubling records must not quadruple LSH time."""
+        import gc
         import time
 
         from repro.datasets import NCVoterLikeGenerator
@@ -142,8 +143,13 @@ class TestScalabilityShape:
         for n in (1000, 2000):
             ds = NCVoterLikeGenerator(num_records=n, seed=3).generate()
             blocker = LSHBlocker(VOTER_ATTRS, q=2, k=9, l=15, seed=1)
-            start = time.perf_counter()
-            blocker.block(ds)
-            times.append(time.perf_counter() - start)
+            blocker.block(ds)  # untimed warm-up
+            gc.collect()
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                blocker.block(ds)
+                best = min(best, time.perf_counter() - start)
+            times.append(best)
         # Allow generous noise: 2x data must stay under 3.5x time.
         assert times[1] < times[0] * 3.5

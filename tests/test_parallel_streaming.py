@@ -1,12 +1,12 @@
 """Parallel & streaming runtime equivalence (see DESIGN.md, "Parallel &
 streaming runtime").
 
-The contract mirrors PR 1's batch-engine guarantee: neither the worker
-count, nor slab boundaries, nor a memory-mapped signature backing file
-may change a single byte of the output. Covers multi-threaded signature
-matrices (plain and runner-up), preallocated / memory-mapped ``out=``
-buffers, incremental ``shingle_corpus`` appends over a shared
-:class:`ShingleVocabulary`, cross-slab bucket merging in
+The contract mirrors the batch engine's guarantee: neither the
+hash-function chunk size, nor slab boundaries, nor a memory-mapped
+signature backing file may change a single byte of the output. Covers
+chunked signature matrices (plain and runner-up), preallocated /
+memory-mapped ``out=`` buffers, incremental ``shingle_corpus`` appends
+over a shared :class:`ShingleVocabulary`, cross-slab bucket merging in
 ``BandedLSHIndex.add_many`` (with and without semantic gates),
 ``LSHBlocker.block_stream``, and the bounded :class:`LRUCache`.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import LSHBlocker, SALSHBlocker
+from repro.core import LSHBlocker
 from repro.core.lsh_variants import _MinHasherWithRunnerUp
 from repro.errors import ConfigurationError
 from repro.lsh.bands import split_bands_matrix
@@ -31,7 +31,6 @@ from repro.records import Dataset, Record
 from repro.semantic import SemhashEncoder, VoterSemanticFunction
 from repro.semantic.hashing import WWaySemanticHashFamily
 from repro.utils.cache import LRUCache
-from repro.utils.parallel import chunk_spans, resolve_workers, run_chunked
 
 VOTER_ATTRS = ("first_name", "last_name")
 
@@ -55,13 +54,19 @@ EDGE_TITLES = [
 
 class TestParallelSignatureMatrix:
     def test_workers_byte_identical(self, voter_small):
+        # The chunk-size cap splits the hash functions into serial
+        # chunks (here 1, 5 with a ragged tail, and all 48 at once);
+        # every split writes the same bytes.
         shingler = Shingler(VOTER_ATTRS, q=2)
         hasher = MinHasher(48, seed=3)
         corpus = shingler.shingle_corpus(voter_small)
         serial = hasher.signature_matrix(corpus)
-        for workers in (2, 4, None):
-            parallel = hasher.signature_matrix(corpus, workers=workers)
-            assert np.array_equal(serial, parallel)
+        stream = corpus.num_tokens + 1
+        for rows in (1, 5, 48):
+            chunked = hasher.signature_matrix(
+                corpus, chunk_elements=rows * stream
+            )
+            assert np.array_equal(serial, chunked)
 
     def test_workers_with_tiny_chunks(self):
         # chunk_elements=1 forces one chunk per hash function, so every
@@ -71,8 +76,8 @@ class TestParallelSignatureMatrix:
         )
         hasher = MinHasher(24, seed=5)
         serial = hasher.signature_matrix(corpus)
-        threaded = hasher.signature_matrix(corpus, chunk_elements=1, workers=4)
-        assert np.array_equal(serial, threaded)
+        chunked = hasher.signature_matrix(corpus, chunk_elements=1)
+        assert np.array_equal(serial, chunked)
 
     def test_runner_up_workers_byte_identical(self, cora_small):
         shingler = Shingler(("authors", "title"), q=3)
@@ -80,7 +85,7 @@ class TestParallelSignatureMatrix:
         corpus = shingler.shingle_corpus(cora_small)
         min_serial, run_serial = hasher.signature_matrix_with_runner_up(corpus)
         min_par, run_par = hasher.signature_matrix_with_runner_up(
-            corpus, chunk_elements=1, workers=3
+            corpus, chunk_elements=1
         )
         assert np.array_equal(min_serial, min_par)
         assert np.array_equal(run_serial, run_par)
@@ -99,7 +104,7 @@ class TestParallelSignatureMatrix:
         mm = open_signature_memmap(
             tmp_path / "sig.npy", corpus.num_records, 16
         )
-        hasher.signature_matrix(corpus, workers=2, out=mm)
+        hasher.signature_matrix(corpus, out=mm)
         mm.flush()
         # The spilled file is a plain .npy readable by a later process.
         reread = np.load(tmp_path / "sig.npy", mmap_mode="r")
@@ -114,31 +119,6 @@ class TestParallelSignatureMatrix:
             hasher.signature_matrix(corpus, out=np.empty((2, 5), dtype=np.uint64))
         with pytest.raises(ConfigurationError):
             hasher.signature_matrix(corpus, out=np.empty((2, 4), dtype=np.int64))
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_workers(0)
-
-
-class TestRunChunked:
-    def test_covers_all_spans_any_worker_count(self):
-        spans = chunk_spans(17, 3)
-        assert spans[0] == (0, 3) and spans[-1] == (15, 17)
-        for workers in (1, 2, 8):
-            seen = np.zeros(17, dtype=np.int64)
-
-            def mark(lo, hi):
-                seen[lo:hi] += 1
-
-            run_chunked(mark, spans, workers)
-            assert (seen == 1).all()
-
-    def test_exceptions_propagate(self):
-        def boom(lo, hi):
-            raise RuntimeError("chunk failed")
-
-        with pytest.raises(RuntimeError):
-            run_chunked(boom, chunk_spans(4, 1), workers=2)
 
 
 class TestIncrementalShingling:
@@ -201,7 +181,7 @@ class TestIncrementalShingling:
             )
             if lo > 20:
                 assert corpus.vocab_size > corpus.num_tokens + 1
-            produced.append(hasher.signature_matrix(corpus, workers=2))
+            produced.append(hasher.signature_matrix(corpus))
         assert np.array_equal(np.concatenate(produced), expected)
 
     def test_vocabulary_rejects_other_config(self):
@@ -308,7 +288,7 @@ class TestStreamedBlocking:
         assert streamed.metadata["num_slabs"] == 8
 
     def test_block_stream_with_memmap_spill(self, tmp_path, voter_small):
-        blocker = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=11, workers=2)
+        blocker = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=11)
         reference = blocker.block(voter_small)
         signatures = open_signature_memmap(
             tmp_path / "stream.npy", len(voter_small), 4 * 6
@@ -331,24 +311,6 @@ class TestStreamedBlocking:
             blocker.block_stream(
                 self._slabs(voter_small, 100), signatures_out=too_small
             )
-
-    def test_workers_blocks_identical(self, voter_small):
-        serial = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=3).block(voter_small)
-        threaded = LSHBlocker(
-            VOTER_ATTRS, q=2, k=4, l=6, seed=3, workers=4
-        ).block(voter_small)
-        assert threaded.blocks == serial.blocks
-        assert threaded.metadata["workers"] == 4
-
-    def test_salsh_workers_blocks_identical(self, voter_small):
-        make = lambda **kw: SALSHBlocker(
-            VOTER_ATTRS, q=2, k=4, l=6, seed=3,
-            semantic_function=VoterSemanticFunction(), w=2, mode="or", **kw,
-        )
-        assert (
-            make(workers=3).block(voter_small).blocks
-            == make().block(voter_small).blocks
-        )
 
 
 class TestLRUCache:

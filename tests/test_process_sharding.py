@@ -32,7 +32,7 @@ from repro.lsh.sharding import (
 from repro.minhash import MinHasher, Shingler
 from repro.semantic import SemhashEncoder, VoterSemanticFunction
 from repro.semantic.hashing import WWaySemanticHashFamily
-from repro.utils.parallel import map_processes, resolve_processes
+from repro.utils.parallel import ShardPool, map_processes, resolve_processes
 
 VOTER_ATTRS = ("first_name", "last_name")
 
@@ -218,10 +218,13 @@ class TestShardedBlockersDeterministic:
             )
 
     def test_workers_compose_with_processes(self, voter_small):
+        # A pool's worker count wins over the blocker's processes= (it
+        # lays out the slabs and shards); blocks stay serial-identical.
         serial = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=3).block(voter_small)
-        combined = LSHBlocker(
-            VOTER_ATTRS, q=2, k=4, l=6, seed=3, workers=2, processes=2
-        ).block(voter_small)
+        with ShardPool(3) as pool:
+            combined = LSHBlocker(
+                VOTER_ATTRS, q=2, k=4, l=6, seed=3, processes=2, pool=pool
+            ).block(voter_small)
         assert combined.blocks == serial.blocks
 
     def test_streamed_sharded_identical(self, voter_small):

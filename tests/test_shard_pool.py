@@ -31,7 +31,6 @@ from repro.utils.parallel import (
     effective_processes,
     map_processes,
     resolve_processes,
-    resolve_workers,
 )
 
 VOTER_ATTRS = ("first_name", "last_name")
@@ -193,7 +192,6 @@ class TestPoolPrimitives:
     def test_resolve_respects_cpu_budget(self):
         # None defaults must track the usable-CPU count (cgroup/affinity
         # aware), not blindly the machine's cpu_count.
-        assert resolve_workers(None) == _available_cpus()
         assert resolve_processes(None) == _available_cpus()
         assert _available_cpus() >= 1
 

@@ -126,7 +126,7 @@ class TestStreamedEqualsBatch:
         assert streamed.blocks == reference.blocks
 
     def test_voter_with_fixed_memmap_spill(self, tmp_path, voter_small):
-        blocker = _voter_blocker(workers=2)
+        blocker = _voter_blocker()
         reference = blocker.block(voter_small)
         signatures = open_signature_memmap(
             tmp_path / "salsh.npy", len(voter_small), 3 * 5
