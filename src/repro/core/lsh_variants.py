@@ -40,7 +40,7 @@ from repro.minhash.shingling import Shingler
 from repro.records.dataset import Dataset
 from repro.records.record import Record
 from repro.utils.hashing import MERSENNE_PRIME_61, UniversalHashFamily
-from repro.utils.parallel import ShardPool, chunk_spans, effective_processes
+from repro.utils.parallel import ShardPool, effective_processes
 
 
 class _MinHasherWithRunnerUp(MinHasher):
@@ -75,13 +75,14 @@ class _MinHasherWithRunnerUp(MinHasher):
         """Batch minima and runner-ups for a whole corpus.
 
         Works like :meth:`MinHasher.signature_matrix` (vocabulary-level
-        hashing + ``reduceat`` minima over the CSR token stream), then
-        recovers each segment's runner-up by masking the *first*
-        occurrence of the minimum with the sentinel and reducing again —
-        duplicated minima therefore survive as their own runner-up,
-        byte-identical to the per-record sort. Like the plain signature
-        matrix, the hash functions run as a serial loop over chunks
-        capped at ``chunk_elements`` gathered values.
+        hashing + ``reduceat`` minima over the CSR token stream, in the
+        layout :meth:`MinHasher.gathered_blocks` picks for the stream
+        length), then recovers each segment's runner-up by masking the
+        *first* occurrence of the minimum with the sentinel and reducing
+        again — duplicated minima therefore survive as their own
+        runner-up, byte-identical to the per-record sort. Like the plain
+        signature matrix, the hash functions run as a serial loop over
+        blocks capped at ``chunk_elements`` values.
         """
         n = corpus.num_records
         sentinel = np.uint64(MERSENNE_PRIME_61)
@@ -100,24 +101,29 @@ class _MinHasherWithRunnerUp(MinHasher):
         vocab_hashes, tokens_ext = compact_vocabulary(corpus, tokens_ext)
         stream = tokens_ext.shape[0]
         segment_lengths = np.diff(np.append(starts, stream))
-        columns = np.arange(stream, dtype=np.int64)[None, :]
+        columns = np.arange(stream, dtype=np.int64)
 
-        for lo, hi in chunk_spans(
-            self.num_hashes, self.rows_per_chunk(stream, chunk_elements)
-        ):
-            gathered = self.gathered_span(vocab_hashes, tokens_ext, lo, hi)
-            min1 = np.minimum.reduceat(gathered, starts, axis=1)
+        def first_two(gathered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Per-segment minimum and runner-up along the last axis."""
+            min1 = np.minimum.reduceat(gathered, starts, axis=-1)
             # Position of the first occurrence of each segment's minimum.
-            expanded = np.repeat(min1, segment_lengths, axis=1)
+            expanded = np.repeat(min1, segment_lengths, axis=-1)
             position = np.where(gathered == expanded, columns, stream)
-            first = np.minimum.reduceat(position, starts, axis=1)
+            first = np.minimum.reduceat(position, starts, axis=-1)
             # Empty segments may report an out-of-range or neighbouring
             # position; clipping lands on the sentinel column (a no-op
             # write) or on the neighbour's own first-minimum position
             # (an idempotent write).
             first = np.minimum(first, stream - 1)
-            gathered[np.arange(hi - lo)[:, None], first] = sentinel
-            min2 = np.minimum.reduceat(gathered, starts, axis=1)
+            np.put_along_axis(gathered, first, sentinel, axis=-1)
+            return min1, np.minimum.reduceat(gathered, starts, axis=-1)
+
+        for lo, hi, parts in self.gathered_blocks(
+            vocab_hashes, tokens_ext, chunk_elements
+        ):
+            reduced = [first_two(gathered) for gathered in parts]
+            min1 = np.vstack([first for first, _ in reduced])
+            min2 = np.vstack([second for _, second in reduced])
             min1[:, empty_rows] = sentinel
             min2[:, empty_rows] = sentinel
             min2[:, single_rows] = min1[:, single_rows]

@@ -174,9 +174,15 @@ class _BulkBuckets:
         return self.ends - self.starts
 
     def iter_buckets(self, min_size: int) -> Iterable[tuple[str, ...]]:
-        sizes = self.sizes()
-        for g in self.emit_order[sizes[self.emit_order] >= min_size]:
-            yield tuple(self.members[self.starts[g] : self.ends[g]])
+        # Slice one Python list per table rather than the object array
+        # per bucket: numpy slicing costs more than the few ids a
+        # bucket holds.
+        chosen = self.emit_order[self.sizes()[self.emit_order] >= min_size]
+        members = self.members.tolist()
+        for start, end in zip(
+            self.starts[chosen].tolist(), self.ends[chosen].tolist()
+        ):
+            yield tuple(members[start:end])
 
 
 class BandedLSHIndex:

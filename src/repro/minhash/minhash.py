@@ -8,6 +8,8 @@ al., 2000).
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -19,6 +21,13 @@ from repro.utils.parallel import chunk_spans
 #: chunk may materialise (elements, not bytes): bounds the working set
 #: of :meth:`MinHasher.signature_matrix` at ~64 MiB of uint64 per chunk.
 _CHUNK_ELEMENTS = 8_000_000
+
+#: Token-stream length (sentinel included) from which the batch kernels
+#: gather and reduce one hash function at a time (see DESIGN.md,
+#: "Vocabulary-level minhash and `reduceat`"). Shorter streams keep one
+#: multi-function chunk, which spreads numpy's per-call cost over many
+#: functions while the chunk is still small enough to stay in cache.
+_PER_FUNCTION_STREAM = 4096
 
 
 def ensure_signature_out(
@@ -135,15 +144,19 @@ class MinHasher:
         times total, however many records contain it), gathers the
         values along the corpus's CSR token stream, and reduces
         per-record minima with ``np.minimum.reduceat``. The work runs
-        as a serial loop over hash-function chunks so no intermediate
-        exceeds ``chunk_elements`` values (see DESIGN.md, "Batch
-        signature engine"); each chunk writes a disjoint column slice,
-        so the chunk size never changes a byte of the result.
+        as a serial loop over blocks of hash functions laid out by
+        :meth:`gathered_blocks` — one multi-function chunk on short
+        token streams, one function at a time on long ones — so no
+        intermediate exceeds ``chunk_elements`` values (see DESIGN.md,
+        "Vocabulary-level minhash and `reduceat`"); each block writes a
+        disjoint column slice, so neither the layout nor the block size
+        changes a byte of the result.
 
         Parameters
         ----------
         chunk_elements:
-            Per-chunk working-set cap (gathered uint64 values).
+            Working-set cap per block (uint64 values gathered along a
+            short stream, or hashed over the vocabulary for a long one).
         out:
             Optional preallocated ``(num_records, num_hashes)`` uint64
             buffer, e.g. a memory-mapped ``.npy`` slice from
@@ -165,42 +178,75 @@ class MinHasher:
         tokens_ext, starts, empty_rows = sentinel_stream(corpus)
         vocab_hashes, tokens_ext = compact_vocabulary(corpus, tokens_ext)
 
-        for lo, hi in chunk_spans(
-            self.num_hashes,
-            self.rows_per_chunk(tokens_ext.shape[0], chunk_elements),
+        for lo, hi, parts in self.gathered_blocks(
+            vocab_hashes, tokens_ext, chunk_elements
         ):
-            gathered = self.gathered_span(vocab_hashes, tokens_ext, lo, hi)
-            minima = np.minimum.reduceat(gathered, starts, axis=1)
+            minima = np.vstack(
+                [np.minimum.reduceat(g, starts, axis=-1) for g in parts]
+            )
             minima[:, empty_rows] = MERSENNE_PRIME_61
             out[:, lo:hi] = minima.T
         return out
 
-    def rows_per_chunk(self, stream: int, chunk_elements: int) -> int:
-        """Hash functions per chunk keeping the gather under the cap."""
-        return max(1, min(self.num_hashes, chunk_elements // max(stream, 1)))
+    def rows_per_chunk(self, width: int, chunk_elements: int) -> int:
+        """Hash functions per chunk keeping ``rows × width`` under the cap."""
+        return max(1, min(self.num_hashes, chunk_elements // max(width, 1)))
 
-    def gathered_span(
+    def gathered_blocks(
         self,
         vocab_hashes: np.ndarray,
         tokens_ext: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> np.ndarray:
-        """Hash values of functions ``lo..hi`` along the token stream.
+        chunk_elements: int,
+    ) -> Iterator[tuple[int, int, Iterable[np.ndarray]]]:
+        """Hash values of every function along the token stream.
 
-        The ``(hi - lo, num_tokens + 1)`` matrix of hash values along
-        the sentinel-extended token stream: the family is evaluated over
-        ``vocab_hashes`` (plus the sentinel column at value p, indexed
-        by ``len(vocab_hashes)``) and gathered to the stream. Pure
-        function of its inputs.
+        Yields ``(lo, hi, parts)``: ``parts`` holds the values of
+        functions ``lo..hi`` gathered along the sentinel-extended token
+        stream, as arrays whose last axis is the stream. The layout
+        follows the stream length (DESIGN.md, "Vocabulary-level minhash
+        and `reduceat`"):
+
+        * below ``_PER_FUNCTION_STREAM`` tokens, one ``(hi - lo,
+          stream)`` chunk, at most ``chunk_elements`` gathered values;
+        * from there on, the family is evaluated over the vocabulary in
+          blocks of at most ``chunk_elements`` values, and each
+          function's row is gathered on its own into one 1-D
+          ``(stream,)`` array, produced lazily so that it is reduced
+          while it is still in cache.
+
+        Pure function of its inputs: both layouts carry the same values.
         """
-        sentinel = np.uint64(MERSENNE_PRIME_61)
-        vocab_values = self._family.hash_values(vocab_hashes, lo, hi)
-        vocab_values = np.concatenate(
-            [vocab_values, np.full((hi - lo, 1), sentinel, dtype=np.uint64)],
-            axis=1,
-        )
-        return vocab_values[:, tokens_ext]
+        stream = tokens_ext.shape[0]
+        if stream < _PER_FUNCTION_STREAM:
+            for lo, hi in chunk_spans(
+                self.num_hashes, self.rows_per_chunk(stream, chunk_elements)
+            ):
+                values = self.vocab_values(vocab_hashes, lo, hi)
+                # take() returns the chunk C-ordered; values[:, tokens_ext]
+                # would return it F-ordered, and the row-wise reduceat
+                # would then stride across the whole chunk.
+                yield lo, hi, (np.take(values, tokens_ext, axis=1),)
+            return
+        for lo, hi in chunk_spans(
+            self.num_hashes,
+            self.rows_per_chunk(vocab_hashes.shape[0] + 1, chunk_elements),
+        ):
+            values = self.vocab_values(vocab_hashes, lo, hi)
+            yield lo, hi, (row[tokens_ext] for row in values)
+
+    def vocab_values(
+        self, vocab_hashes: np.ndarray, lo: int, hi: int
+    ) -> np.ndarray:
+        """Functions ``lo..hi`` over the vocabulary plus the sentinel.
+
+        The ``(hi - lo, len(vocab_hashes) + 1)`` matrix of hash values;
+        the last column is the sentinel token's value p, indexed by
+        ``len(vocab_hashes)`` in the sentinel-extended stream.
+        """
+        values = np.empty((hi - lo, vocab_hashes.shape[0] + 1), dtype=np.uint64)
+        values[:, :-1] = self._family.hash_values(vocab_hashes, lo, hi)
+        values[:, -1] = MERSENNE_PRIME_61
+        return values
 
     def estimate_jaccard(self, sig1: np.ndarray, sig2: np.ndarray) -> float:
         """Fraction of agreeing components — unbiased Jaccard estimate."""

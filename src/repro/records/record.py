@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
+from repro.errors import DatasetError
+
 
 @dataclass(frozen=True)
 class Record:
@@ -23,7 +25,9 @@ class Record:
         Unique identifier within its dataset.
     fields:
         Mapping from attribute name to string value. Missing values are
-        represented as the empty string (the paper's NULL).
+        represented as the empty string (the paper's NULL); ``None`` is
+        accepted for it and stored as ``''``. Any other non-``str``
+        value raises :class:`~repro.errors.DatasetError`.
     entity_id:
         Ground-truth entity identifier, or ``None`` when unknown.
     """
@@ -33,9 +37,18 @@ class Record:
     entity_id: str | None = None
 
     def __post_init__(self) -> None:
+        fields = dict(self.fields)
+        for attribute, value in fields.items():
+            if value is None:
+                fields[attribute] = ""
+            elif not isinstance(value, str):
+                raise DatasetError(
+                    f"record {self.record_id!r}: attribute {attribute!r} "
+                    f"must be a str or None, got {type(value).__name__}"
+                )
         # Freeze the mapping so records are safely hashable by identity
         # fields and cannot be mutated after construction.
-        object.__setattr__(self, "fields", MappingProxyType(dict(self.fields)))
+        object.__setattr__(self, "fields", MappingProxyType(fields))
 
     def get(self, attribute: str) -> str:
         """Return the value of ``attribute``, or ``''`` when missing."""

@@ -24,6 +24,13 @@ from repro.core.lsh_variants import (
 from repro.lsh.bands import split_bands, split_bands_matrix
 from repro.lsh.index import BandedLSHIndex, grouped_indices
 from repro.minhash import MinHasher, Shingler
+from repro.minhash.corpus import ShingleVocabulary
+from repro.minhash.minhash import (
+    _PER_FUNCTION_STREAM,
+    compact_vocabulary,
+    sentinel_stream,
+)
+from repro.minhash.signature import open_signature_memmap
 from repro.records import Dataset, Record
 from repro.semantic import (
     SemhashEncoder,
@@ -34,6 +41,7 @@ from repro.semantic import (
     semhash_jaccard_packed,
     unpack_signatures,
 )
+from repro.utils.hashing import MERSENNE_PRIME_61
 
 
 def title_dataset(titles: list[str]) -> Dataset:
@@ -54,6 +62,43 @@ EDGE_TITLES = [
     "alpha bexa gamna",
     "",
 ]
+
+#: Token-stream lengths (sentinel included) on both sides of the switch
+#: from one multi-function chunk to one hash function at a time.
+SWITCH_STREAMS = (_PER_FUNCTION_STREAM - 1, _PER_FUNCTION_STREAM)
+
+
+def distinct_grams(count: int, offset: int = 0) -> str:
+    """A title with exactly ``count`` distinct 2-grams.
+
+    ``count + 1`` distinct CJK unified ideographs (the block
+    U+4E00..U+9FFF, wrapping around) survive normalisation unchanged
+    and never share a 2-gram with the Latin test titles.
+    """
+    if count == 0:
+        return ""
+    return "".join(
+        chr(0x4E00 + (offset + i) % 0x5200) for i in range(count + 1)
+    )
+
+
+def token_titles(counts: list[int]) -> list[str]:
+    """One title per entry of ``counts``, each with that many 2-grams.
+
+    Titles overlap (offsets step by 7), so the rows share vocabulary.
+    """
+    return [distinct_grams(c, offset=7 * i) for i, c in enumerate(counts)]
+
+
+def padded_to_stream(titles: list[str], stream: int | None) -> list[str]:
+    """``titles`` behind one filler title that makes the token stream
+    (sentinel included) exactly ``stream`` long; unchanged for None."""
+    if stream is None:
+        return titles
+    corpus = Shingler(("title",), q=2).shingle_corpus(title_dataset(titles))
+    filler = stream - 1 - corpus.num_tokens
+    assert filler > 0
+    return [distinct_grams(filler)] + titles
 
 
 class TestShingledCorpus:
@@ -139,9 +184,17 @@ class TestSignatureMatrixEquivalence:
         ),
         num_hashes=st.integers(min_value=1, max_value=20),
         seed=st.integers(min_value=0, max_value=5),
+        # None keeps the titles' own short stream; the integers pad it
+        # to either side of the layout switch.
+        stream=st.one_of(
+            st.none(),
+            st.integers(_PER_FUNCTION_STREAM - 2, _PER_FUNCTION_STREAM + 1),
+        ),
     )
-    def test_property_random_corpora(self, titles, num_hashes, seed):
-        self.assert_equivalent(titles, num_hashes=num_hashes, seed=seed)
+    def test_property_random_corpora(self, titles, num_hashes, seed, stream):
+        self.assert_equivalent(
+            padded_to_stream(titles, stream), num_hashes=num_hashes, seed=seed
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -149,9 +202,13 @@ class TestSignatureMatrixEquivalence:
             st.text(alphabet="abcd ", max_size=10), min_size=1, max_size=10
         ),
         seed=st.integers(min_value=0, max_value=3),
+        stream=st.one_of(
+            st.none(),
+            st.integers(_PER_FUNCTION_STREAM - 2, _PER_FUNCTION_STREAM + 1),
+        ),
     )
-    def test_property_runner_up(self, titles, seed):
-        dataset = title_dataset(titles)
+    def test_property_runner_up(self, titles, seed, stream):
+        dataset = title_dataset(padded_to_stream(titles, stream))
         shingler = Shingler(("title",), q=2)
         hasher = _MinHasherWithRunnerUp(num_hashes=12, seed=seed)
         corpus = shingler.shingle_corpus(dataset)
@@ -177,6 +234,124 @@ class TestSignatureMatrixEquivalence:
             )
             assert np.array_equal(batch_min[row], legacy_min)
             assert np.array_equal(batch_run[row], legacy_run)
+
+
+def assert_kernels_match_per_record(
+    corpus, num_hashes: int = 12, seed: int = 4, chunk_elements: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both batch kernels equal the per-record paths on every row.
+
+    Returns the runner-up kernel's ``(minima, runners)``.
+    """
+    chunk = {} if chunk_elements is None else {"chunk_elements": chunk_elements}
+    plain = MinHasher(num_hashes, seed=seed)
+    probing = _MinHasherWithRunnerUp(num_hashes, seed=seed)
+    batch = plain.signature_matrix(corpus, **chunk)
+    minima, runners = probing.signature_matrix_with_runner_up(corpus, **chunk)
+    for row in range(corpus.num_records):
+        ids = corpus.shingle_ids_of(row)
+        assert np.array_equal(batch[row], plain.signature(ids))
+        legacy_min, legacy_run = probing.signature_with_runner_up(ids)
+        assert np.array_equal(minima[row], legacy_min)
+        assert np.array_equal(runners[row], legacy_run)
+    assert np.array_equal(batch, minima)
+    return minima, runners
+
+
+def shingled(titles: list[str], vocabulary=None):
+    return Shingler(("title",), q=2).shingle_corpus(
+        title_dataset(titles), vocabulary=vocabulary
+    )
+
+
+class TestLayoutSwitch:
+    """Both kernels on token streams just below and at the switch from
+    one multi-function chunk to one hash function at a time."""
+
+    @pytest.mark.parametrize("stream", SWITCH_STREAMS)
+    def test_layout_follows_stream_length(self, stream):
+        counts = [400] * ((stream - 1) // 400) + [(stream - 1) % 400]
+        corpus = shingled(token_titles(counts))
+        tokens_ext, _, _ = sentinel_stream(corpus)
+        assert tokens_ext.shape[0] == stream
+        hasher = MinHasher(12, seed=0)
+        spans = [
+            (lo, hi, [part.shape for part in parts])
+            for lo, hi, parts in hasher.gathered_blocks(
+                corpus.vocab_hashes, tokens_ext, 10**9
+            )
+        ]
+        if stream < _PER_FUNCTION_STREAM:
+            assert spans == [(0, 12, [(12, stream)])]
+        else:
+            assert spans == [(0, 12, [(stream,)] * 12)]
+
+    @pytest.mark.parametrize("stream", SWITCH_STREAMS)
+    @pytest.mark.parametrize("chunk_elements", [None, 1, 5 * 4096])
+    def test_empty_first_middle_and_last_rows(self, stream, chunk_elements):
+        body = stream - 1
+        counts = [0, body // 3, 0, body // 3, 1, 0, body - 2 * (body // 3) - 1, 0]
+        corpus = shingled(token_titles(counts))
+        assert corpus.num_tokens + 1 == stream
+        minima, runners = assert_kernels_match_per_record(
+            corpus, chunk_elements=chunk_elements
+        )
+        sentinel = np.uint64(MERSENNE_PRIME_61)
+        for row in (0, 2, 5, 7):
+            assert (minima[row] == sentinel).all()
+            assert (runners[row] == sentinel).all()
+
+    def test_all_rows_empty(self):
+        corpus = shingled([""] * (_PER_FUNCTION_STREAM + 1))
+        minima, runners = assert_kernels_match_per_record(corpus)
+        assert (minima == np.uint64(MERSENNE_PRIME_61)).all()
+        assert (runners == np.uint64(MERSENNE_PRIME_61)).all()
+
+    @pytest.mark.parametrize("stream", SWITCH_STREAMS)
+    def test_single_token_rows(self, stream):
+        # Offsets step by 7, so the one 2-gram per row repeats across
+        # rows; every row's runner-up is its own minimum.
+        corpus = shingled(token_titles([1] * (stream - 1)))
+        assert corpus.num_tokens + 1 == stream
+        minima, runners = assert_kernels_match_per_record(corpus)
+        assert np.array_equal(minima, runners)
+
+    @pytest.mark.parametrize("stream", SWITCH_STREAMS)
+    def test_memmap_out_slice(self, tmp_path, stream):
+        counts = [300] * ((stream - 1) // 300) + [(stream - 1) % 300]
+        corpus = shingled(token_titles(counts))
+        hasher = MinHasher(10, seed=2)
+        expected = hasher.signature_matrix(corpus)
+        mm = open_signature_memmap(
+            tmp_path / "sig.npy", corpus.num_records + 5, 10
+        )
+        mm[:] = 0
+        returned = hasher.signature_matrix(corpus, out=mm[3 : 3 + corpus.num_records])
+        mm.flush()
+        reread = np.load(tmp_path / "sig.npy", mmap_mode="r")
+        assert np.array_equal(returned, expected)
+        assert np.array_equal(reread[3 : 3 + corpus.num_records], expected)
+        assert not reread[:3].any() and not reread[3 + corpus.num_records :].any()
+
+    @pytest.mark.parametrize("stream", SWITCH_STREAMS)
+    def test_streamed_slab_with_compacted_vocabulary(self, stream):
+        # The first slab grows the shared vocabulary past the second
+        # slab's stream, so the second slab runs on a compacted one.
+        vocabulary = ShingleVocabulary()
+        shingled([distinct_grams(2 * stream, offset=20_000)], vocabulary)
+        counts = [0] + [250] * ((stream - 1) // 250) + [(stream - 1) % 250, 0]
+        corpus = shingled(token_titles(counts), vocabulary)
+        tokens_ext, _, _ = sentinel_stream(corpus)
+        assert tokens_ext.shape[0] == stream
+        compacted, _ = compact_vocabulary(corpus, tokens_ext)
+        assert compacted.shape[0] < corpus.vocab_size
+        assert_kernels_match_per_record(corpus)
+        # The signatures equal those of the same slab on its own.
+        private = shingled(token_titles(counts))
+        hasher = MinHasher(12, seed=4)
+        assert np.array_equal(
+            hasher.signature_matrix(corpus), hasher.signature_matrix(private)
+        )
 
 
 class TestBandKeyEquivalence:

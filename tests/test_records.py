@@ -1,8 +1,11 @@
 """Tests for the record/dataset model and ground-truth utilities."""
 
+import numpy as np
 import pytest
 
+from repro.core import SALSHBlocker
 from repro.errors import DatasetError
+from repro.minhash import Shingler
 from repro.records import (
     Dataset,
     Record,
@@ -45,6 +48,46 @@ class TestRecord:
 
     def test_hashable_by_id(self):
         assert len({make_record(), make_record()}) == 1
+
+    def test_none_field_is_null(self):
+        record = Record("a", {"title": None, "authors": "x y"})
+        assert record.get("title") == ""
+        assert not record.has_value("title")
+        assert record == Record("a", {"title": "", "authors": "x y"})
+
+    def test_none_field_shingles_as_empty(self):
+        shingler = Shingler(("title", "authors"), q=2)
+        with_none = [Record("a", {"title": None}), Record("b", {"title": "ab"})]
+        with_empty = [Record("a", {"title": ""}), Record("b", {"title": "ab"})]
+        assert shingler.shingle_ids(with_none[0]).size == 0
+        got = shingler.shingle_corpus(with_none)
+        expected = shingler.shingle_corpus(with_empty)
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.token_vocab, expected.token_vocab)
+
+    @pytest.mark.parametrize("value", [3, 2.5, b"title", ["title"]])
+    def test_non_str_field_rejected(self, value):
+        with pytest.raises(DatasetError, match=r"'r7'.*'title'"):
+            Record("r7", {"title": value})
+
+    def test_salsh_blocks_corpus_with_none_fields(self, fig1, fig1_sf):
+        # Fig. 1 has empty authors and publishers: the same corpus with
+        # None in their place must block exactly like the original.
+        nulled_fields = [
+            {k: (v or None) for k, v in r.fields.items()} for r in fig1
+        ]
+        assert any(None in fields.values() for fields in nulled_fields)
+        nulled = Dataset(
+            [
+                Record(r.record_id, fields, entity_id=r.entity_id)
+                for r, fields in zip(fig1, nulled_fields)
+            ]
+        )
+        blocker = SALSHBlocker(
+            ("title", "authors"), q=2, k=2, l=8, seed=11,
+            semantic_function=fig1_sf,
+        )
+        assert blocker.block(nulled).blocks == blocker.block(fig1).blocks
 
 
 class TestGroundTruth:
