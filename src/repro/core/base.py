@@ -1,16 +1,23 @@
-"""Blocker interface and the :class:`BlockingResult` value type."""
+"""Blocker interface, the :class:`BlockingResult` value type, and
+:class:`LSHFamilyBlocker`, the one engine behind the four minhash LSH
+blockers' entry points."""
 
 from __future__ import annotations
 
+import time
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import DatasetError
+from repro.errors import ConfigurationError, DatasetError
+from repro.lsh.sharding import signature_slabs
+from repro.minhash.minhash import MinHasher
+from repro.minhash.shingling import Shingler
+from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.dataset import Dataset, LinkedCorpus
 from repro.records.ground_truth import Pair, sorted_pair
 from repro.records.record import Record
@@ -23,6 +30,7 @@ from repro.records.pairs import (
     unique_bipartite_keys,
     unique_pair_keys,
 )
+from repro.utils.parallel import ShardPool, effective_processes
 
 Block = tuple[str, ...]
 
@@ -346,9 +354,10 @@ class Blocker(ABC):
         the result; the candidate set is the cross-side subset of each
         block's pairs (:attr:`BipartiteBlockingResult.cross_pair_keys`),
         so every blocker gets linkage for free. The four LSH blockers
-        override this with an online-index streaming path — index the
-        target, stream the source through the same incremental cursors
-        the resolver uses — that produces identical pair sets.
+        (:class:`LSHFamilyBlocker`) derive it from their online index
+        instead — index the target, stream the source through the same
+        incremental cursors the resolver uses — with identical pair
+        sets.
         """
         linked = _coerce_linked(source, target)
         return as_bipartite(self.block(linked.union), linked)
@@ -366,7 +375,9 @@ class OnlineIndex(ABC):
 
     * :meth:`add_many` / :meth:`add` index records incrementally — no
       rebuild, identical end state regardless of how the corpus is
-      split into calls;
+      split into calls; ids are unique across all calls (an id already
+      indexed, or repeated in a slab, raises
+      :class:`~repro.errors.DatasetError` naming it);
     * :meth:`remove` drops one record in O(1); the id is *retired*
       (re-adding raises ``KeyError`` — replacements use a fresh id);
     * :meth:`query` returns live candidate ids for a probe record
@@ -417,4 +428,250 @@ class OnlineIndex(ABC):
         """Apply :meth:`checkpoint` state to a survivor-rebuilt index."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support checkpointing"
+        )
+
+
+class LSHFamilyBlocker(Blocker):
+    """Base of the four minhash LSH blockers: one engine per technique.
+
+    A subclass supplies four things: its :meth:`online` index, its
+    :attr:`parameter_names`, its per-record reference engine
+    (:meth:`_block_per_record`, run when ``batch=False``) and its
+    pool-mapped signature pass (:attr:`_slab_pass`, run when
+    ``processes``/``pool`` resolve to more than one worker). The entry
+    points are derived here once, because the online index's
+    incremental ≡ rebuild contract (:class:`OnlineIndex`) makes batch,
+    streamed and linkage blocking three ways of feeding one index:
+
+    * :meth:`block` — ``online(D).blocks()``; the pool path feeds the
+      same index slab by slab through its ``add_signatures``;
+    * :meth:`block_stream` — one index, ``add_many`` per slab;
+    * :meth:`block_pair` — the target-side :meth:`linkage_index`, then
+      ``add_many(source)``.
+
+    The per-record engine is the anchor the derived paths are checked
+    against (``tests/test_batch_equivalence.py``).
+
+    Parameters
+    ----------
+    attributes:
+        Attributes shingled into the textual representation.
+    q:
+        q-gram length (None for whole-value shingles).
+    k:
+        Minhash functions per hash table (rows per band).
+    l:
+        Number of hash tables (bands).
+    seed:
+        Seed for the minhash permutations.
+    padded:
+        Pad values before q-gram extraction.
+    batch:
+        Use the corpus-level vectorized engine (default). The
+        per-record engine produces identical blocks and exists for
+        equivalence tests and the perf benchmark.
+    processes:
+        Worker *processes* for the sharded runtime (``None`` = all
+        CPUs): record slabs are shingled/minhashed in parallel
+        processes and bucket grouping is band-sharded across the same
+        pool — escaping the GIL for the string-heavy hot loops. Blocks
+        are byte-identical for every process count; applies to the
+        batch engine only.
+    pool:
+        Optional persistent :class:`~repro.utils.parallel.ShardPool`
+        carrying the sharded runtime: the pool's executor stays warm
+        across repeated blocking calls and slabs ride shared memory
+        instead of the executor's pipes. The pool's process count wins
+        over ``processes``; blocks stay byte-identical to serial for
+        any pool.
+    name:
+        Display name; defaults to the class's :attr:`name`.
+    """
+
+    #: Attributes reported, next to the runtime, in every result's
+    #: metadata.
+    parameter_names: tuple[str, ...] = ("k", "l", "q")
+    #: Minhash implementation (MP-LSH also needs runner-up values).
+    hasher_type: type = MinHasher
+    #: The pool-mapped signature pass: ``(shingler, hasher, records,
+    #: processes, *, pool)`` to per-slab argument tuples of the online
+    #: index's ``add_signatures``.
+    _slab_pass = staticmethod(signature_slabs)
+
+    def __init__(
+        self,
+        attributes: tuple[str, ...],
+        q: int | None,
+        k: int,
+        l: int,
+        *,
+        seed: int = 0,
+        padded: bool = False,
+        batch: bool = True,
+        processes: int | None = 1,
+        pool: ShardPool | None = None,
+        name: str | None = None,
+    ) -> None:
+        if k < 1 or l < 1:
+            raise ConfigurationError(f"k and l must be >= 1, got k={k}, l={l}")
+        self.attributes = tuple(attributes)
+        self.q = q
+        self.k = k
+        self.l = l
+        self.seed = seed
+        self.batch = batch
+        self.processes = processes
+        self.pool = pool
+        self.shingler = Shingler(self.attributes, q=q, padded=padded)
+        self.hasher = self.hasher_type(num_hashes=k * l, seed=seed)
+        self.name = name or type(self).name
+
+    @abstractmethod
+    def online(self, records: Iterable[Record] = (), **options) -> OnlineIndex:
+        """A mutable online index seeded with ``records``."""
+
+    @abstractmethod
+    def _block_per_record(self, dataset: Dataset) -> Sequence[Sequence[str]]:
+        """Groups of the record-at-a-time reference engine."""
+
+    def _parameters(self, index: OnlineIndex | None) -> dict[str, Any]:
+        """The parameters reported in a result's metadata."""
+        return {name: getattr(self, name) for name in self.parameter_names}
+
+    def _result(
+        self,
+        blocks: tuple[Block, ...],
+        start: float,
+        engine: str,
+        index: OnlineIndex | None = None,
+        *,
+        linked: LinkedCorpus | None = None,
+        **extra: Any,
+    ) -> BlockingResult:
+        """Every entry point's result: blocks, time since ``start``, and
+        metadata of parameters, runtime and ``engine`` plus ``extra``."""
+        metadata = {
+            **self._parameters(index),
+            "processes": self.processes,
+            "pooled": self.pool is not None,
+            "engine": engine,
+            **extra,
+        }
+        seconds = time.perf_counter() - start
+        if linked is None:
+            return BlockingResult(
+                blocker_name=self.name, blocks=blocks, seconds=seconds,
+                metadata=metadata,
+            )
+        return BipartiteBlockingResult(
+            blocker_name=self.name, blocks=blocks, seconds=seconds,
+            metadata=metadata, linked=linked,
+        )
+
+    def block(self, dataset: Dataset) -> BlockingResult:
+        start = time.perf_counter()
+        if not self.batch:
+            blocks = make_blocks(self._block_per_record(dataset))
+            return self._result(blocks, start, "per-record")
+        if effective_processes(self.processes, self.pool) > 1:
+            index = self.online()
+            for part in self._slab_pass(
+                self.shingler, self.hasher, dataset, self.processes,
+                pool=self.pool,
+            ):
+                index.add_signatures(*part)
+            return self._result(index.blocks(), start, "sharded", index)
+        index = self.online(dataset)
+        return self._result(index.blocks(), start, "batch", index)
+
+    def block_stream(
+        self, slabs: Iterable[Iterable[Record]], **online_options: Any
+    ) -> BlockingResult:
+        """Block a corpus streamed as record slabs.
+
+        One :meth:`online` index takes each slab through ``add_many``:
+        the shingle vocabulary grows incrementally and buckets merge
+        across slabs, so the blocks are byte-identical to :meth:`block`
+        over the concatenated records. ``slabs`` may be any iterable,
+        including a plain generator of unknown length; nothing here
+        calls ``len()``. Record ids must be unique across slabs.
+
+        ``online_options`` go to :meth:`online`. The banded blockers
+        (LSH, SA-LSH) take ``signatures_out=``, a spill target for the
+        signature rows: a preallocated uint64 buffer with ``k * l``
+        columns and at least as many rows as records (typically a
+        memory map from :func:`~repro.minhash.signature.
+        open_signature_memmap`), or a :class:`~repro.minhash.signature.
+        GrowableSignatureSpill` when the stream length is unknown (the
+        caller finalizes it afterwards). The banded index keeps each
+        slab's band keys as *views* of its signature rows, so with a
+        spill those views are file-backed pages the OS evicts at will
+        and resident memory is one slab's working set plus the grouped
+        index; without one, the views pin every slab's rows in RAM.
+
+        An aborting stream releases a growable spill's file handle
+        (header patched to the rows written so far) before the error
+        propagates; a successful stream leaves the spill open for the
+        caller to continue or finalize.
+        """
+        start = time.perf_counter()
+        index = self.online(**online_options)
+        spill = online_options.get("signatures_out")
+        num_slabs = 0
+        try:
+            for slab in slabs:
+                index.add_many(slab)
+                num_slabs += 1
+        except BaseException:
+            if isinstance(spill, GrowableSignatureSpill):
+                spill.close()
+            raise
+        return self._result(
+            index.blocks(), start, "streaming", index,
+            num_slabs=num_slabs,
+            num_records=index.num_live,
+            spilled=spill is not None,
+        )
+
+    def linkage_index(self, linked: LinkedCorpus) -> OnlineIndex:
+        """The target-side online index a linkage run starts from.
+
+        :meth:`block_pair` streams the source side into it and
+        :meth:`~repro.er.resolver.Resolver.for_linkage` serves source
+        probes against it, so both start from one index.
+        """
+        return self.online(linked.target.records)
+
+    def block_pair(
+        self,
+        source: Dataset | LinkedCorpus,
+        target: Dataset | None = None,
+    ) -> BipartiteBlockingResult:
+        """Clean-clean linkage through the online index.
+
+        The target side is indexed first (:meth:`linkage_index`, the
+        resolver's shape), then the source streams in as a second slab.
+        By incremental ≡ rebuild the blocks equal :meth:`block` over
+        the union in target-first insertion order, and because
+        signatures and bucket membership do not depend on insertion
+        order, the cross pair set equals the filtered ``block(S ∪ T)``
+        oracle. The ``processes=``/``pool=`` runtimes flow through
+        unchanged, so results stay byte-identical across them.
+
+        Probing alone — index the target, ``query()`` each source
+        record, never insert it — is *not* equivalent for two of the
+        four blockers: an MP-LSH cross pair can come from a third
+        record's exact bucket that neither endpoint probes into, and an
+        LSH-Forest leaf's adaptive splits depend on *union* bucket
+        occupancy. So linkage runs the full grouping over the union.
+        """
+        linked = _coerce_linked(source, target)
+        start = time.perf_counter()
+        index = self.linkage_index(linked)
+        index.add_many(linked.source.records)
+        return self._result(
+            index.blocks(), start, "linkage-online", index,
+            linked=linked,
+            num_source=len(linked.source),
+            num_target=len(linked.target),
         )

@@ -9,38 +9,34 @@ per-table prefix trees whose depth adapts to bucket occupancy. Both are
 implemented here as blockers so ablation benchmarks can compare the
 design choices directly.
 
-Like :class:`~repro.core.lsh_blocker.LSHBlocker`, both variants run on
-the corpus-level batch signature engine by default (``batch=True``) and
-keep the per-record path as the equivalence/benchmark reference.
+Like :class:`~repro.core.lsh_blocker.LSHBlocker`, each variant's engine
+is its online index (:class:`OnlineMultiProbeIndex`,
+:class:`OnlineForestIndex`), which keeps per-slab signature arrays from
+the corpus-level batch kernels and reruns the batch grouping over the
+survivors; :class:`~repro.core.base.LSHFamilyBlocker` derives
+``block``, ``block_stream`` (without a signature spill) and
+``block_pair`` from it. ``batch=False`` runs the per-record reference
+engine instead.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.base import (
-    BipartiteBlockingResult,
-    Blocker,
-    BlockingResult,
-    OnlineIndex,
-    _coerce_linked,
-    make_blocks,
-)
+from repro.core.base import LSHFamilyBlocker, OnlineIndex, make_blocks
 from repro.errors import ConfigurationError
 from repro.lsh.bands import split_bands_matrix
-from repro.lsh.index import grouped_indices
-from repro.lsh.sharding import runner_up_signature_slabs, signature_slabs
+from repro.lsh.index import check_new_ids, grouped_indices
+from repro.lsh.sharding import runner_up_signature_slabs
 from repro.minhash.corpus import ShingledCorpus, ShingleVocabulary
 from repro.minhash.minhash import MinHasher, compact_vocabulary, sentinel_stream
-from repro.minhash.shingling import Shingler
 from repro.records.dataset import Dataset
 from repro.records.record import Record
-from repro.utils.hashing import MERSENNE_PRIME_61, UniversalHashFamily
-from repro.utils.parallel import ShardPool, effective_processes
+from repro.utils.hashing import MERSENNE_PRIME_61
+from repro.utils.parallel import ShardPool
 
 
 class _MinHasherWithRunnerUp(MinHasher):
@@ -132,7 +128,7 @@ class _MinHasherWithRunnerUp(MinHasher):
         return minima, runners
 
 
-class MultiProbeLSHBlocker(Blocker):
+class MultiProbeLSHBlocker(LSHFamilyBlocker):
     """Multi-probe banded minhash blocking.
 
     Each record is inserted under its exact band key per table and
@@ -141,6 +137,11 @@ class MultiProbeLSHBlocker(Blocker):
     record's exact key equals the other's exact or probe key — so fewer
     tables achieve the recall of plain LSH with more tables.
     """
+
+    name = "MP-LSH"
+    parameter_names = ("k", "l", "q", "num_probes")
+    hasher_type = _MinHasherWithRunnerUp
+    _slab_pass = staticmethod(runner_up_signature_slabs)
 
     def __init__(
         self,
@@ -156,24 +157,15 @@ class MultiProbeLSHBlocker(Blocker):
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
-        if k < 1 or l < 1:
-            raise ConfigurationError(f"k and l must be >= 1, got k={k}, l={l}")
-        self.attributes = tuple(attributes)
-        self.q = q
-        self.k = k
-        self.l = l
+        super().__init__(
+            attributes, q, k, l, seed=seed, batch=batch,
+            processes=processes, pool=pool, name=name,
+        )
         self.num_probes = k if num_probes is None else num_probes
         if not 0 <= self.num_probes <= k:
             raise ConfigurationError(
                 f"num_probes must be in [0, k]; got {self.num_probes}"
             )
-        self.seed = seed
-        self.batch = batch
-        self.processes = processes
-        self.pool = pool
-        self.shingler = Shingler(self.attributes, q=q)
-        self.hasher = _MinHasherWithRunnerUp(num_hashes=k * l, seed=seed)
-        self.name = name or "MP-LSH"
 
     def describe(self) -> str:
         return (
@@ -181,39 +173,14 @@ class MultiProbeLSHBlocker(Blocker):
             f"probes={self.num_probes})"
         )
 
-    def _block_batch(self, dataset: Dataset) -> list[list[str]]:
-        if effective_processes(self.processes, self.pool) > 1 and len(dataset):
-            # Record slabs shingled/minhashed across processes; the
-            # concatenated matrices equal the one-shot pass byte for
-            # byte, so the probe grouping below is unchanged. (An empty
-            # dataset yields no slabs to concatenate — the serial path
-            # handles it.)
-            parts = runner_up_signature_slabs(
-                self.shingler, self.hasher, dataset, self.processes,
-                pool=self.pool,
-            )
-            record_ids = tuple(rid for p in parts for rid in p[0])
-            minima = np.concatenate([p[1] for p in parts])
-            runners = np.concatenate([p[2] for p in parts])
-        else:
-            corpus = self.shingler.shingle_corpus(dataset)
-            record_ids = corpus.record_ids
-            minima, runners = self.hasher.signature_matrix_with_runner_up(
-                corpus
-            )
-        return self._probe_groups(
-            np.asarray(record_ids, dtype=object), minima, runners
-        )
-
     def _probe_groups(
         self, ids: np.ndarray, minima: np.ndarray, runners: np.ndarray
     ) -> list[list[str]]:
         """Co-blocking groups from aligned (ids, minima, runner-ups).
 
-        The grouping core of :meth:`_block_batch`, shared with
-        :class:`OnlineMultiProbeIndex` so incremental blocks after
-        removals reuse the batch rule verbatim: a bucket's group is its
-        exact members plus the records probing its key.
+        The batch grouping rule, run by :meth:`OnlineMultiProbeIndex.
+        blocks` over the surviving rows: a bucket's group is its exact
+        members plus the records probing its key.
         """
         n = ids.shape[0]
         exact_keys = split_bands_matrix(minima, self.k, self.l)
@@ -290,66 +257,14 @@ class MultiProbeLSHBlocker(Blocker):
                     groups.append(group)
         return groups
 
-    def block(self, dataset: Dataset) -> BlockingResult:
-        start = time.perf_counter()
-        groups = (
-            self._block_batch(dataset)
-            if self.batch
-            else self._block_per_record(dataset)
-        )
-        blocks = make_blocks(groups)
-        elapsed = time.perf_counter() - start
-        return BlockingResult(
-            blocker_name=self.name,
-            blocks=blocks,
-            seconds=elapsed,
-            metadata={
-                "k": self.k, "l": self.l, "q": self.q,
-                "num_probes": self.num_probes,
-                "engine": "batch" if self.batch else "per-record",
-            },
-        )
-
     def online(
         self, records: Iterable[Record] = ()
     ) -> "OnlineMultiProbeIndex":
         """A mutable :class:`OnlineMultiProbeIndex` seeded with ``records``."""
         return OnlineMultiProbeIndex(self, records)
 
-    def block_pair(self, source, target=None) -> BipartiteBlockingResult:
-        """Clean-clean linkage on the online streaming path.
 
-        Index the target, stream the source as a second slab, then emit
-        the incremental index's blocks — the batch probe grouping over
-        the union survivors. Probing alone would miss cross pairs that
-        only co-occur through a *third* record's exact bucket (two
-        probes of one key see each other only inside that bucket's
-        group), so linkage runs the full union grouping, whose pair set
-        is insertion-order independent and equals the filtered
-        ``block(S∪T)`` oracle.
-        """
-        linked = _coerce_linked(source, target)
-        start = time.perf_counter()
-        index = self.online(linked.target.records)
-        index.add_many(linked.source.records)
-        blocks = index.blocks()
-        elapsed = time.perf_counter() - start
-        return BipartiteBlockingResult(
-            blocker_name=self.name,
-            blocks=blocks,
-            seconds=elapsed,
-            metadata={
-                "k": self.k, "l": self.l, "q": self.q,
-                "num_probes": self.num_probes,
-                "engine": "linkage-online",
-                "num_source": len(linked.source),
-                "num_target": len(linked.target),
-            },
-            linked=linked,
-        )
-
-
-class LSHForestBlocker(Blocker):
+class LSHForestBlocker(LSHFamilyBlocker):
     """LSH-forest-style blocking with adaptive band-prefix depth.
 
     Each of the ``l`` tables sorts records by their k-value hash tuple
@@ -357,6 +272,9 @@ class LSHForestBlocker(Blocker):
     the next tuple position — the prefix-tree descent of LSH forest.
     Buckets that cannot split further (prefix exhausted) are kept as-is.
     """
+
+    name = "LSH-Forest"
+    parameter_names = ("k", "l", "q", "max_block_size")
 
     def __init__(
         self,
@@ -372,24 +290,15 @@ class LSHForestBlocker(Blocker):
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
-        if k < 1 or l < 1:
-            raise ConfigurationError(f"k and l must be >= 1, got k={k}, l={l}")
+        super().__init__(
+            attributes, q, k, l, seed=seed, batch=batch,
+            processes=processes, pool=pool, name=name,
+        )
         if max_block_size < 2:
             raise ConfigurationError(
                 f"max_block_size must be >= 2, got {max_block_size}"
             )
-        self.attributes = tuple(attributes)
-        self.q = q
-        self.k = k
-        self.l = l
         self.max_block_size = max_block_size
-        self.seed = seed
-        self.batch = batch
-        self.processes = processes
-        self.pool = pool
-        self.shingler = Shingler(self.attributes, q=q)
-        self.hasher = MinHasher(num_hashes=k * l, seed=seed)
-        self.name = name or "LSH-Forest"
 
     def describe(self) -> str:
         return (
@@ -417,34 +326,22 @@ class LSHForestBlocker(Blocker):
             result.extend(self._split(members[part], band, depth + 1))
         return result
 
-    def _signatures(self, dataset: Dataset) -> tuple[tuple[str, ...], np.ndarray]:
-        if self.batch:
-            if effective_processes(self.processes, self.pool) > 1 and len(dataset):
-                parts = signature_slabs(
-                    self.shingler, self.hasher, dataset, self.processes,
-                    pool=self.pool,
-                )
-                return (
-                    tuple(rid for p in parts for rid in p[0]),
-                    np.concatenate([p[1] for p in parts]),
-                )
-            corpus = self.shingler.shingle_corpus(dataset)
-            return corpus.record_ids, self.hasher.signature_matrix(corpus)
-        ids = []
+    def _block_per_record(self, dataset: Dataset) -> list[list[str]]:
+        ids = np.empty(len(dataset), dtype=object)
         rows = np.empty((len(dataset), self.hasher.num_hashes), dtype=np.uint64)
         for i, record in enumerate(dataset):
-            ids.append(record.record_id)
+            ids[i] = record.record_id
             rows[i] = self.hasher.signature(self.shingler.shingle_ids(record))
-        return tuple(ids), rows
+        return self._forest_groups(ids, rows)
 
     def _forest_groups(
         self, ids: np.ndarray, signatures: np.ndarray
     ) -> list[list[str]]:
         """Adaptive prefix-tree groups from aligned (ids, signatures).
 
-        The grouping core of :meth:`block`, shared with
-        :class:`OnlineForestIndex` so incremental blocks after removals
-        rebuild the survivor trees with the batch descent verbatim.
+        The batch grouping rule, run by :meth:`OnlineForestIndex.blocks`
+        (survivor trees rebuilt with the batch descent verbatim) and by
+        the per-record engine.
         """
         groups: list[list[str]] = []
         for table in range(self.l):
@@ -455,60 +352,9 @@ class LSHForestBlocker(Blocker):
                     groups.append(ids[rows].tolist())
         return groups
 
-    def block(self, dataset: Dataset) -> BlockingResult:
-        start = time.perf_counter()
-        record_ids, signatures = self._signatures(dataset)
-        groups = self._forest_groups(
-            np.asarray(record_ids, dtype=object), signatures
-        )
-        blocks = make_blocks(groups)
-        elapsed = time.perf_counter() - start
-        return BlockingResult(
-            blocker_name=self.name,
-            blocks=blocks,
-            seconds=elapsed,
-            metadata={
-                "k": self.k, "l": self.l, "q": self.q,
-                "max_block_size": self.max_block_size,
-                "engine": "batch" if self.batch else "per-record",
-            },
-        )
-
     def online(self, records: Iterable[Record] = ()) -> "OnlineForestIndex":
         """A mutable :class:`OnlineForestIndex` seeded with ``records``."""
         return OnlineForestIndex(self, records)
-
-    def block_pair(self, source, target=None) -> BipartiteBlockingResult:
-        """Clean-clean linkage on the online streaming path.
-
-        Index the target, stream the source as a second slab, then emit
-        the incremental index's blocks — the adaptive prefix descent
-        over the union. The tree's split depths depend on *union*
-        bucket occupancy (a target-only descent would split differently
-        once source records arrive), so linkage reruns the batch
-        grouping over the survivors; the resulting pair set is
-        insertion-order independent and equals the filtered
-        ``block(S∪T)`` oracle.
-        """
-        linked = _coerce_linked(source, target)
-        start = time.perf_counter()
-        index = self.online(linked.target.records)
-        index.add_many(linked.source.records)
-        blocks = index.blocks()
-        elapsed = time.perf_counter() - start
-        return BipartiteBlockingResult(
-            blocker_name=self.name,
-            blocks=blocks,
-            seconds=elapsed,
-            metadata={
-                "k": self.k, "l": self.l, "q": self.q,
-                "max_block_size": self.max_block_size,
-                "engine": "linkage-online",
-                "num_source": len(linked.source),
-                "num_target": len(linked.target),
-            },
-            linked=linked,
-        )
 
 
 class _VariantOnlineBase(OnlineIndex):
@@ -523,21 +369,27 @@ class _VariantOnlineBase(OnlineIndex):
     :class:`~repro.lsh.index.BandedLSHIndex`.
     """
 
-    def __init__(self, blocker: Blocker) -> None:
+    def __init__(self, blocker: LSHFamilyBlocker) -> None:
         self.blocker = blocker
         self._vocabulary = ShingleVocabulary()
         self._id_slabs: list[np.ndarray] = []
         self._ids_seen: set[str] = set()
         self._tombstones: set[str] = set()
 
-    def _guard_new_ids(self, record_ids) -> None:
-        if self._tombstones and not self._tombstones.isdisjoint(record_ids):
-            retired = sorted(self._tombstones.intersection(record_ids))
-            raise KeyError(
-                f"record ids {retired!r} were removed and are retired; "
-                "re-adding them would resurrect their dead entries"
-            )
+    def add_many(self, records) -> None:
+        blocker = self.blocker
+        corpus = blocker.shingler.shingle_corpus(
+            records, vocabulary=self._vocabulary
+        )
+        if corpus.num_records:
+            self.add_signatures(corpus.record_ids, *self._signature_rows(corpus))
+
+    def _take_ids(self, record_ids) -> None:
+        """Check a slab's ids (see :func:`~repro.lsh.index.
+        check_new_ids`) and record them as indexed."""
+        check_new_ids(record_ids, self._ids_seen, self._tombstones)
         self._ids_seen.update(record_ids)
+        self._id_slabs.append(np.asarray(record_ids, dtype=object))
 
     def remove(self, record_id: str) -> None:
         if record_id in self._tombstones or record_id not in self._ids_seen:
@@ -598,15 +450,25 @@ class _VariantOnlineBase(OnlineIndex):
                 found.append(member)
 
 
-class OnlineMultiProbeIndex(_VariantOnlineBase):
-    """Long-lived incremental form of :class:`MultiProbeLSHBlocker`.
+def _concatenated(slabs: list[np.ndarray]) -> np.ndarray:
+    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
 
-    :meth:`query` applies the batch co-blocking rule from the probe
-    record's side — a pair co-blocks when one record's exact key equals
-    the other's exact *or* probe key — by probing, per table, the exact
-    and probe maps with the query's exact key and the exact map with
-    each of its perturbed keys. The maps grow per slab and removals
-    filter at lookup, so neither mutation rebuilds anything.
+
+class OnlineMultiProbeIndex(_VariantOnlineBase):
+    """The engine of :class:`MultiProbeLSHBlocker`, built once, then
+    mutated.
+
+    :meth:`blocks` reruns the batch probe grouping over the surviving
+    minima and runner-ups. :meth:`query` applies the batch co-blocking
+    rule from the probe record's side — a pair co-blocks when one
+    record's exact key equals the other's exact *or* probe key — by
+    probing, per table, the exact and probe maps with the query's exact
+    key and the exact map with each of its perturbed keys. The maps are
+    folded lazily: the first :meth:`query` after new slabs extends them
+    with those slabs only (as :class:`~repro.lsh.index.BandedLSHIndex`
+    folds its query maps), so indexing that is never queried — batch,
+    streamed and linkage blocking — never builds them, and removals
+    filter at lookup.
     """
 
     def __init__(
@@ -619,23 +481,29 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
         self._runner_slabs: list[np.ndarray] = []
         self._exact_maps: list[dict] = [dict() for _ in range(blocker.l)]
         self._probe_maps: list[dict] = [dict() for _ in range(blocker.l)]
+        #: Slabs already folded into the exact/probe maps.
+        self._maps_cursor = 0
         self.add_many(records)
 
-    def add_many(self, records) -> None:
-        blocker = self.blocker
-        corpus = blocker.shingler.shingle_corpus(
-            records, vocabulary=self._vocabulary
-        )
-        if corpus.num_records == 0:
-            return
-        self._guard_new_ids(corpus.record_ids)
-        minima, runners = blocker.hasher.signature_matrix_with_runner_up(
-            corpus
-        )
-        self._id_slabs.append(np.asarray(corpus.record_ids, dtype=object))
+    def _signature_rows(self, corpus: ShingledCorpus):
+        return self.blocker.hasher.signature_matrix_with_runner_up(corpus)
+
+    def add_signatures(
+        self, record_ids, minima: np.ndarray, runners: np.ndarray
+    ) -> None:
+        """Index a slab whose minima and runner-ups are computed."""
+        self._take_ids(record_ids)
         self._minima_slabs.append(minima)
         self._runner_slabs.append(runners)
-        self._extend_maps(corpus.record_ids, minima, runners)
+
+    def _ensure_maps(self) -> None:
+        for slab in range(self._maps_cursor, len(self._id_slabs)):
+            self._extend_maps(
+                self._id_slabs[slab].tolist(),
+                self._minima_slabs[slab],
+                self._runner_slabs[slab],
+            )
+        self._maps_cursor = len(self._id_slabs)
 
     def _extend_maps(
         self, record_ids, minima: np.ndarray, runners: np.ndarray
@@ -663,6 +531,7 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
                     probe_map.setdefault(key, []).append(rid)
 
     def query(self, record: Record) -> list[str]:
+        self._ensure_maps()
         blocker = self.blocker
         minima, runners = blocker.hasher.signature_with_runner_up(
             blocker.shingler.shingle_ids(record)
@@ -696,16 +565,8 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
         ids_all = self._all_ids()
         if ids_all.size == 0:
             return ()
-        minima = (
-            self._minima_slabs[0]
-            if len(self._minima_slabs) == 1
-            else np.concatenate(self._minima_slabs)
-        )
-        runners = (
-            self._runner_slabs[0]
-            if len(self._runner_slabs) == 1
-            else np.concatenate(self._runner_slabs)
-        )
+        minima = _concatenated(self._minima_slabs)
+        runners = _concatenated(self._runner_slabs)
         keep = self._keep_mask(ids_all)
         if keep is not None:
             ids_all = ids_all[keep]
@@ -715,7 +576,7 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
 
 
 class OnlineForestIndex(_VariantOnlineBase):
-    """Long-lived incremental form of :class:`LSHForestBlocker`.
+    """The engine of :class:`LSHForestBlocker`, built once, then mutated.
 
     :meth:`blocks` rebuilds the survivor prefix trees with the batch
     descent (cached until the next mutation). :meth:`query` descends
@@ -735,16 +596,12 @@ class OnlineForestIndex(_VariantOnlineBase):
         self._live: tuple[np.ndarray, np.ndarray] | None = None
         self.add_many(records)
 
-    def add_many(self, records) -> None:
-        blocker = self.blocker
-        corpus = blocker.shingler.shingle_corpus(
-            records, vocabulary=self._vocabulary
-        )
-        if corpus.num_records == 0:
-            return
-        self._guard_new_ids(corpus.record_ids)
-        signatures = blocker.hasher.signature_matrix(corpus)
-        self._id_slabs.append(np.asarray(corpus.record_ids, dtype=object))
+    def _signature_rows(self, corpus: ShingledCorpus):
+        return (self.blocker.hasher.signature_matrix(corpus),)
+
+    def add_signatures(self, record_ids, signatures: np.ndarray) -> None:
+        """Index a slab whose signature rows are computed."""
+        self._take_ids(record_ids)
         self._signature_slabs.append(signatures)
         self._live = None
 
@@ -760,11 +617,7 @@ class OnlineForestIndex(_VariantOnlineBase):
         if self._live is None:
             ids_all = self._all_ids()
             if self._signature_slabs:
-                signatures = (
-                    self._signature_slabs[0]
-                    if len(self._signature_slabs) == 1
-                    else np.concatenate(self._signature_slabs)
-                )
+                signatures = _concatenated(self._signature_slabs)
             else:
                 signatures = np.empty(
                     (0, self.blocker.hasher.num_hashes), dtype=np.uint64

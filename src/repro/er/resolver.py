@@ -170,12 +170,12 @@ class Resolver:
         """A resolver in clean-clean linkage mode.
 
         The index holds the *target* side and probes come from the
-        *source* — the production record-linkage shape, and exactly
-        the orientation ``block_pair`` streams. Accepts a prebuilt
+        *source* — the production record-linkage shape. It is the
+        blocker's ``linkage_index``, the same target-side index
+        ``block_pair`` streams the source into (for SA-LSH, gated by an
+        encoder frozen over both sides, so source-only concepts still
+        carry semantic bits when probing). Accepts a prebuilt
         :class:`~repro.records.dataset.LinkedCorpus` or two datasets.
-        For SA-LSH the semhash encoder is frozen over the union of both
-        sides (matching ``block_pair``), so source-only concepts still
-        carry semantic bits when probing.
 
         The target corpus stays mutable — ``add_many``/``remove`` keep
         serving the index — and :meth:`link` resolves the source side
@@ -187,19 +187,8 @@ class Resolver:
             else LinkedCorpus(source, target)
         )
         resolver = cls(blocker, (), matcher=matcher)
-        target_records = list(linked.target.records)
-        if hasattr(blocker, "semantic_function"):
-            from repro.semantic.semhash import SemhashEncoder
-
-            encoder = SemhashEncoder(
-                blocker.semantic_function, linked.union
-            )
-            resolver.index = blocker.online(
-                target_records, encoder=encoder
-            )
-        else:
-            resolver.index = blocker.online(target_records)
-        resolver.store.add_many(target_records)
+        resolver.index = blocker.linkage_index(linked)
+        resolver.store.add_many(list(linked.target.records))
         resolver.linked = linked
         resolver.fsync = fsync
         if state_dir is not None:

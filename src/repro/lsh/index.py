@@ -48,6 +48,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
+from repro.errors import DatasetError
 from repro.utils.parallel import ShardPool, effective_processes
 
 GateFn = Callable[[int, str], Sequence[Hashable]]
@@ -58,6 +59,33 @@ GateFn = Callable[[int, str], Sequence[Hashable]]
 
 def _no_gate(_table: int, _record_id: str) -> Sequence[Hashable]:
     return (0,)
+
+
+def check_new_ids(
+    record_ids: Sequence[str], seen: set[str], retired: set[str]
+) -> None:
+    """Reject a slab of ids an index cannot take, before it mutates.
+
+    A retired id raises ``KeyError`` (re-adding it would resurrect its
+    dead entries); an id already indexed, or repeated within the slab,
+    raises :class:`~repro.errors.DatasetError` naming it (indexing it
+    twice would put one record in a bucket twice). ``seen`` holds every
+    id the index has taken, retired ones included.
+    """
+    if retired and not retired.isdisjoint(record_ids):
+        reused = sorted(retired.intersection(record_ids))
+        raise KeyError(
+            f"record ids {reused!r} were removed and are retired; "
+            "re-adding them would resurrect their dead entries"
+        )
+    fresh = set(record_ids)
+    if len(fresh) == len(record_ids) and seen.isdisjoint(fresh):
+        return
+    slab: set[str] = set()
+    for record_id in record_ids:
+        if record_id in seen or record_id in slab:
+            raise DatasetError(f"duplicate record id {record_id!r}")
+        slab.add(record_id)
 
 
 #: Marker object coding "no gate" entries when gated and ungated slabs
@@ -294,7 +322,8 @@ class BandedLSHIndex:
         :meth:`bucket_sizes`, where all slabs are concatenated per
         table and bucketed together, so records from different slabs
         with equal (band key, gate suffix) share a bucket. Record ids
-        must be unique across slabs, as within a dataset.
+        must be unique across slabs, as within a dataset (the online
+        indexes check each slab with :meth:`check_new_ids` first).
         """
         n = len(record_ids)
         key_matrix = np.asarray(key_matrix)
@@ -322,6 +351,15 @@ class BandedLSHIndex:
             )
         )
         self._bulk = None
+
+    def check_new_ids(self, record_ids: Sequence[str]) -> None:
+        """Raise unless these ids are new to the index.
+
+        ``KeyError`` for a retired id, :class:`~repro.errors.DatasetError`
+        for one already indexed or repeated in the slab; nothing
+        changes either way.
+        """
+        check_new_ids(record_ids, self._ids_seen, self._tombstones)
 
     def remove(self, record_id: str) -> None:
         """Tombstone one record — O(1), no regrouping.

@@ -29,9 +29,11 @@ from repro.core import (
     MultiProbeLSHBlocker,
     SALSHBlocker,
 )
+from repro.errors import DatasetError
 from repro.records import Dataset, Record
 from repro.semantic import (
     PatternSemanticFunction,
+    SemhashEncoder,
     VoterSemanticFunction,
     cora_patterns,
 )
@@ -216,3 +218,96 @@ class TestMutationContract:
         online = _blocker(kind, "cora").online(list(cora_small)[:50])
         probe = Record("probe-empty", {a: "" for a in params["attrs"]})
         assert online.query(probe) == []
+
+
+def _stream(blocker, slabs, records):
+    """``block_stream`` — SA-LSH under an encoder frozen from ``records``."""
+    if isinstance(blocker, SALSHBlocker):
+        encoder = SemhashEncoder(blocker.semantic_function, records)
+        return blocker.block_stream(slabs, encoder=encoder)
+    return blocker.block_stream(slabs)
+
+
+class TestDuplicateIds:
+    """A repeated id is rejected on every insertion path, never indexed
+    twice."""
+
+    @pytest.mark.parametrize("kind", BLOCKER_KINDS)
+    def test_within_a_slab(self, cora_small, kind):
+        records = list(cora_small)[:30]
+        online = _blocker(kind, "cora").online()
+        with pytest.raises(DatasetError, match=repr(records[0].record_id)):
+            online.add_many(records + [records[0]])
+        assert online.num_live == 0
+        assert online.blocks() == ()
+        if kind == "salsh":
+            assert online.encoder is None  # nothing frozen from the slab
+
+    @pytest.mark.parametrize("kind", BLOCKER_KINDS)
+    def test_across_add_many_calls(self, cora_small, kind):
+        records = list(cora_small)[:30]
+        online = _blocker(kind, "cora").online(records)
+        before = online.blocks()
+        with pytest.raises(DatasetError, match=repr(records[0].record_id)):
+            online.add_many([records[0]])
+        assert online.num_live == len(records)
+        assert online.blocks() == before
+
+    @pytest.mark.parametrize("kind", BLOCKER_KINDS)
+    def test_across_stream_slabs(self, cora_small, kind):
+        records = list(cora_small)[:31]
+        slabs = [records[:30], [records[0], records[30]]]
+        with pytest.raises(DatasetError, match=repr(records[0].record_id)):
+            _stream(_blocker(kind, "cora"), slabs, records)
+
+
+class TestDerivedEntryPoints:
+    """``block``, ``block_stream`` and ``block_pair`` derive from one
+    online index on every blocker."""
+
+    #: Parameters each blocker reports beyond k, l and q.
+    _EXTRA_PARAMETERS = {
+        "lsh": (),
+        "salsh": ("w", "mode"),
+        "mplsh": ("num_probes",),
+        "forest": ("max_block_size",),
+    }
+
+    @pytest.mark.parametrize("slab_size", (1, 37, None))
+    @pytest.mark.parametrize("kind", BLOCKER_KINDS)
+    def test_stream_equals_block(self, cora_small, kind, slab_size):
+        records = list(cora_small)
+        size = slab_size or len(records)
+        slabs = (records[i : i + size] for i in range(0, len(records), size))
+        blocker = _blocker(kind, "cora")
+        streamed = _stream(blocker, slabs, records)
+        assert streamed.blocks == blocker.block(cora_small).blocks
+        assert streamed.metadata["engine"] == "streaming"
+        assert streamed.metadata["num_records"] == len(records)
+        assert streamed.metadata["num_slabs"] == -(-len(records) // size)
+
+    @pytest.mark.parametrize("kind", BLOCKER_KINDS)
+    def test_metadata_carries_runtime_and_parameters(self, cora_small, kind):
+        records = list(cora_small)
+        half = len(records) // 2
+        blocker = _blocker(kind, "cora")
+        results = {
+            "batch": blocker.block(cora_small),
+            "per-record": _blocker(kind, "cora", batch=False).block(cora_small),
+            "sharded": _blocker(kind, "cora", processes=2).block(cora_small),
+            "streaming": _stream(blocker, [records], records),
+            "linkage-online": blocker.block_pair(
+                Dataset(records[:half], name="src"),
+                Dataset(records[half:], name="tgt"),
+            ),
+        }
+        names = ("k", "l", "q") + self._EXTRA_PARAMETERS[kind]
+        for engine, result in results.items():
+            metadata = result.metadata
+            assert metadata["engine"] == engine
+            assert metadata["processes"] == (2 if engine == "sharded" else 1)
+            assert metadata["pooled"] is False
+            for name in names:
+                assert metadata[name] == getattr(blocker, name), (engine, name)
+            if kind == "salsh":
+                assert metadata["num_semantic_bits"] >= 1

@@ -414,6 +414,19 @@ class TestLinkageResolver:
             paired.metadata["num_semantic_bits"]
         )
 
+    def test_salsh_empty_linkage_corpus(self, fig1_sf):
+        # No record on either side: nothing to freeze an encoder from,
+        # so the resolver, like block_pair, holds nothing and links
+        # nothing instead of raising.
+        linked = LinkedCorpus(
+            Dataset([], name="empty-src"), Dataset([], name="empty-tgt")
+        )
+        blocker = _blocker("salsh", "fig1", fig1_sf)
+        resolver = Resolver.for_linkage(blocker, linked)
+        assert len(resolver) == 0
+        assert resolver.link() == []
+        assert blocker.block_pair(linked).blocks == ()
+
     def test_link_without_corpus_needs_records(self, fig1):
         blocker = _blocker("lsh", "fig1")
         resolver = Resolver(blocker, fig1)
