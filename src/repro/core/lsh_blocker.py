@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.lsh.bands import record_band_keys, split_bands, split_bands_matrix
 from repro.lsh.index import BandedLSHIndex
 from repro.minhash.corpus import ShingleVocabulary
+from repro.minhash.minhash import HashColumns
 from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.dataset import Dataset
 from repro.records.record import Record
@@ -36,8 +37,9 @@ from repro.records.record import Record
 
 class _BandedOnlineIndex(OnlineIndex):
     """What the two banded online indexes share: one growing shingle
-    vocabulary, an optional signature spill, and the
-    :class:`~repro.lsh.index.BandedLSHIndex` their slabs feed.
+    vocabulary, an optional signature spill, the
+    :class:`~repro.lsh.index.BandedLSHIndex` their slabs feed, and the
+    probe path's :class:`~repro.minhash.minhash.HashColumns` memo.
 
     ``signatures_out`` may be a preallocated uint64 buffer (e.g. a
     :func:`~repro.minhash.signature.open_signature_memmap` map) filled
@@ -59,6 +61,19 @@ class _BandedOnlineIndex(OnlineIndex):
         self._index = BandedLSHIndex(
             blocker.l, processes=blocker.processes, pool=blocker.pool
         )
+        # Held here, not on the blocker: checkpoints pickle the blocker
+        # and pools ship it to workers.
+        self._columns = HashColumns(blocker.hasher)
+
+    def _probe_keys(self, record: Record) -> list[bytes]:
+        """A probe's band keys, its signature gathered from the memo.
+
+        ``shingle_ids`` never grows the vocabulary, so a probe leaves
+        the buckets as they were.
+        """
+        blocker = self.blocker
+        signature = self._columns.signature(blocker.shingler.shingle_ids(record))
+        return record_band_keys(signature, blocker.k, blocker.l)
 
     def _insert(self, record_ids, signatures: np.ndarray, gate_entries=None):
         """The one insertion path: check the ids, spill the rows, then
@@ -140,11 +155,9 @@ class OnlineLSHIndex(_BandedOnlineIndex):
         self._insert(record_ids, signatures)
 
     def query(self, record: Record) -> list[str]:
-        # shingle_ids never grows the vocabulary, so queries are pure.
-        blocker = self.blocker
-        signature = blocker.hasher.signature(blocker.shingler.shingle_ids(record))
-        keys = record_band_keys(signature, blocker.k, blocker.l)
-        return self._index.query_keys(keys, record_id=record.record_id)
+        return self._index.query_keys(
+            self._probe_keys(record), record_id=record.record_id
+        )
 
     def checkpoint(self) -> dict:
         return {"kind": "lsh", "retired": self._index.retired_ids()}

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.base import BlockingResult, LSHFamilyBlocker, make_blocks
 from repro.core.lsh_blocker import _BandedOnlineIndex
 from repro.errors import ConfigurationError, SemanticFunctionError
-from repro.lsh.bands import record_band_keys, split_bands
+from repro.lsh.bands import split_bands
 from repro.lsh.index import BandedLSHIndex
 from repro.lsh.sharding import semantic_signature_slabs, signature_slabs
 from repro.minhash.signature import GrowableSignatureSpill
@@ -123,18 +123,14 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
             # at all (e.g. an incomplete pattern table): semantically it
             # matches nothing, so it blocks with nothing.
             return []
-        blocker = self.blocker
-        keys = record_band_keys(
-            blocker.hasher.signature(blocker.shingler.shingle_ids(record)),
-            blocker.k,
-            blocker.l,
-        )
-        gates = self._gates
+        suffixes = self._gates.probe_suffixes(semhash)
 
         def gate(table: int, _record_id: str):
-            return gates.gate_suffixes(table, semhash)
+            return suffixes[table]
 
-        return self._index.query_keys(keys, gate, record_id=record.record_id)
+        return self._index.query_keys(
+            self._probe_keys(record), gate, record_id=record.record_id
+        )
 
     def blocks(self):
         return make_blocks(self._index.blocks())
@@ -272,7 +268,9 @@ class SALSHBlocker(LSHFamilyBlocker):
         index = BandedLSHIndex(self.l)
         for record in dataset:
             signature = self.hasher.signature(self.shingler.shingle_ids(record))
-            semhash = encoder.encode(record)
+            # The construction records themselves: their cached ζ is
+            # theirs, and saves a second interpretation.
+            semhash = encoder.encode_interpretation(encoder.interpretation(record))
 
             def gate(table: int, _record_id: str, _sig=semhash):
                 return gates.gate_suffixes(table, _sig)

@@ -43,7 +43,9 @@ fresh id.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -684,36 +686,48 @@ class BandedLSHIndex:
         members in insertion order. The fold is append-only — each slab
         is visited exactly once across the index's lifetime, so a query
         after ``add_many`` costs O(new slab entries), not O(index).
+
+        The cyclic garbage collector is paused while slabs fold: a
+        fold makes one list and one key tuple per new bucket (about
+        430k for a 20k-record voter index at l = 15) and no reference
+        cycles, so the collections those allocations would trigger
+        find nothing and cost most of the fold. The caller's collector
+        state is restored on the way out.
         """
         if self._query_maps is None:
             self._query_maps = [{} for _ in range(self.num_tables)]
-        for slab in self._pending[self._query_cursor:]:
-            self._extend_query_maps(slab)
-        self._query_cursor = len(self._pending)
+        if self._query_cursor < len(self._pending):
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                for slab in self._pending[self._query_cursor:]:
+                    self._extend_query_maps(slab)
+            finally:
+                if collecting:
+                    gc.enable()
+            self._query_cursor = len(self._pending)
         return self._query_maps
 
     def _extend_query_maps(self, slab: _PendingSlab) -> None:
+        # One tolist() per array, then plain Python: a one-record slab
+        # would otherwise pay numpy's per-call cost several times per
+        # table.
         ids = slab.ids.tolist()
-        for table in range(self.num_tables):
+        for table, keys in enumerate(slab.key_matrix.T.tolist()):
             bucket_map = self._query_maps[table]
-            keys = slab.key_matrix[:, table]
             gate = None if slab.gate_entries is None else slab.gate_entries[table]
             if gate is None:
-                for rid, key in zip(ids, keys.tolist()):
+                for rid, key in zip(ids, keys):
                     bucket_map.setdefault((key, _NO_GATE), []).append(rid)
+                continue
+            entry_rows, suffixes = gate
+            rows = np.asarray(entry_rows, dtype=np.int64).tolist()
+            if isinstance(suffixes, np.ndarray):
+                suffixes = suffixes.tolist()
             else:
-                entry_rows, suffixes = gate
-                entry_rows = np.asarray(entry_rows, dtype=np.int64)
-                if entry_rows.size == 0:
-                    continue
-                entry_keys = keys[entry_rows].tolist()
-                entry_ids = [ids[row] for row in entry_rows.tolist()]
-                if isinstance(suffixes, np.ndarray):
-                    entry_suffixes = suffixes.tolist()
-                else:
-                    entry_suffixes = [suffixes] * entry_rows.size
-                for rid, key, suffix in zip(entry_ids, entry_keys, entry_suffixes):
-                    bucket_map.setdefault((key, suffix), []).append(rid)
+                suffixes = repeat(suffixes)
+            for row, suffix in zip(rows, suffixes):
+                bucket_map.setdefault((keys[row], suffix), []).append(ids[row])
 
     def query_keys(
         self,

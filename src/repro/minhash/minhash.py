@@ -29,6 +29,11 @@ _CHUNK_ELEMENTS = 8_000_000
 #: functions while the chunk is still small enough to stay in cache.
 _PER_FUNCTION_STREAM = 4096
 
+#: Byte budget of one :class:`HashColumns` table: about 31k shingle ids
+#: at k·l = 135, far above a voter bigram vocabulary, while a q=4
+#: bibliographic vocabulary past it falls back to hashing per probe.
+_HASH_COLUMN_BYTES = 32 << 20
+
 
 def ensure_signature_out(
     out: np.ndarray | None, num_records: int, num_hashes: int
@@ -253,3 +258,68 @@ class MinHasher:
         if sig1.shape != sig2.shape:
             raise ValueError("signatures must have the same length")
         return float(np.mean(sig1 == sig2))
+
+
+class HashColumns:
+    """Memoised hash columns: single-record signatures as a gather.
+
+    Maps each shingle id a probe has carried to a row of an append-only
+    ``(rows, num_hashes)`` uint64 table holding the id's value under
+    every function of ``hasher``'s family, so a probe's signature is
+    ``table[rows].min(axis=0)``. Ids not seen before are hashed in one
+    :meth:`~repro.utils.hashing.UniversalHashFamily.hash_values` call
+    and appended. The table is allocated on the first probe and holds at
+    most :data:`_HASH_COLUMN_BYTES`; past that, ids not yet cached are
+    hashed on every probe and the signature is the element-wise minimum
+    of the cached and the fresh parts. Either way :meth:`signature`
+    equals :meth:`MinHasher.signature` byte for byte (the same values,
+    reduced by the same exact minimum).
+
+    Keyed by shingle id, not by a vocabulary index: probes carry grams
+    no indexed record has.
+    """
+
+    __slots__ = ("_family", "_num_hashes", "_rows", "_table")
+
+    def __init__(self, hasher: MinHasher) -> None:
+        self._family = hasher._family
+        self._num_hashes = hasher.num_hashes
+        self._rows: dict[int, int] = {}
+        self._table: np.ndarray | None = None
+
+    def signature(self, shingle_ids: np.ndarray) -> np.ndarray:
+        """The minhash signature of one shingle-id set."""
+        ids = shingle_ids.tolist()
+        if not ids:
+            return np.full(self._num_hashes, MERSENNE_PRIME_61, dtype=np.uint64)
+        rows = self._rows
+        cached = [rows.get(i) for i in ids]
+        overflow = None
+        if None in cached:
+            overflow = self._append(
+                list(dict.fromkeys(i for i, row in zip(ids, cached) if row is None))
+            )
+            cached = [rows[i] for i in ids if i in rows]
+            if not cached:
+                return overflow
+        signature = self._table[cached].min(axis=0)
+        return signature if overflow is None else np.minimum(signature, overflow)
+
+    def _append(self, missing: list[int]) -> np.ndarray | None:
+        """Hash ``missing`` ids in one call and cache as many as the
+        budget allows; the minimum over the rest, or ``None``."""
+        values = self._family.hash_values(np.array(missing, dtype=np.uint64)).T
+        start = len(self._rows)
+        capacity = max(1, _HASH_COLUMN_BYTES // (8 * self._num_hashes))
+        take = max(0, min(len(missing), capacity - start))
+        if take:
+            table = self._table
+            if table is None or start + take > table.shape[0]:
+                size = min(capacity, max(256, 2 * start + take))
+                grown = np.empty((size, self._num_hashes), dtype=np.uint64)
+                if table is not None:
+                    grown[:start] = table[:start]
+                self._table = grown
+            self._table[start : start + take] = values[:take]
+            self._rows.update(zip(missing[:take], range(start, start + take)))
+        return values[take:].min(axis=0) if take < len(missing) else None

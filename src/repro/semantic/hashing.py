@@ -22,9 +22,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.lsh.collision import wway_collision_probability
+from repro.utils.cache import LRUCache
 from repro.utils.rand import rng_from_seed
 
 _AND_SUFFIX = "all"
+
+#: Distinct semhash rows :meth:`WWaySemanticHashFamily.probe_suffixes`
+#: keeps. A taxonomy-driven semhash takes few distinct rows (a voter
+#: row is one race × gender interpretation), so probes hit the memo.
+_PROBE_SUFFIX_ROWS = 4096
 
 
 class WWaySemanticHashFamily:
@@ -74,6 +80,7 @@ class WWaySemanticHashFamily:
         self._chosen: list[tuple[int, ...]] = [
             tuple(sorted(rng.sample(range(num_bits), w))) for _ in range(num_tables)
         ]
+        self._probe_memo = LRUCache(_PROBE_SUFFIX_ROWS)
 
     def chosen_bits(self, table: int) -> tuple[int, ...]:
         """The w bit indices drawn for one hash table."""
@@ -90,6 +97,25 @@ class WWaySemanticHashFamily:
                 return (_AND_SUFFIX,)
             return ()
         return tuple(i for i in chosen if signature[i])
+
+    def probe_suffixes(
+        self, signature: np.ndarray
+    ) -> tuple[Sequence[Hashable], ...]:
+        """:meth:`gate_suffixes` of one semhash row in every table.
+
+        The single-record query path: memoised by the row's dtype and
+        bytes, so a probe whose semhash row an earlier probe carried
+        costs one lookup instead of ``num_tables`` gate evaluations.
+        """
+        key = (signature.dtype.char, signature.tobytes())
+        suffixes = self._probe_memo.get(key)
+        if suffixes is None:
+            suffixes = tuple(
+                self.gate_suffixes(table, signature)
+                for table in range(self.num_tables)
+            )
+            self._probe_memo[key] = suffixes
+        return suffixes
 
     def gate_entries(
         self, table: int, signatures: np.ndarray

@@ -299,9 +299,19 @@ class SemhashEncoder:
         return cached
 
     def encode(self, record: Record) -> np.ndarray:
-        """The semhash signature ``G(record)`` as a uint8 array."""
+        """The semhash signature ``G(record)`` of a probe, as uint8.
+
+        ζ is interpreted from the record's own fields, never taken from
+        the construction-time cache: a probe may carry an indexed
+        record's id with other values, and the cached ζ would gate it
+        with that record's semantics.
+        """
+        return self.encode_interpretation(self.semantic_function.interpret(record))
+
+    def encode_interpretation(self, zeta: Iterable[str]) -> np.ndarray:
+        """The semhash signature of one precomputed ζ, as uint8."""
         signature = np.zeros(self.num_bits, dtype=np.uint8)
-        for concept_id in self.interpretation(record):
+        for concept_id in zeta:
             signature[self._bits_for(concept_id)] = 1
         return signature
 

@@ -12,7 +12,12 @@ of ``add_many`` / ``remove`` calls (DESIGN.md, "Resolver service"):
 * :meth:`query` returns exactly what a freshly built index over the
   survivors would return for the same probe — live ids only, never the
   probe itself, no duplicates;
-* removed ids are retired permanently and re-adding them raises.
+* removed ids are retired permanently and re-adding them raises;
+* for the banded indexes (LSH, SA-LSH), a probe answered through the
+  memoised hash columns and gate suffixes equals, list for list, the
+  uncached reference path (``MinHasher.signature`` and one
+  ``gate_suffixes`` call per table) — for foreign, empty and repeated
+  probes, and with the hash-column budget shrunk to a few rows.
 
 The interleavings are seeded-random, so every run replays the same op
 sequences; the sharded variants assert the same contract with
@@ -20,6 +25,8 @@ sequences; the sharded variants assert the same contract with
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -29,7 +36,9 @@ from repro.core import (
     MultiProbeLSHBlocker,
     SALSHBlocker,
 )
-from repro.errors import DatasetError
+from repro.errors import DatasetError, SemanticFunctionError
+from repro.lsh.bands import record_band_keys
+from repro.minhash import minhash as minhash_module
 from repro.records import Dataset, Record
 from repro.semantic import (
     PatternSemanticFunction,
@@ -91,16 +100,56 @@ def _fresh_online(blocker, online, survivors):
     return blocker.online(survivors)
 
 
+def _reference_query(blocker, online, probe):
+    """The uncached probe path of a banded index: ``MinHasher.signature``
+    and one ``gate_suffixes`` call per table, fed to ``query_keys``."""
+    keys = record_band_keys(
+        blocker.hasher.signature(blocker.shingler.shingle_ids(probe)),
+        blocker.k, blocker.l,
+    )
+    gate = None
+    if isinstance(blocker, SALSHBlocker):
+        try:
+            semhash = online.encoder.encode(probe)
+        except SemanticFunctionError:
+            return []
+        gates = blocker._gates(online.encoder.num_bits)
+
+        def gate(table, _record_id):
+            return gates.gate_suffixes(table, semhash)
+
+    return online.banded_index.query_keys(keys, gate, record_id=probe.record_id)
+
+
 def _check_equivalent(blocker, online, inserted, removed, probes):
     survivors = [r for r in inserted if r.record_id not in removed]
     assert online.blocks() == _rebuild_blocks(blocker, online, survivors)
     rebuilt = _fresh_online(blocker, online, survivors)
     live = {r.record_id for r in survivors}
+    banded = type(blocker) in (LSHBlocker, SALSHBlocker)
     for probe in probes:
         candidates = online.query(probe)
         assert sorted(candidates) == sorted(rebuilt.query(probe))
         assert len(candidates) == len(set(candidates))
         assert set(candidates) <= live - {probe.record_id}
+        if banded:
+            assert candidates == _reference_query(blocker, online, probe)
+
+
+def _edge_probes(blocker, record):
+    """Probes beside the sampled records: grams the corpus never saw,
+    partly and wholly, and no grams at all; other fields are
+    ``record``'s, so the semantic function still interprets them."""
+    fields = dict(record.fields)
+    partly = {a: fields.get(a, "") + " zqxj wvyk" for a in blocker.attributes}
+    wholly = {a: "zqxjwvyk" for a in blocker.attributes}
+    empty = {a: "" for a in blocker.attributes}
+    return [
+        Record(f"probe-{name}", {**fields, **values})
+        for name, values in (
+            ("partly-foreign", partly), ("foreign", wholly), ("empty", empty),
+        )
+    ]
 
 
 def _exercise(blocker, dataset, seed, *, num_ops=14):
@@ -115,6 +164,9 @@ def _exercise(blocker, dataset, seed, *, num_ops=14):
     inserted = list(initial)
     removed: set[str] = set()
     probes = rng.sample(records, min(6, len(records)))
+    # Foreign and empty probes, then the first probe again, which the
+    # probe memos answer the second time.
+    probes += _edge_probes(blocker, records[0]) + probes[:1]
     check_at = set(rng.sample(range(num_ops), 2))
     for step in range(num_ops):
         op = rng.choice(("add", "add", "remove"))
@@ -167,6 +219,35 @@ class TestIncrementalEqualsRebuild:
         # the physical slab walk, so only the set is contractual).
         for probe in records[:5]:
             assert sorted(bulk.query(probe)) == sorted(single.query(probe))
+
+
+class TestProbeMemos:
+    """The memoised probe path of the banded indexes (DESIGN.md,
+    "Resolver service")."""
+
+    @pytest.mark.parametrize("kind", ("lsh", "salsh"))
+    def test_overflowing_hash_column_budget(self, voter_small, kind, monkeypatch):
+        # Room for three shingle ids: nearly every probe mixes cached
+        # columns with ones hashed afresh.
+        blocker = _blocker(kind, "voter")
+        monkeypatch.setattr(
+            minhash_module, "_HASH_COLUMN_BYTES", 3 * 8 * blocker.k * blocker.l
+        )
+        _exercise(blocker, voter_small, seed=14)
+
+    @pytest.mark.parametrize("collecting", (True, False))
+    def test_fold_restores_the_callers_gc_state(self, cora_small, collecting):
+        records = list(cora_small)[:40]
+        online = _blocker("salsh", "cora").online(records[:30])
+        was_collecting = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            for record in records[30:33]:
+                online.add(record)
+                online.query(record)  # folds the new slab
+                assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was_collecting else gc.disable)()
 
 
 class TestShardedRuntime:

@@ -13,6 +13,8 @@ Covers the serving surface built on the incremental indexes
   (:class:`~repro.errors.SemanticFunctionError`) and records whose
   semantic leaves the frozen encoder never saw all resolve to ``new``
   with zero candidates, never an exception;
+* probe semantics — a probe reusing an indexed record's id is gated by
+  its own fields, not by that record's cached interpretation;
 * :class:`~repro.records.dataset.RecordStore` bookkeeping and the
   :func:`~repro.core.pipeline.build_resolver` pipeline entry point;
 * the ``query`` / ``serve-batch`` CLI round trip.
@@ -33,6 +35,7 @@ from repro.records import Record, RecordStore, write_csv
 from repro.semantic import (
     MissingValuePattern,
     PatternSemanticFunction,
+    VoterSemanticFunction,
     cora_patterns,
 )
 from repro.taxonomy.builders import BIB_JOURNAL, BIB_THESIS, bibliographic_tree
@@ -224,6 +227,34 @@ class TestUnseenSemantics:
         )
         outcome = resolver.resolve_one(probe)
         assert outcome.tier == "match"
+
+
+class TestProbeSemantics:
+    """Regression: a probe is interpreted from its own fields, even when
+    it carries the id of an indexed record with other values."""
+
+    def test_probe_reusing_an_indexed_id(self, voter_small):
+        blocker = SALSHBlocker(
+            ("first_name", "last_name"), q=2, k=9, l=15, seed=3,
+            semantic_function=VoterSemanticFunction(),
+        )
+        resolver = Resolver(blocker, voter_small)
+        encoder = resolver.index.encoder
+        records = list(voter_small)
+        source = records[0]
+        # An indexed record sharing no semhash bit with the source: its
+        # cached ζ would gate the probe away from the source's buckets.
+        other = next(
+            r for r in records
+            if not (encoder.encode(r) & encoder.encode(source)).any()
+        )
+        probe = Record(other.record_id, dict(source.fields))
+        fresh = Record("probe-fresh", dict(source.fields))
+        assert source.record_id in resolver.query(probe)
+        assert resolver.query(probe) == resolver.query(fresh)
+        outcome, expected = resolver.resolve_one(probe), resolver.resolve_one(fresh)
+        assert outcome.tier == expected.tier == "match"
+        assert outcome.candidates == expected.candidates
 
 
 class TestRecordStore:
