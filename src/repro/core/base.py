@@ -7,7 +7,7 @@ from __future__ import annotations
 import time
 import weakref
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -18,10 +18,12 @@ from repro.lsh.sharding import signature_slabs
 from repro.minhash.minhash import MinHasher
 from repro.minhash.shingling import Shingler
 from repro.minhash.signature import GrowableSignatureSpill
+from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset, LinkedCorpus
 from repro.records.ground_truth import Pair, sorted_pair
 from repro.records.record import Record
 from repro.records.pairs import (
+    csr_source_counts,
     decode_pair_keys,
     encode_pair_keys,
     enumerate_csr_cross_pairs,
@@ -31,9 +33,6 @@ from repro.records.pairs import (
     unique_pair_keys,
 )
 from repro.utils.parallel import ShardPool, effective_processes
-
-Block = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class BlockArrays:
@@ -66,40 +65,45 @@ class BlockingResult:
         Name of the technique that produced the blocks.
     blocks:
         Possibly overlapping groups of record ids (each of size >= 2;
-        singleton blocks carry no candidate pairs and are dropped).
+        singleton blocks carry no candidate pairs and are dropped), as
+        a :class:`~repro.records.blocks.BlockList`. Any sequence of id
+        tuples may be passed; it is wrapped on construction.
     seconds:
         Wall-clock blocking time when measured by a runner, else None.
     metadata:
         Free-form diagnostics (parameters, sub-timings such as the
         semantic-function build time of Fig. 13).
+
+    Every count, pair key and array view below reads the block list's
+    CSR arrays; only the ``*_legacy`` references and
+    ``record_block_ids`` walk the block tuples. Derived caches stay out
+    of the pickled state (see :meth:`__getstate__`).
     """
 
     blocker_name: str
-    blocks: tuple[Block, ...]
+    blocks: BlockList
     seconds: float | None = None
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
-    def _flat_ids_and_offsets(self) -> tuple[list[str], np.ndarray]:
-        """Concatenated block member ids and their CSR offsets."""
-        flat = [rid for block in self.blocks for rid in block]
-        offsets = np.zeros(len(self.blocks) + 1, dtype=np.int64)
-        if self.blocks:
-            np.cumsum([len(b) for b in self.blocks], out=offsets[1:])
-        return flat, offsets
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", BlockList.of(self.blocks))
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Cached derivations (local arrays, pair keys, the weak
+        # per-dataset map, which cannot pickle) are recomputed on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def local_arrays(self) -> BlockArrays:
-        """Array (CSR) form of the blocks over the local id vocabulary."""
-        flat, offsets = self._flat_ids_and_offsets()
-        if not flat:
-            return BlockArrays(
-                ids=[], offsets=offsets, indices=np.empty(0, dtype=np.int32)
-            )
-        vocab, inverse = np.unique(np.asarray(flat), return_inverse=True)
+        """The blocks over the sorted local vocabulary: the ids present
+        in some block, ranked lexicographically (one sort)."""
+        blocks = self.blocks
+        present = blocks.present_rows()
+        ids, rank = np.unique(blocks.ids[present], return_inverse=True)
+        remap = np.zeros(len(blocks.ids), dtype=np.int32)
+        remap[present] = rank.reshape(-1)
         return BlockArrays(
-            ids=vocab.tolist(),
-            offsets=offsets,
-            indices=inverse.astype(np.int32),
+            ids=ids.tolist(), offsets=blocks.offsets, indices=remap[blocks.indices]
         )
 
     @cached_property
@@ -143,10 +147,10 @@ class BlockingResult:
 
         Reuses the cached local enumeration when one exists (one
         ``encode_ids`` over the vocabulary plus a translation);
-        otherwise encodes the blocks straight through the dataset codec
-        — the evaluation path never needs the local string vocabulary.
-        Raises :class:`~repro.errors.DatasetError` when a block
-        references an id outside the dataset.
+        otherwise encodes the block list's vocabulary — only the ids
+        some block references, one lookup each — and enumerates the CSR
+        over those codes. Raises :class:`~repro.errors.DatasetError`
+        when a block references an id outside the dataset.
         """
         cached = self._per_dataset_cache.get(dataset)
         if cached is not None:
@@ -159,16 +163,21 @@ class BlockingResult:
             else:
                 keys = np.empty(0, dtype=np.uint64)
         else:
-            flat, offsets = self._flat_ids_and_offsets()
-            indices = dataset.encode_ids(flat)
-            keys = unique_pair_keys(*enumerate_csr_pairs(offsets, indices))
+            blocks = self.blocks
+            present = blocks.present_rows()
+            codes = np.zeros(len(blocks.ids), dtype=np.int64)
+            codes[present] = dataset.encode_ids(blocks.ids[present].tolist())
+            keys = unique_pair_keys(
+                *enumerate_csr_pairs(blocks.offsets, codes[blocks.indices])
+            )
         self._per_dataset_cache[dataset] = keys
         return keys
 
     @property
     def num_multiset_comparisons(self) -> int:
         """|Γm| — pair comparisons counted per block (with redundancy)."""
-        return sum(len(b) * (len(b) - 1) // 2 for b in self.blocks)
+        sizes = self.blocks.sizes()
+        return int((sizes * (sizes - 1) // 2).sum())
 
     @property
     def num_blocks(self) -> int:
@@ -176,7 +185,8 @@ class BlockingResult:
 
     @property
     def max_block_size(self) -> int:
-        return max((len(b) for b in self.blocks), default=0)
+        sizes = self.blocks.sizes()
+        return int(sizes.max()) if sizes.size else 0
 
     def record_block_ids(self) -> dict[str, list[int]]:
         """Record id -> indices of blocks containing it (meta-blocking)."""
@@ -188,12 +198,7 @@ class BlockingResult:
 
     def with_timing(self, seconds: float) -> "BlockingResult":
         """Copy of the result annotated with a wall-clock time."""
-        return BlockingResult(
-            blocker_name=self.blocker_name,
-            blocks=self.blocks,
-            seconds=seconds,
-            metadata=self.metadata,
-        )
+        return replace(self, seconds=seconds)
 
 
 @dataclass(frozen=True)
@@ -218,15 +223,19 @@ class BipartiteBlockingResult(BlockingResult):
         return self.linked
 
     @cached_property
-    def _source_mask_local(self) -> np.ndarray:
-        """True at local-vocabulary positions that are source records."""
-        linked = self._require_linked()
-        ids = self.local_arrays.ids
-        return np.fromiter(
-            (rid in linked.source_id_set for rid in ids),
+    def _source_rows(self) -> np.ndarray:
+        """True at block-vocabulary positions holding a source record
+        that some block references."""
+        source_ids = self._require_linked().source_id_set
+        blocks = self.blocks
+        present = blocks.present_rows()
+        mask = np.zeros(len(blocks.ids), dtype=bool)
+        mask[present] = np.fromiter(
+            (rid in source_ids for rid in blocks.ids[present].tolist()),
             dtype=bool,
-            count=len(ids),
+            count=present.size,
         )
+        return mask
 
     @cached_property
     def cross_pair_keys(self) -> np.ndarray:
@@ -234,27 +243,26 @@ class BipartiteBlockingResult(BlockingResult):
 
         High word: position in ``linked.source``; low word: position in
         ``linked.target`` — directly intersectable with
-        ``linked.true_match_keys``.
+        ``linked.true_match_keys``. Only the ids some block references
+        are encoded, each through its side's codec.
         """
         linked = self._require_linked()
-        arrays = self.local_arrays
-        mask = self._source_mask_local
-        if not arrays.ids:
-            return np.empty(0, dtype=np.uint64)
-        positions = np.empty(len(arrays.ids), dtype=np.int64)
-        src_local = np.flatnonzero(mask)
-        tgt_local = np.flatnonzero(~mask)
-        ids = arrays.ids
-        if src_local.size:
-            positions[src_local] = linked.source.encode_ids(
-                [ids[i] for i in src_local.tolist()]
+        blocks = self.blocks
+        mask = self._source_rows
+        present = blocks.present_rows()
+        sources = present[mask[present]]
+        targets = present[~mask[present]]
+        positions = np.zeros(len(blocks.ids), dtype=np.int64)
+        if sources.size:
+            positions[sources] = linked.source.encode_ids(
+                blocks.ids[sources].tolist()
             )
-        if tgt_local.size:
-            positions[tgt_local] = linked.target.encode_ids(
-                [ids[i] for i in tgt_local.tolist()]
+        if targets.size:
+            positions[targets] = linked.target.encode_ids(
+                blocks.ids[targets].tolist()
             )
         left, right = enumerate_csr_cross_pairs(
-            arrays.offsets, arrays.indices, mask
+            blocks.offsets, blocks.indices, mask
         )
         return unique_bipartite_keys(positions[left], positions[right])
 
@@ -281,22 +289,9 @@ class BipartiteBlockingResult(BlockingResult):
     @property
     def num_cross_multiset_comparisons(self) -> int:
         """|Γm| of the cross space: Σ per block n_source × n_target."""
-        source_ids = self._require_linked().source_id_set
-        total = 0
-        for block in self.blocks:
-            n_src = sum(1 for rid in block if rid in source_ids)
-            total += n_src * (len(block) - n_src)
-        return total
-
-    def with_timing(self, seconds: float) -> "BipartiteBlockingResult":
-        """Copy of the result annotated with a wall-clock time."""
-        return BipartiteBlockingResult(
-            blocker_name=self.blocker_name,
-            blocks=self.blocks,
-            seconds=seconds,
-            metadata=self.metadata,
-            linked=self.linked,
-        )
+        blocks = self.blocks
+        n_src = csr_source_counts(blocks.offsets, blocks.indices, self._source_rows)
+        return int((n_src * (blocks.sizes() - n_src)).sum())
 
 
 def as_bipartite(
@@ -312,9 +307,9 @@ def as_bipartite(
     )
 
 
-def make_blocks(groups: Sequence[Sequence[str]]) -> tuple[Block, ...]:
+def make_blocks(groups: Iterable[Sequence[str]]) -> BlockList:
     """Normalise raw groups: drop singletons, freeze to tuples."""
-    return tuple(tuple(g) for g in groups if len(g) >= 2)
+    return BlockList.from_tuples(g for g in groups if len(g) >= 2)
 
 
 def _coerce_linked(
@@ -404,7 +399,7 @@ class OnlineIndex(ABC):
         """Live record ids sharing at least one block with ``record``."""
 
     @abstractmethod
-    def blocks(self) -> tuple[Block, ...]:
+    def blocks(self) -> BlockList:
         """Current blocks over the live records (batch-equivalent)."""
 
     def checkpoint(self) -> dict:
@@ -540,7 +535,7 @@ class LSHFamilyBlocker(Blocker):
 
     def _result(
         self,
-        blocks: tuple[Block, ...],
+        blocks: BlockList,
         start: float,
         engine: str,
         index: OnlineIndex | None = None,

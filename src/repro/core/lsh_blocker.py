@@ -24,13 +24,14 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.base import LSHFamilyBlocker, OnlineIndex, make_blocks
+from repro.core.base import LSHFamilyBlocker, OnlineIndex
 from repro.errors import ConfigurationError
 from repro.lsh.bands import record_band_keys, split_bands, split_bands_matrix
 from repro.lsh.index import BandedLSHIndex
 from repro.minhash.corpus import ShingleVocabulary
 from repro.minhash.minhash import HashColumns
 from repro.minhash.signature import GrowableSignatureSpill
+from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset
 from repro.records.record import Record
 
@@ -109,8 +110,8 @@ class _BandedOnlineIndex(OnlineIndex):
     def num_live(self) -> int:
         return self._index.num_live
 
-    def blocks(self):
-        return make_blocks(self._index.blocks())
+    def blocks(self) -> BlockList:
+        return self._index.blocks()
 
     @property
     def banded_index(self) -> BandedLSHIndex:

@@ -564,7 +564,7 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
     def blocks(self):
         ids_all = self._all_ids()
         if ids_all.size == 0:
-            return ()
+            return make_blocks(())
         minima = _concatenated(self._minima_slabs)
         runners = _concatenated(self._runner_slabs)
         keep = self._keep_mask(ids_all)

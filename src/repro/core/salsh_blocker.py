@@ -30,6 +30,7 @@ from repro.lsh.bands import split_bands
 from repro.lsh.index import BandedLSHIndex
 from repro.lsh.sharding import semantic_signature_slabs, signature_slabs
 from repro.minhash.signature import GrowableSignatureSpill
+from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset, LinkedCorpus
 from repro.records.record import Record
 from repro.semantic.hashing import WWaySemanticHashFamily
@@ -132,8 +133,8 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
             self._probe_keys(record), gate, record_id=record.record_id
         )
 
-    def blocks(self):
-        return make_blocks(self._index.blocks())
+    def blocks(self) -> BlockList:
+        return self._index.blocks()
 
     def checkpoint(self) -> dict:
         # The frozen encoder is part of the durable state: a survivor

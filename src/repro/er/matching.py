@@ -53,19 +53,25 @@ def _qgram_bitsets(
         _, uniques = dataset.attribute_codes(attribute)
         grams = [qgram_set(value, q) for value in uniques]
         vocabulary: dict[str, int] = {}
-        for gram_set in grams:
-            for gram in gram_set:
-                if gram not in vocabulary:
-                    vocabulary[gram] = len(vocabulary)
+        tokens = np.fromiter(
+            (
+                vocabulary.setdefault(gram, len(vocabulary))
+                for gram_set in grams
+                for gram in gram_set
+            ),
+            dtype=np.uint64,
+        )
+        sizes = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
         words = max(1, (len(vocabulary) + 63) >> 6)
         bits = np.zeros((len(uniques), words), dtype=np.uint64)
-        sizes = np.zeros(len(uniques), dtype=np.int64)
-        one = np.uint64(1)
-        for row, gram_set in enumerate(grams):
-            sizes[row] = len(gram_set)
-            for gram in gram_set:
-                token = vocabulary[gram]
-                bits[row, token >> 6] |= one << np.uint64(token & 63)
+        # One scatter sets every (value, gram) bit; bit positions follow
+        # first-seen gram order, which intersections do not depend on.
+        rows = np.repeat(np.arange(len(grams)), sizes)
+        np.bitwise_or.at(
+            bits,
+            (rows, (tokens >> np.uint64(6)).astype(np.intp)),
+            np.uint64(1) << (tokens & np.uint64(63)),
+        )
         cached = (bits, sizes)
         per_dataset[(attribute, q)] = cached
     return cached

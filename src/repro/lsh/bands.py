@@ -1,10 +1,18 @@
-"""Splitting minhash signatures into bands (hash tables)."""
+"""Splitting minhash signatures into bands (hash tables), and numbering
+band keys exactly for bucket grouping."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: Multiplier of the label-folding hash (the 64-bit golden ratio, as in
+#: splitmix64) — fixed so folds, and with them shard routing, are
+#: deterministic across runs and hosts.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = np.uint64(0xFF51AFD7ED558CCD)
+_SHIFT = np.uint64(33)
 
 
 def split_bands(signature: np.ndarray, k: int, l: int) -> list[tuple[int, ...]]:
@@ -29,8 +37,8 @@ def split_bands_matrix(signatures: np.ndarray, k: int, l: int) -> np.ndarray:
     contiguous k-value signature slice (dtype ``S{8k}``), so two keys
     compare equal exactly when the corresponding k-tuples from
     :func:`split_bands` are equal. The fixed-width bytes keys are
-    hashable, sortable and ``np.unique``-able without materialising
-    ``n * l`` Python tuples.
+    hashable and groupable (:func:`dense_band_labels`) without
+    materialising ``n * l`` Python tuples.
 
     Note numpy's S dtype truncates trailing NUL bytes when a scalar is
     *read*; since every key starts from exactly ``8 * k`` bytes, the
@@ -69,3 +77,69 @@ def band_keys(signature: np.ndarray, k: int, l: int) -> list[int]:
     overwhelmingly high probability.
     """
     return [hash(band) for band in split_bands(signature, k, l)]
+
+
+def fold_labels(labels: np.ndarray) -> np.ndarray:
+    """Deterministic uint64 hash of grouping labels.
+
+    Accepts the two label dtypes the index groups by — fixed-width byte
+    band keys (``S{8k}``, folded word-wise) and int64 labels — and
+    avalanches the fold so ``fold_labels(labels) % num_shards`` spreads
+    near-equal labels over shards. Equal labels always fold equal, so
+    every bucket lands wholly inside one shard; distinct labels may
+    collide, so a fold orders keys but never groups them by itself
+    (:func:`dense_band_labels` verifies the words).
+    """
+    if labels.dtype.kind == "S":
+        itemsize = labels.dtype.itemsize
+        if itemsize % 8 != 0:
+            raise ConfigurationError(
+                f"byte labels must be a multiple of 8 wide, got {itemsize}"
+            )
+        words = (
+            np.ascontiguousarray(labels)
+            .view(np.uint64)
+            .reshape(len(labels), itemsize // 8)
+        )
+        folded = np.zeros(len(labels), dtype=np.uint64)
+        for column in range(words.shape[1]):
+            folded *= _GOLDEN
+            folded += words[:, column]
+    else:
+        folded = labels.astype(np.uint64, copy=True) * _GOLDEN
+    folded ^= folded >> _SHIFT
+    folded *= _MIX
+    folded ^= folded >> _SHIFT
+    return folded
+
+
+def dense_band_labels(keys: np.ndarray) -> np.ndarray:
+    """Exact int64 group numbers of fixed-width band keys.
+
+    Equal keys get equal numbers and distinct keys distinct ones, in
+    ``range(#distinct keys)``. The keys are grouped by sorting their
+    uint64 :func:`fold_labels` rather than the ``S{8k}`` bytes; every
+    key is then checked word for word against its predecessor in its
+    fold run, and a fold collision between distinct keys falls back to
+    ``np.unique(keys, return_inverse=True)``. The numbers follow fold
+    order, not key order: bucket grouping depends only on which entries
+    are equal, so any exact numbering yields the same blocks.
+    """
+    n = keys.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    keys = np.ascontiguousarray(keys)
+    folded = fold_labels(keys)
+    order = np.argsort(folded)
+    folded = folded[order]
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(folded[1:], folded[:-1], out=run_start[1:])
+    words = keys.view(np.uint64).reshape(n, -1)[order]
+    same = (words[1:] == words[:-1]).all(axis=1)
+    if not (same | run_start[1:]).all():
+        _, inverse = np.unique(keys, return_inverse=True)
+        return inverse.reshape(-1).astype(np.int64, copy=False)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.cumsum(run_start) - 1
+    return labels

@@ -51,6 +51,8 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.errors import DatasetError
+from repro.lsh.bands import dense_band_labels
+from repro.records.blocks import BlockList
 from repro.utils.parallel import ShardPool, effective_processes
 
 GateFn = Callable[[int, str], Sequence[Hashable]]
@@ -127,7 +129,18 @@ def _segment(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     occupies ``order[starts[g]:ends[g]]``. Stability keeps positions
     ascending within each group.
     """
-    order = np.argsort(labels, kind="stable")
+    n = labels.size
+    order = None
+    if n and labels.dtype.kind == "i":
+        low = int(labels.min())
+        if (int(labels.max()) - low + 1) <= np.iinfo(np.int64).max // n:
+            # (label, position) as one unique int64: any sort of these
+            # is the stable sort of the labels, and numpy's default sort
+            # runs several times faster than its stable one.
+            keys = (labels.astype(np.int64, copy=False) - low) * n
+            order = np.argsort(keys + np.arange(n))
+    if order is None:
+        order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     boundaries = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     starts = np.concatenate([[0], boundaries])
@@ -147,7 +160,8 @@ def grouped_indices(labels: np.ndarray) -> list[np.ndarray]:
     if labels.size == 0:
         return []
     order, starts, ends = _segment(labels)
-    first_occurrence = np.argsort(order[starts], kind="stable")
+    # First positions are distinct, so the default sort is exact.
+    first_occurrence = np.argsort(order[starts])
     return [
         order[starts[g] : ends[g]] for g in first_occurrence
     ]
@@ -179,7 +193,8 @@ class _PendingSlab:
 class _BulkBuckets:
     """Grouped buckets of the merged bulk insertions for one table.
 
-    ``members`` holds record ids permuted into group order; bucket ``g``
+    ``members`` holds entry rows — positions in the index's
+    insertion-order id array — permuted into group order; bucket ``g``
     is ``members[starts[g]:ends[g]]`` and ``emit_order`` lists buckets
     by first occurrence. Keeping the arrays (instead of dict entries)
     makes bulk insertion O(sort) and lets :meth:`BandedLSHIndex.blocks`
@@ -203,16 +218,16 @@ class _BulkBuckets:
     def sizes(self) -> np.ndarray:
         return self.ends - self.starts
 
-    def iter_buckets(self, min_size: int) -> Iterable[tuple[str, ...]]:
-        # Slice one Python list per table rather than the object array
-        # per bucket: numpy slicing costs more than the few ids a
-        # bucket holds.
-        chosen = self.emit_order[self.sizes()[self.emit_order] >= min_size]
-        members = self.members.tolist()
-        for start, end in zip(
-            self.starts[chosen].tolist(), self.ends[chosen].tolist()
-        ):
-            yield tuple(members[start:end])
+    def emitted(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sizes and concatenated member rows of the buckets holding at
+        least ``min_size`` entries, in emit order — one gather."""
+        sizes = self.sizes()
+        chosen = self.emit_order[sizes[self.emit_order] >= min_size]
+        sizes = sizes[chosen]
+        # Output slot i of bucket b reads members[starts[b] + i - out_b],
+        # out_b being where b's run begins in the output.
+        shift = np.repeat(self.starts[chosen] - (np.cumsum(sizes) - sizes), sizes)
+        return sizes, self.members[shift + np.arange(shift.size)]
 
 
 class BandedLSHIndex:
@@ -244,10 +259,11 @@ class BandedLSHIndex:
             defaultdict(list) for _ in range(num_tables)
         ]
         self._pending: list[_PendingSlab] = []
-        #: Lazily derived buckets of all pending slabs, merged — one
-        #: (or no) bucket group per table; ``None`` marks the cache
-        #: stale (new slabs arrived since the last grouping).
-        self._bulk: list[_BulkBuckets | None] | None = None
+        #: Lazily derived buckets of all pending slabs, merged: the
+        #: bulk id array and one (or no) bucket group per table;
+        #: ``None`` marks the cache stale (new slabs arrived or records
+        #: were removed since the last grouping).
+        self._bulk: tuple[np.ndarray, list[_BulkBuckets | None]] | None = None
         #: Ids ever inserted (either style) and ids since retired.
         self._ids_seen: set[str] = set()
         self._tombstones: set[str] = set()
@@ -307,8 +323,8 @@ class BandedLSHIndex:
         key_matrix:
             ``(n, num_tables)`` array of band keys, one column per
             table, as produced by
-            :func:`repro.lsh.bands.split_bands_matrix`. Any sortable
-            ``np.unique``-able dtype works.
+            :func:`repro.lsh.bands.split_bands_matrix` (fixed-width
+            ``S{8k}`` bytes; 64-bit integer keys work too).
         gate_entries:
             Optional per-table batch gates (see :data:`GateEntries`);
             ``None`` inserts every record once per table, like the
@@ -441,26 +457,11 @@ class BandedLSHIndex:
                     "build the index through add_many (the batch path)"
                 )
         slabs = self._pending
-        if slabs:
-            ids_all = (
-                slabs[0].ids
-                if len(slabs) == 1
-                else np.concatenate([slab.ids for slab in slabs])
-            )
-        else:
-            ids_all = np.empty(0, dtype=object)
-        bases = np.cumsum([0] + [slab.ids.size for slab in slabs])
-        if self._tombstones:
-            tombstones = self._tombstones
-            keep = np.fromiter(
-                (rid not in tombstones for rid in ids_all.tolist()),
-                dtype=bool,
-                count=ids_all.size,
-            )
+        ids_all, bases, keep = self._bulk_ids()
+        if keep is not None:
             live_ids = ids_all[keep]
             live_row = np.cumsum(keep, dtype=np.int64) - 1
         else:
-            keep = None
             live_ids = ids_all
             live_row = None
         tables: list[list[tuple[np.ndarray, np.ndarray, object]]] = []
@@ -494,40 +495,54 @@ class BandedLSHIndex:
             tables.append(segments)
         return live_ids, tables
 
-    def _merged_bulk(self) -> list[_BulkBuckets | None]:
+    def _bulk_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(ids, bases, keep)`` of the bulk slabs.
+
+        ``ids`` concatenates every slab's ids in insertion order — the
+        array entry rows index; ``bases`` is each slab's first row, and
+        ``keep`` the live-row mask (``None`` when nothing was removed).
+        """
+        slabs = self._pending
+        if not slabs:
+            return np.empty(0, dtype=object), np.zeros(1, dtype=np.int64), None
+        ids_all = (
+            slabs[0].ids
+            if len(slabs) == 1
+            else np.concatenate([slab.ids for slab in slabs])
+        )
+        bases = np.cumsum([0] + [slab.ids.size for slab in slabs])
+        keep = None
+        if self._tombstones:
+            tombstones = self._tombstones
+            keep = np.fromiter(
+                (rid not in tombstones for rid in ids_all.tolist()),
+                dtype=bool,
+                count=ids_all.size,
+            )
+        return ids_all, bases, keep
+
+    def _merged_bulk(self) -> tuple[np.ndarray, list[_BulkBuckets | None]]:
         """Group all pending slabs per table, merging across slabs.
 
-        Entries are ordered slab-major (call order), record-major
-        within a slab — the order ``n`` per-record :meth:`add` calls
-        over the concatenated corpus would produce — so bucket members
-        and first-occurrence emission are byte-identical to a single
-        bulk insertion of the whole corpus. Tombstoned records are
-        dropped here, *before* grouping: surviving entries keep their
-        relative order, so partitions, member order and bucket emission
-        order all match an index rebuilt from the survivors alone.
+        Returns the bulk id array and one bucket group (or ``None``)
+        per table, whose members are rows of that array. Entries are
+        ordered slab-major (call order), record-major within a slab —
+        the order ``n`` per-record :meth:`add` calls over the
+        concatenated corpus would produce — so bucket members and
+        first-occurrence emission are byte-identical to a single bulk
+        insertion of the whole corpus. Tombstoned records are dropped
+        here, *before* grouping: surviving entries keep their relative
+        order, so partitions, member order and bucket emission order
+        all match an index rebuilt from the survivors alone.
         """
         if self._bulk is not None:
             return self._bulk
+        ids_all, bases, keep = self._bulk_ids()
         bulk: list[_BulkBuckets | None] = [None] * self.num_tables
         slabs = self._pending
         if slabs:
-            ids_all = (
-                slabs[0].ids
-                if len(slabs) == 1
-                else np.concatenate([slab.ids for slab in slabs])
-            )
-            bases = np.cumsum([0] + [slab.ids.size for slab in slabs])
-            if self._tombstones:
-                tombstones = self._tombstones
-                keep = np.fromiter(
-                    (rid not in tombstones for rid in ids_all.tolist()),
-                    dtype=bool,
-                    count=ids_all.size,
-                )
-            else:
-                keep = None
             entries = [
-                self._table_entries(table, slabs, ids_all, bases, keep)
+                self._table_entries(table, slabs, bases, keep)
                 for table in range(self.num_tables)
             ]
             if effective_processes(self.processes, self.pool) > 1:
@@ -540,8 +555,8 @@ class BandedLSHIndex:
             else:
                 for table, entry in enumerate(entries):
                     bulk[table] = self._group_entries(entry)
-        self._bulk = bulk
-        return bulk
+        self._bulk = ids_all, bulk
+        return self._bulk
 
     @staticmethod
     def _group_entries(
@@ -550,25 +565,26 @@ class BandedLSHIndex:
         """Serial sort-and-segment grouping of one table's entries."""
         if entry is None:
             return None
-        entry_ids, labels = entry
+        entry_rows, labels = entry
         order, starts, ends = _segment(labels)
-        emit_order = np.argsort(order[starts], kind="stable")
-        return _BulkBuckets(entry_ids[order], starts, ends, emit_order)
+        emit_order = np.argsort(order[starts])
+        return _BulkBuckets(entry_rows[order], starts, ends, emit_order)
 
     def _table_entries(
         self,
         table: int,
         slabs: list[_PendingSlab],
-        ids_all: np.ndarray,
         bases: np.ndarray,
         keep: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """One table's merged entries: ``(entry_ids, labels)``.
+        """One table's merged entries: ``(entry_rows, labels)``.
 
-        Entries are in serial insertion order (slab-major, record-major,
-        suffix-ascending for OR gates); bucketing groups equal labels.
-        ``labels`` are either the raw fixed-width band keys (no gates)
-        or combined int64 (band, suffix) codes. ``None`` when the gates
+        ``entry_rows`` index the bulk id array (:meth:`_bulk_ids`), in
+        serial insertion order (slab-major, record-major,
+        suffix-ascending for OR gates); bucketing groups equal int64
+        ``labels`` — the band keys' exact group numbers
+        (:func:`~repro.lsh.bands.dense_band_labels`), combined with an
+        integer suffix code when gates apply. ``None`` when the gates
         exclude every record from the table, or when ``keep`` (the
         per-record tombstone mask) leaves no entry standing. Band
         labels are derived from *all* keys including tombstoned rows;
@@ -581,81 +597,114 @@ class BandedLSHIndex:
             if len(slabs) == 1
             else np.concatenate([slab.key_matrix[:, table] for slab in slabs])
         )
+        band_label = dense_band_labels(keys_all)
         gates = [
             None if slab.gate_entries is None else slab.gate_entries[table]
             for slab in slabs
         ]
         if all(gate is None for gate in gates):
-            # Band keys sort directly; no per-entry suffixes.
+            # Band labels group directly; no per-entry suffixes.
             if keep is None:
-                return ids_all, keys_all
-            if not keep.any():
+                return np.arange(band_label.size, dtype=np.int64), band_label
+            rows = np.flatnonzero(keep)
+            if rows.size == 0:
                 return None
-            return ids_all[keep], keys_all[keep]
-        else:
-            # Distinct (band, suffix) pairs need distinct labels: give
-            # every suffix an integer code — OR-gate bit indices stay
-            # themselves (non-negative, comparable across slabs),
-            # shared AND-style suffixes get negative codes by first
-            # occurrence — then stride the band label by the code range.
-            _, band_label = np.unique(keys_all, return_inverse=True)
-            scalar_codes: dict[Hashable, int] = {}
-            rows_parts: list[np.ndarray] = []
-            suffix_parts: list[np.ndarray] = []
-            for slab, gate, base in zip(slabs, gates, bases):
-                if gate is None:
-                    rows = np.arange(slab.ids.size, dtype=np.int64) + base
-                    suffix_values = np.full(
-                        rows.size, _scalar_code(scalar_codes, _NO_GATE), np.int64
-                    )
-                else:
-                    entry_rows, suffixes = gate
-                    entry_rows = np.asarray(entry_rows, dtype=np.int64)
-                    if entry_rows.size == 0:
-                        continue
-                    rows = entry_rows + base
-                    if isinstance(suffixes, np.ndarray):
-                        suffix_values = suffixes.astype(np.int64, copy=False)
-                    else:
-                        suffix_values = np.full(
-                            rows.size, _scalar_code(scalar_codes, suffixes), np.int64
-                        )
-                rows_parts.append(rows)
-                suffix_parts.append(suffix_values)
-            if not rows_parts:
-                return None
-            entry_rows = np.concatenate(rows_parts)
-            suffix_values = np.concatenate(suffix_parts)
-            if keep is not None:
-                mask = keep[entry_rows]
-                entry_rows = entry_rows[mask]
-                suffix_values = suffix_values[mask]
+            return rows, band_label[rows]
+        # Distinct (band, suffix) pairs need distinct labels: give
+        # every suffix an integer code — OR-gate bit indices stay
+        # themselves (non-negative, comparable across slabs), shared
+        # AND-style suffixes get negative codes by first occurrence —
+        # then stride the band label by the code range.
+        scalar_codes: dict[Hashable, int] = {}
+        rows_parts: list[np.ndarray] = []
+        suffix_parts: list[np.ndarray] = []
+        for slab, gate, base in zip(slabs, gates, bases):
+            if gate is None:
+                rows = np.arange(slab.ids.size, dtype=np.int64) + base
+                suffix_values = np.full(
+                    rows.size, _scalar_code(scalar_codes, _NO_GATE), np.int64
+                )
+            else:
+                entry_rows, suffixes = gate
+                entry_rows = np.asarray(entry_rows, dtype=np.int64)
                 if entry_rows.size == 0:
-                    return None
-            low = int(suffix_values.min())
-            span = int(suffix_values.max()) - low + 1
-            labels = band_label[entry_rows] * span + (suffix_values - low)
-            return ids_all[entry_rows], labels
+                    continue
+                rows = entry_rows + base
+                if isinstance(suffixes, np.ndarray):
+                    suffix_values = suffixes.astype(np.int64, copy=False)
+                else:
+                    suffix_values = np.full(
+                        rows.size, _scalar_code(scalar_codes, suffixes), np.int64
+                    )
+            rows_parts.append(rows)
+            suffix_parts.append(suffix_values)
+        if not rows_parts:
+            return None
+        entry_rows = np.concatenate(rows_parts)
+        suffix_values = np.concatenate(suffix_parts)
+        if keep is not None:
+            mask = keep[entry_rows]
+            entry_rows = entry_rows[mask]
+            suffix_values = suffix_values[mask]
+            if entry_rows.size == 0:
+                return None
+        low = int(suffix_values.min())
+        span = int(suffix_values.max()) - low + 1
+        labels = band_label[entry_rows] * span + (suffix_values - low)
+        return entry_rows, labels
 
-    def blocks(self, *, min_size: int = 2) -> list[tuple[str, ...]]:
-        """All buckets holding at least ``min_size`` records.
+    def blocks(self, *, min_size: int = 2) -> BlockList:
+        """All buckets holding at least ``min_size`` records, as one CSR
+        block list over the index's ids.
 
-        Bucket contents preserve insertion order; a bucket from table t
-        is independent of buckets from other tables (blocks may overlap,
-        as the paper's framework intends).
+        Tables come in order, each with its per-record :meth:`add`
+        buckets first, then its bulk buckets by first occurrence; bucket
+        contents preserve insertion order. A bucket from table t is
+        independent of buckets from other tables (blocks may overlap, as
+        the paper's framework intends). Bulk buckets go out as rows of
+        the bulk id array with no per-bucket Python object; the ids of
+        per-record buckets are appended to that vocabulary.
         """
-        found: list[tuple[str, ...]] = []
-        merged = self._merged_bulk()
+        ids_all, merged = self._merged_bulk()
         tombstones = self._tombstones
+        vocabulary: list[str] | None = None
+        row_of: dict[str, int] = {}
+        sizes: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
         for table in range(self.num_tables):
+            dict_sizes: list[int] = []
+            dict_rows: list[int] = []
             for members in self._tables[table].values():
-                if tombstones:
-                    members = [m for m in members if m not in tombstones]
-                if len(members) >= min_size:
-                    found.append(tuple(members))
+                live = [m for m in members if m not in tombstones]
+                if len(live) < min_size:
+                    continue
+                if vocabulary is None:
+                    vocabulary = ids_all.tolist()
+                    row_of = {rid: row for row, rid in enumerate(vocabulary)}
+                for member in live:
+                    row = row_of.get(member)
+                    if row is None:
+                        row = row_of[member] = len(vocabulary)
+                        vocabulary.append(member)
+                    dict_rows.append(row)
+                dict_sizes.append(len(live))
+            if dict_sizes:
+                sizes.append(np.array(dict_sizes, dtype=np.int64))
+                rows.append(np.array(dict_rows, dtype=np.int64))
             if merged[table] is not None:
-                found.extend(merged[table].iter_buckets(min_size))
-        return found
+                table_sizes, table_rows = merged[table].emitted(min_size)
+                sizes.append(table_sizes)
+                rows.append(table_rows)
+        if vocabulary is not None:
+            ids_all = np.empty(len(vocabulary), dtype=object)
+            ids_all[:] = vocabulary
+        offsets = np.zeros(sum(part.size for part in sizes) + 1, dtype=np.int64)
+        if sizes:
+            np.cumsum(np.concatenate(sizes), out=offsets[1:])
+        indices = (
+            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        )
+        return BlockList(ids_all, offsets, indices)
 
     def bucket_sizes(self) -> list[int]:
         """Sizes of all non-empty buckets (diagnostics)."""
@@ -673,7 +722,7 @@ class BandedLSHIndex:
                 for table in self._tables
                 for members in table.values()
             ]
-        for bulk in self._merged_bulk():
+        for bulk in self._merged_bulk()[1]:
             if bulk is not None:
                 sizes.extend(bulk.sizes()[bulk.emit_order].tolist())
         return sizes

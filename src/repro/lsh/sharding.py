@@ -13,8 +13,9 @@ streaming runtime"):
   hashed gram multiset, and interpretations of the record alone, so the
   reassembled outputs are byte-identical to a single-process pass.
 * **Band-key shards** (reduce): grouping entries into buckets routes
-  each entry by a deterministic hash of its grouping label
-  (:func:`fold_labels`), so every shard owns a *disjoint* label range
+  each entry by a deterministic hash of its integer grouping label
+  (:func:`~repro.lsh.bands.fold_labels`), so every shard owns a
+  *disjoint* label range
   and groups it independently — no cross-shard bucket merge is needed
   beyond concatenation. Each bucket's global first-occurrence position
   is carried back, and the merged emission order sorts on it, which
@@ -39,20 +40,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.lsh.bands import fold_labels
 from repro.records.record import Record
 from repro.utils.parallel import (
     ShardPool,
     effective_processes,
     map_processes,
 )
-
-#: Multiplier of the label-folding hash (the 64-bit golden ratio, as in
-#: splitmix64) — fixed so shard routing is deterministic across runs
-#: and hosts.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX = np.uint64(0xFF51AFD7ED558CCD)
-_SHIFT = np.uint64(33)
-
 
 def record_slabs(
     records: Sequence[Record], num_slabs: int
@@ -164,38 +158,6 @@ def semantic_signature_slabs(
     )
 
 
-def fold_labels(labels: np.ndarray) -> np.ndarray:
-    """Deterministic uint64 hash of grouping labels, for shard routing.
-
-    Accepts the two label dtypes the index groups by — fixed-width byte
-    band keys (``S{8k}``, folded word-wise) and combined int64
-    (band, gate-suffix) labels — and avalanches the fold so shard
-    assignment ``fold_labels(labels) % num_shards`` spreads near-equal
-    labels. Equal labels always fold equal, so every bucket lands
-    wholly inside one shard.
-    """
-    if labels.dtype.kind == "S":
-        itemsize = labels.dtype.itemsize
-        if itemsize % 8 != 0:
-            raise ConfigurationError(
-                f"byte labels must be a multiple of 8 wide, got {itemsize}"
-            )
-        words = (
-            np.ascontiguousarray(labels)
-            .view(np.uint64)
-            .reshape(len(labels), itemsize // 8)
-        )
-        folded = np.zeros(len(labels), dtype=np.uint64)
-        for column in range(words.shape[1]):
-            folded = folded * _GOLDEN + words[:, column]
-    else:
-        folded = labels.astype(np.uint64, copy=True) * _GOLDEN
-    folded ^= folded >> _SHIFT
-    folded *= _MIX
-    folded ^= folded >> _SHIFT
-    return folded
-
-
 def _segment_shard(payload):
     """Worker: sort-and-segment every (table, labels) subset of a shard."""
     from repro.lsh.index import _segment
@@ -206,9 +168,10 @@ def _segment_shard(payload):
 def group_tables_sharded(entries, processes, pool: "ShardPool | None" = None):
     """Group per-table entries into buckets across process shards.
 
-    ``entries`` is one ``(entry_ids, labels)`` pair (or ``None``) per
+    ``entries`` is one ``(entry_rows, labels)`` pair (or ``None``) per
     table, in serial entry order — the output of
-    ``BandedLSHIndex._table_entries``. Entries are routed to
+    ``BandedLSHIndex._table_entries``; the rows pass through to the
+    buckets untouched. Entries are routed to
     ``effective_processes(processes, pool)`` shards by label hash; each
     shard sort-and-segments its disjoint label subset, and the merged
     buckets are re-emitted by ascending global first-occurrence
@@ -242,10 +205,10 @@ def group_tables_sharded(entries, processes, pool: "ShardPool | None" = None):
     for shard, result in enumerate(results):
         for table, (order, starts, ends) in result:
             chosen = selections[(shard, table)]
-            entry_ids = entries[table][0]
+            entry_rows = entries[table][0]
             positions = chosen[order]
             parts.setdefault(table, []).append(
-                (entry_ids[positions], starts, ends, positions[starts])
+                (entry_rows[positions], starts, ends, positions[starts])
             )
     for table, shard_parts in parts.items():
         members = np.concatenate([p[0] for p in shard_parts])
@@ -258,6 +221,6 @@ def group_tables_sharded(entries, processes, pool: "ShardPool | None" = None):
             [p[2] + offset for p, offset in zip(shard_parts, offsets)]
         )
         first_positions = np.concatenate([p[3] for p in shard_parts])
-        emit_order = np.argsort(first_positions, kind="stable")
+        emit_order = np.argsort(first_positions)
         merged[table] = _BulkBuckets(members, starts, ends, emit_order)
     return merged

@@ -1,6 +1,7 @@
 """Record and dataset model with ground-truth bookkeeping."""
 
 from repro.records.record import Record
+from repro.records.blocks import Block, BlockList
 from repro.records.dataset import (
     DATASET_ROLES,
     Dataset,
@@ -33,6 +34,8 @@ from repro.records.pairs import (
 
 __all__ = [
     "Record",
+    "Block",
+    "BlockList",
     "Dataset",
     "LinkedCorpus",
     "DATASET_ROLES",

@@ -134,6 +134,22 @@ def unique_bipartite_keys(
     return sorted_unique_keys(encode_bipartite_keys(source, target))
 
 
+def csr_source_counts(
+    offsets: np.ndarray, indices: np.ndarray, source_mask: np.ndarray
+) -> np.ndarray:
+    """Source members per group of a CSR block layout.
+
+    ``source_mask[i]`` says whether index ``i`` is a source record; a
+    group of size ``s`` with ``n`` source members holds ``n * (s - n)``
+    cross pairs, duplicates counted.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    num_groups = offsets.size - 1
+    group_of = np.repeat(np.arange(num_groups), np.diff(offsets))
+    is_source = np.asarray(source_mask, dtype=bool)[indices]
+    return np.bincount(group_of[is_source], minlength=num_groups)
+
+
 def enumerate_csr_cross_pairs(
     offsets: np.ndarray,
     indices: np.ndarray,
@@ -167,7 +183,7 @@ def enumerate_csr_cross_pairs(
     # is what callers consume).
     order = np.lexsort((~is_source, group_of))
     part_indices = indices[order]
-    n_src = np.bincount(group_of[is_source], minlength=num_groups)
+    n_src = csr_source_counts(offsets, indices, source_mask)
     n_tgt = sizes - n_src
     shapes = n_src * (np.int64(indices.size) + 1) + n_tgt
     sources: list[np.ndarray] = []

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.lsh import bands
+from repro.lsh.index import _segment
 from repro.lsh import (
     BandedLSHIndex,
     SensitivityParams,
@@ -107,6 +109,97 @@ class TestBandedLSHIndex:
         index.add("b", ["k"])
         index.add("c", ["other"])
         assert sorted(index.bucket_sizes()) == [1, 2]
+
+
+def _duplicated_keys(k: int, n: int = 4000, seed: int = 0) -> np.ndarray:
+    """Random ``S{8k}`` band keys drawn from a small pool, so most
+    repeat; half the pool differs from another key only in a trailing
+    zero word (the one numpy's S dtype strips when reading a scalar)."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 1 << 62, size=(60, k), dtype=np.uint64)
+    pool[1::2] = pool[::2]
+    pool[1::2, -1] = 0
+    pool[-1] = 0
+    words = pool[rng.integers(0, len(pool), size=n)]
+    return np.ascontiguousarray(words).view(f"S{8 * k}").reshape(-1)
+
+
+def _same_partition(labels: np.ndarray, reference: np.ndarray) -> bool:
+    pairs = set(zip(labels.tolist(), reference.tolist()))
+    return len(pairs) == len(set(labels.tolist())) == len(set(reference.tolist()))
+
+
+class TestDenseBandLabels:
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_partition_equals_unique_inverse(self, k):
+        keys = _duplicated_keys(k)
+        _, inverse = np.unique(keys, return_inverse=True)
+        labels = bands.dense_band_labels(keys)
+        assert labels.dtype == np.int64
+        assert _same_partition(labels, inverse)
+        assert sorted(set(labels.tolist())) == list(range(len(set(inverse.tolist()))))
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_fold_collisions_fall_back_exactly(self, k, monkeypatch):
+        keys = _duplicated_keys(k, seed=k)
+        _, inverse = np.unique(keys, return_inverse=True)
+        fold = bands.fold_labels
+        monkeypatch.setattr(bands, "fold_labels", lambda keys: fold(keys) & np.uint64(3))
+        labels = bands.dense_band_labels(keys)
+        # Distinct keys now share folds, so the word check must reject
+        # the fold grouping and hand back np.unique's own numbering.
+        assert np.array_equal(labels, inverse)
+
+    def test_strided_and_empty_keys(self):
+        keys = _duplicated_keys(4).reshape(-1, 2)[:, 1]
+        _, inverse = np.unique(keys, return_inverse=True)
+        assert _same_partition(bands.dense_band_labels(keys), inverse)
+        assert bands.dense_band_labels(keys[:0]).size == 0
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_index_blocks_survive_colliding_folds(self, gated, monkeypatch):
+        keys = _duplicated_keys(2, n=600, seed=5).reshape(-1, 3)
+        ids = [f"r{i}" for i in range(len(keys))]
+        gates = None
+        if gated:
+            rows = np.repeat(np.arange(len(ids)), 2)
+            suffixes = np.tile(np.array([0, 1]), len(ids)) + rows % 3
+            gates = [(rows, suffixes)] * 3
+
+        def blocks():
+            index = BandedLSHIndex(3)
+            index.add_many(ids[:150], keys[:150], None if gates is None else [
+                (r[r < 150], s[r < 150]) for r, s in gates
+            ])
+            index.add_many(ids[150:], keys[150:], None if gates is None else [
+                (r[r >= 150] - 150, s[r >= 150]) for r, s in gates
+            ])
+            index.remove("r7")
+            return index.blocks()
+
+        expected = blocks()
+        fold = bands.fold_labels
+        monkeypatch.setattr(bands, "fold_labels", lambda keys: fold(keys) & np.uint64(1))
+        assert blocks() == expected
+        assert len(expected) > 0
+
+
+class TestSegment:
+    @pytest.mark.parametrize(
+        "dtype,high",
+        [(np.int64, 3), (np.int64, 1 << 40), (np.int32, 1 << 30), (np.uint64, 7)],
+    )
+    def test_order_is_the_stable_sort(self, dtype, high):
+        rng = np.random.default_rng(high % 97)
+        labels = rng.integers(0, high, size=3000).astype(dtype)
+        order, starts, ends = _segment(labels)
+        assert np.array_equal(order, np.argsort(labels, kind="stable"))
+        assert (labels[order[starts]] == labels[order[ends - 1]]).all()
+
+    def test_extreme_int64_labels_keep_the_stable_sort(self):
+        info = np.iinfo(np.int64)
+        labels = np.array([info.max, 0, info.min, 0, info.max], dtype=np.int64)
+        assert _segment(labels)[0].tolist() == [2, 1, 3, 0, 4]
 
 
 class TestCollisionMath:
