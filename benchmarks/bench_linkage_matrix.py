@@ -22,7 +22,7 @@ the same NC-Voter-like corpora and reports the full matrix:
 Every linkage cell doubles as an equivalence check: ``block_pair``
 with ``processes=2`` must produce byte-identical blocks to the serial
 run, and the array evaluation engine must agree with the per-block
-legacy engine.
+reference (``repro.reference.evaluate_linkage``).
 
 ``check_linkage`` gates the matrix (``main`` and the pytest wrapper
 both fail if it does not hold):
@@ -58,6 +58,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro import reference
 from repro.core import LSHBlocker, as_bipartite
 from repro.datasets import NCVoterLikeGenerator
 from repro.evaluation import evaluate_blocks, evaluate_linkage, format_table
@@ -141,7 +142,7 @@ def _run_cell(variant: str, key_name: str, size: int) -> dict:
     linkage_seconds = time.perf_counter() - start
     linkage_metrics = evaluate_linkage(linkage_result)
 
-    legacy_metrics = evaluate_linkage(linkage_result, engine="legacy")
+    legacy_metrics = reference.evaluate_linkage(linkage_result)
     assert linkage_metrics == legacy_metrics, (
         f"{variant}/{key_name}: array and legacy linkage evaluation "
         "disagree — equivalence broken"
@@ -157,11 +158,11 @@ def _run_cell(variant: str, key_name: str, size: int) -> dict:
     # The per-record floor: the slowest honest engine on the same
     # union corpus. block_pair streams records through the online
     # index, so it must never lose to blocking one record at a time.
-    per_record_blocker = LSHBlocker(
-        attributes, q=VOTER_Q, k=VOTER_K, l=VOTER_L, seed=SEED, batch=False
-    )
     start = time.perf_counter()
-    per_record_blocker.block(linked.union)
+    reference.lsh_blocks(
+        LSHBlocker(attributes, q=VOTER_Q, k=VOTER_K, l=VOTER_L, seed=SEED),
+        linked.union,
+    )
     per_record_seconds = time.perf_counter() - start
 
     n = len(dataset)

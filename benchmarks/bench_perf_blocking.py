@@ -3,8 +3,9 @@ pooled engines.
 
 Times LSH and SA-LSH blocking on synthetic NC-Voter at 10k/50k records
 (the paper's §6.1 voter parameters q=2, k=9, l=15) under the per-record
-and batch engines, the process-sharded runtime (``processes`` worker
-processes: record-slab signatures + band-sharded grouping) both on an
+reference loop (``repro.reference``) and the batch engine, the
+process-sharded runtime (``processes`` worker processes: record-slab
+signatures + band-sharded grouping) both on an
 ephemeral pool per call and on a warm persistent
 :class:`~repro.utils.parallel.ShardPool` (shared-memory
 slab transport, record slabs interned across calls), the slab-streamed
@@ -13,14 +14,18 @@ path (encoder frozen from the full corpus, growable spill). A further section ti
 the survey baselines that run on the batch key-extraction path (TBlo,
 SorA, SorII, SuA) at the same sizes, so the techniques the survey calls
 "blocking one record at a time" finally appear on the same 50k+ axis.
+Each technique's batch result is also scored (PC and PQ next to
+``num_blocks``), and ``check_quality`` holds Fig. 9's claim at every
+ladder size: SA-LSH's PQ above LSH's at a PC no more than 2 points
+lower — so a change that is faster but blocks worse fails a gate.
 Results land in ``BENCH_perf_blocking.json`` at the repo root so future
 PRs have a perf trajectory to compare against.
 
 A fifth section times the downstream *pair pipeline* over the LSH
 blocks — candidate-pair enumeration, PC/PQ/RR/FM evaluation,
-meta-blocking (ECBS + WNP) and similarity matching — under the legacy
-per-pair Python path and the array-backed candidate-pair engine
-(DESIGN.md, "Candidate-pair engine"), reporting pairs/sec and the
+meta-blocking (ECBS + WNP) and similarity matching — under the
+per-pair Python reference path and the array-backed candidate-pair
+engine (DESIGN.md, "Candidate-pair engine"), reporting pairs/sec and the
 end-to-end ``pipeline_speedup`` headline.
 
 A sixth section times the *online query path* (DESIGN.md, "Resolver
@@ -32,20 +37,19 @@ resolver exists for. ``check_query_path`` enforces p50 < 10 ms at the
 size once the lazy query maps are built).
 
 A seventh section times the *durability layer* (DESIGN.md, "Durability
-& crash recovery"): single-record queries served from a memory-mapped
-on-disk index, checkpoint/recover wall time for a durable resolver,
-WAL frame-decode throughput, and the journal's overhead on
-``resolve_many``. ``check_durability`` holds the disk-served p50 to
-the same < 10 ms budget at 50k, WAL replay to ≥ 10k ops/s, and the
-happy-path journal tax to < 5%.
+& crash recovery"): checkpoint/recover wall time for a durable
+resolver, WAL frame-decode throughput, and the journal's overhead on
+``resolve_many``. ``check_durability`` holds WAL replay to ≥ 10k
+ops/s and the happy-path journal tax to < 5%.
 
 Every run doubles as a large-scale equivalence check: blocks are
 asserted identical across per-record/batch/sharded/pooled/streamed
 engines,
 and the pair pipeline asserts identical pair sets, metrics,
-retained-edge sets and match decisions between the legacy and array
+retained-edge sets and match decisions between the reference and array
 engines (``main`` and the pytest wrapper both fail if the speedup
-column is missing or < 1 — a silent fallback to the legacy path).
+column is missing or < 1 — a silent fallback to reference-path
+performance).
 
 Environment knobs (see benchmarks/README.md):
 
@@ -69,6 +73,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro import reference
 from repro.baselines import (
     ArraySortedNeighbourhood,
     InvertedIndexSortedNeighbourhood,
@@ -83,7 +88,7 @@ from repro.metablocking import run_metablocking
 from repro.minhash import GrowableSignatureSpill, open_signature_memmap
 from repro.records import Record
 from repro.semantic import SemhashEncoder
-from repro.store import Journal, open_index, read_journal, write_index
+from repro.store import Journal, read_journal
 from repro.utils.parallel import ShardPool, set_slab_integrity
 from repro.utils.rand import rng_from_seed
 
@@ -146,6 +151,10 @@ WAL_REPLAY_MIN_OPS_PER_SEC = 10_000
 #: rationale as ``check_resilience``), recorded elsewhere.
 JOURNAL_OVERHEAD_BUDGET = 0.05
 DURABILITY_HEADLINE_SIZE = 10_000
+#: How far SA-LSH's PC may sit below LSH's while its PQ must be higher
+#: (Fig. 9: better quality at matched completeness) — the same 2 points
+#: ``check_linkage`` allows between linkage and dedup PC.
+QUALITY_PC_TOLERANCE = 0.02
 RESULT_JSON = Path(__file__).resolve().parent.parent / "BENCH_perf_blocking.json"
 
 
@@ -178,17 +187,18 @@ def _run_engine_pair(
     # One small warmup per engine: fills the process-wide SHA-1 memo
     # and numpy's lazily-initialised kernels so both engines are timed
     # at steady-state throughput.
-    make_blocker(batch=False).block(warmup_dataset)
-    make_blocker(batch=True).block(warmup_dataset)
-    legacy_result, legacy_seconds = _timed(
-        lambda: make_blocker(batch=False).block(dataset), repeats=2
+    reference.per_record_blocks(make_blocker(), warmup_dataset)
+    make_blocker().block(warmup_dataset)
+    legacy_blocks, legacy_seconds = _timed(
+        lambda: reference.per_record_blocks(make_blocker(), dataset), repeats=2
     )
     batch_result, batch_seconds = _timed(
-        lambda: make_blocker(batch=True).block(dataset), repeats=3
+        lambda: make_blocker().block(dataset), repeats=3
     )
-    assert batch_result.blocks == legacy_result.blocks, (
+    assert batch_result.blocks == legacy_blocks, (
         "batch and per-record engines disagree — equivalence broken"
     )
+    metrics = evaluate_blocks(batch_result, dataset)
 
     # Ephemeral pool per call, timed before any persistent pool exists:
     # a fresh executor fork pays for the parent's whole address space,
@@ -196,7 +206,7 @@ def _run_engine_pair(
     # payloads) would bill pool memory to the per-call path.
     processes = bench_processes()
     sharded_result, sharded_seconds = _timed(
-        lambda: make_blocker(batch=True, processes=processes).block(dataset),
+        lambda: make_blocker(processes=processes).block(dataset),
         repeats=3,
     )
     assert sharded_result.blocks == batch_result.blocks, (
@@ -229,17 +239,15 @@ def _run_engine_pair(
     finally:
         set_slab_integrity(previous_integrity)
     with ShardPool(processes) as pool, bare_pool:
-        make_blocker(batch=True, pool=pool).block(warmup_dataset)
-        make_blocker(batch=True, pool=pool).block(dataset)
-        make_blocker(batch=True, pool=bare_pool).block(warmup_dataset)
-        make_blocker(batch=True, pool=bare_pool).block(dataset)
+        make_blocker(pool=pool).block(warmup_dataset)
+        make_blocker(pool=pool).block(dataset)
+        make_blocker(pool=bare_pool).block(warmup_dataset)
+        make_blocker(pool=bare_pool).block(dataset)
         for round_index in range(12):
             ordered = (pool, bare_pool) if round_index % 2 else (bare_pool, pool)
             for position, timed_pool in enumerate(ordered):
                 start = time.perf_counter()
-                timed_result = make_blocker(
-                    batch=True, pool=timed_pool
-                ).block(dataset)
+                timed_result = make_blocker(pool=timed_pool).block(dataset)
                 elapsed = time.perf_counter() - start
                 if timed_pool is pool:
                     pooled_result = timed_result
@@ -266,6 +274,8 @@ def _run_engine_pair(
     n = len(dataset)
     stats = {
         "num_blocks": batch_result.num_blocks,
+        "pc": round(metrics.pc, 4),
+        "pq": round(metrics.pq, 4),
         "per_record_seconds": round(legacy_seconds, 4),
         "batch_seconds": round(batch_seconds, 4),
         "per_record_records_per_sec": round(n / legacy_seconds, 1),
@@ -301,7 +311,7 @@ def _run_engine_pair(
     slab = max(1, len(records) // STREAM_SLABS)
     slabs = [records[i : i + slab] for i in range(0, len(records), slab)]
     if stream == "lsh":
-        blocker = make_blocker(batch=True)
+        blocker = make_blocker()
         with tempfile.TemporaryDirectory() as spill_dir:
             spill = Path(spill_dir) / "signatures.npy"
 
@@ -327,7 +337,7 @@ def _run_engine_pair(
         # equivalence configuration) + growable spill — the unknown-
         # length streaming path of DESIGN.md, "Process-sharded
         # streaming runtime".
-        blocker = make_blocker(batch=True)
+        blocker = make_blocker()
         with tempfile.TemporaryDirectory() as spill_dir:
             spill_path = Path(spill_dir) / "salsh-signatures.npy"
 
@@ -416,7 +426,7 @@ def _run_query_path(dataset) -> dict:
     stats: dict = {}
     for technique, make in (("lsh", voter_lsh), ("salsh", voter_salsh)):
         start = time.perf_counter()
-        online = make(batch=True).online(records)
+        online = make().online(records)
         online.query(probes[0])  # untimed: folds the lazy query maps
         build_seconds = time.perf_counter() - start
 
@@ -453,14 +463,12 @@ def _run_query_path(dataset) -> dict:
 def _run_durability(dataset) -> dict:
     """Time the durability rung (DESIGN.md, "Durability & crash recovery").
 
-    Four measurements: single-record ``query()`` served straight from a
-    memory-mapped on-disk index (``write_index``/``open_index``),
-    checkpoint publication and recovery wall time for a durable
-    resolver over the full corpus, WAL replay as a pure frame-decode
-    rate (the floor recovery can never beat), and the journal's cost on
-    the read path — ``resolve_many`` on a journal-backed resolver vs
-    the same corpus in a plain one. Every persisted artefact is
-    asserted equivalent to its in-memory source before it is timed.
+    Three measurements: checkpoint publication and recovery wall time
+    for a durable resolver over the full corpus, WAL replay as a pure
+    frame-decode rate (the floor recovery can never beat), and the
+    journal's cost on the read path — ``resolve_many`` on a
+    journal-backed resolver vs the same corpus in a plain one. The
+    recovered resolver is asserted equivalent to the live one.
     """
     records = list(dataset)
     rng = rng_from_seed(SEED, "bench-durability", len(records))
@@ -470,35 +478,7 @@ def _run_durability(dataset) -> dict:
             rng.sample(range(len(records)), min(QUERY_SAMPLES, len(records)))
         )
     ]
-    stats: dict = {}
-
-    blocker = voter_lsh(batch=True)
-    online = blocker.online(records)
-    with tempfile.TemporaryDirectory() as tmp:
-        index_dir = Path(tmp) / "index"
-        start = time.perf_counter()
-        write_index(index_dir, online)
-        index_write_seconds = time.perf_counter() - start
-        disk = open_index(index_dir)
-        assert disk.blocks() == online.blocks(), (
-            "disk index and online index disagree — equivalence broken"
-        )
-        for probe in probes:  # untimed: warms the mmap + checks parity
-            assert disk.query(probe, blocker) == online.query(probe), (
-                "disk and online query results disagree — equivalence broken"
-            )
-        persisted_samples = []
-        for probe in probes:
-            t0 = time.perf_counter()
-            disk.query(probe, blocker)
-            persisted_samples.append(time.perf_counter() - t0)
-    stats.update(
-        {
-            "index_write_seconds": round(index_write_seconds, 4),
-            "queries": len(probes),
-            **_latency_columns(persisted_samples, prefix="persisted_query_"),
-        }
-    )
+    stats: dict = {"queries": len(probes)}
 
     # The journal-overhead ratio compares two runs of the same length
     # (~0.1 s), which two separately-timed windows cannot resolve to a
@@ -506,11 +486,11 @@ def _run_durability(dataset) -> dict:
     # column, the plain and journal-backed resolvers are timed in one
     # shared window of balanced interleaved rounds and compared by
     # median.
-    plain = Resolver(voter_lsh(batch=True), records)
+    plain = Resolver(voter_lsh(), records)
     plain.resolve_many(probes[:8])  # untimed: folds the lazy query maps
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "state"
-        durable = Resolver(voter_lsh(batch=True), records, state_dir=state_dir)
+        durable = Resolver(voter_lsh(), records, state_dir=state_dir)
         durable.resolve_many(probes[:8])
         plain_times: list[float] = []
         durable_times: list[float] = []
@@ -590,7 +570,7 @@ def _stage(legacy_seconds: float, array_seconds: float, pairs: int) -> dict:
 
 
 def _run_pair_pipeline(dataset, blocks) -> dict:
-    """Time enumerate -> evaluate -> meta-block -> match, legacy vs array.
+    """Time enumerate -> evaluate -> meta-block -> match, reference vs array.
 
     Every stage asserts the two engines produce identical outputs; the
     headline ``pipeline_speedup`` covers the enumerate+evaluate+
@@ -604,7 +584,7 @@ def _run_pair_pipeline(dataset, blocks) -> dict:
 
     fresh = lambda: BlockingResult("lsh", blocks)  # noqa: E731
     legacy_pairs, legacy_enum_seconds = _timed(
-        lambda: fresh().distinct_pairs_legacy(), repeats=2
+        lambda: reference.distinct_pairs(fresh()), repeats=2
     )
     pair_keys, array_enum_seconds = _timed(
         lambda: fresh().pair_keys(dataset), repeats=3
@@ -619,7 +599,7 @@ def _run_pair_pipeline(dataset, blocks) -> dict:
     # the intersection + measure arithmetic for both engines.
     result.pair_keys(dataset), result.distinct_pairs  # noqa: B018
     legacy_metrics, legacy_eval_seconds = _timed(
-        lambda: evaluate_blocks(result, dataset, engine="legacy"), repeats=2
+        lambda: reference.evaluate_blocks(result, dataset), repeats=2
     )
     array_metrics, array_eval_seconds = _timed(
         lambda: evaluate_blocks(result, dataset), repeats=3
@@ -629,8 +609,8 @@ def _run_pair_pipeline(dataset, blocks) -> dict:
     )
 
     legacy_meta, legacy_meta_seconds = _timed(
-        lambda: run_metablocking(
-            result, PIPELINE_SCHEME, PIPELINE_ALGORITHM, engine="legacy"
+        lambda: reference.run_metablocking(
+            result, PIPELINE_SCHEME, PIPELINE_ALGORITHM
         ),
         repeats=1,
     )
@@ -650,7 +630,7 @@ def _run_pair_pipeline(dataset, blocks) -> dict:
     )
     matcher.score_pairs(dataset, match_pairs[:64])  # warm attribute caches
     legacy_decisions, legacy_match_seconds = _timed(
-        lambda: matcher.match_pairs(dataset, match_pairs, batch=False),
+        lambda: reference.match_pairs(matcher, dataset, match_pairs),
         repeats=1,
     )
     array_decisions, array_match_seconds = _timed(
@@ -725,7 +705,7 @@ def run_perf() -> dict:
     warmup = NCVoterLikeGenerator(num_records=200, seed=SEED + 1).generate()
     for n in sizes():
         dataset = NCVoterLikeGenerator(num_records=n, seed=SEED).generate()
-        blocks = voter_lsh(batch=True, k=PIPELINE_K).block(dataset).blocks
+        blocks = voter_lsh(k=PIPELINE_K).block(dataset).blocks
         report["sizes"][str(n)] = {
             "lsh": _run_engine_pair(
                 lambda **kw: voter_lsh(**kw), dataset, warmup, stream="lsh"
@@ -831,6 +811,33 @@ def check_pooled(report: dict) -> None:
                 )
 
 
+def check_quality(report: dict) -> None:
+    """Gate blocking quality on Fig. 9's claim at every ladder size.
+
+    The speed columns alone cannot tell a faster engine from one that
+    blocks worse. So at each size SA-LSH's pair quality must beat
+    LSH's, at a pair completeness no more than ``QUALITY_PC_TOLERANCE``
+    below it: the semantic gate exists to cut false candidates without
+    losing true ones.
+    """
+    for n, entry in report["sizes"].items():
+        lsh, salsh = entry["lsh"], entry["salsh"]
+        for stats in (lsh, salsh):
+            for column in ("pc", "pq"):
+                assert column in stats, (
+                    f"size {n}: quality column {column!r} missing"
+                )
+        assert salsh["pq"] > lsh["pq"], (
+            f"size {n}: SA-LSH PQ {salsh['pq']} <= LSH PQ {lsh['pq']} — "
+            "the semantic gate no longer improves pair quality"
+        )
+        assert salsh["pc"] >= lsh["pc"] - QUALITY_PC_TOLERANCE, (
+            f"size {n}: SA-LSH PC {salsh['pc']} is more than "
+            f"{QUALITY_PC_TOLERANCE} below LSH PC {lsh['pc']} — the "
+            "semantic gate is losing true matches"
+        )
+
+
 def check_resilience(report: dict) -> None:
     """Guard the cost of the fault-tolerance machinery.
 
@@ -904,9 +911,7 @@ def check_durability(report: dict) -> None:
     The columns must exist at every ladder size. The WAL frame-decode
     rate is size-independent and asserted everywhere (≥ 10k ops/s —
     below that, journal-tail replay would dominate recovery). The
-    mmapped-index query p50 shares the in-memory path's < 10 ms budget
-    at 50k+ (serving from disk must stay corpus-size-independent too).
-    The journal's read-path overhead is asserted < 5% only at the 10k
+    journal's read-path overhead is asserted < 5% only at the 10k
     headline rung — shorter runs cannot resolve a few-percent ratio,
     longer ones smear it with shared-host load drift (the same
     rationale as ``check_resilience``).
@@ -915,9 +920,6 @@ def check_durability(report: dict) -> None:
         stats = entry.get("durability")
         assert stats is not None, f"size {n}: durability columns missing"
         for column in (
-            "index_write_seconds",
-            "persisted_query_p50_ms",
-            "persisted_query_p99_ms",
             "checkpoint_seconds",
             "recover_seconds",
             "wal_replay_seconds",
@@ -933,13 +935,6 @@ def check_durability(report: dict) -> None:
             f"{WAL_REPLAY_MIN_OPS_PER_SEC} — recovery would be "
             "dominated by journal-tail decode"
         )
-        if int(n) >= QUERY_BUDGET_SIZE:
-            p50 = stats["persisted_query_p50_ms"]
-            assert p50 < QUERY_P50_BUDGET_MS, (
-                f"size {n}: mmapped-index query p50 {p50}ms >= "
-                f"{QUERY_P50_BUDGET_MS}ms — the disk index is no "
-                "longer corpus-size-independent"
-            )
         if int(n) == DURABILITY_HEADLINE_SIZE:
             overhead = stats["journal_overhead"]
             assert overhead < JOURNAL_OVERHEAD_BUDGET, (
@@ -970,6 +965,8 @@ def _persist(report: dict) -> None:
                 stats["sharded_parallel_speedup"],
                 stats["pooled_vs_fresh_speedup"],
                 stats["resilience_overhead"],
+                stats["pc"],
+                stats["pq"],
             ])
     write_result(
         "perf_blocking",
@@ -977,7 +974,7 @@ def _persist(report: dict) -> None:
             ["records", "blocker", "t(loop)s", "t(batch)s",
              f"t(p={bench_processes()})s",
              "t(pool)s", "t(stream)s", "rec/s(batch)", "speedup",
-             "shard.speedup", "pool.speedup", "resil.ovh"],
+             "shard.speedup", "pool.speedup", "resil.ovh", "PC", "PQ"],
             rows,
             title="Perf — per-record vs batch vs sharded vs pooled vs "
                   "streamed (q=2, k=9, l=15)",
@@ -1015,7 +1012,7 @@ def _persist(report: dict) -> None:
             ["records", "pairs", "enum.x", "eval.x", "meta.x", "match.x",
              "pairs/s(array)", "pipeline.x"],
             pipeline_rows,
-            title="Perf — candidate-pair pipeline, legacy vs array "
+            title="Perf — candidate-pair pipeline, reference vs array "
                   f"({PIPELINE_SCHEME}+{PIPELINE_ALGORITHM}, "
                   "speedups per stage)",
         ),
@@ -1049,9 +1046,6 @@ def _persist(report: dict) -> None:
         stats = entry["durability"]
         durability_rows.append([
             n,
-            stats["index_write_seconds"],
-            stats["persisted_query_p50_ms"],
-            stats["persisted_query_p99_ms"],
             stats["checkpoint_seconds"],
             stats["recover_seconds"],
             stats["wal_replay_ops_per_sec"],
@@ -1060,12 +1054,11 @@ def _persist(report: dict) -> None:
     write_result(
         "perf_durability",
         format_table(
-            ["records", "idx.write(s)", "disk.p50(ms)", "disk.p99(ms)",
-             "ckpt(s)", "recover(s)", "wal.ops/s", "jrnl.ovh"],
+            ["records", "ckpt(s)", "recover(s)", "wal.ops/s", "jrnl.ovh"],
             durability_rows,
-            title="Perf — durability: mmapped-index queries, checkpoint/"
-                  f"recover, WAL replay ({WAL_REPLAY_OPS} frames), "
-                  "journal overhead on resolve_many",
+            title="Perf — durability: checkpoint/recover, WAL replay "
+                  f"({WAL_REPLAY_OPS} frames), journal overhead on "
+                  "resolve_many",
         ),
     )
     print(f"[written to {RESULT_JSON.name}]")
@@ -1087,6 +1080,7 @@ def test_perf_blocking(benchmark):
     check_pair_pipeline(report)
     check_sharded_stream(report)
     check_pooled(report)
+    check_quality(report)
     check_resilience(report)
     check_query_path(report)
     check_durability(report)
@@ -1098,6 +1092,7 @@ def main() -> int:
     check_pair_pipeline(report)
     check_sharded_stream(report)
     check_pooled(report)
+    check_quality(report)
     check_resilience(report)
     check_query_path(report)
     check_durability(report)

@@ -51,13 +51,13 @@ class QGramBlocker(KeyedBlocker):
         """All sub-lists obtained by deleting grams down to the budget.
 
         Deleting any multiset of positions yields exactly the
-        subsequences of ``grams``, so the frontier BFS of
-        :meth:`_sublists_legacy` is equivalent to enumerating position
-        combinations per surviving length directly — each sub-list is
-        produced once per *distinct* way it appears instead of being
-        rediscovered (and set-deduplicated) at every deletion depth,
-        which removes the super-linear frontier blow-up from the inner
-        loop of the batch key path.
+        subsequences of ``grams``, so the deletion-frontier BFS
+        (:func:`repro.reference.qgram_sublists`) is equivalent to
+        enumerating position combinations per surviving length
+        directly — each sub-list is produced once per *distinct* way it
+        appears instead of being rediscovered (and set-deduplicated) at
+        every deletion depth, which removes the super-linear frontier
+        blow-up from the inner loop of the batch key path.
         """
         min_len = max(1, math.ceil(self.threshold * len(grams)))
         results: set[tuple[str, ...]] = set()
@@ -67,22 +67,6 @@ class QGramBlocker(KeyedBlocker):
                 for chosen in combinations(range(len(grams)), keep)
             )
         return results
-
-    def _sublists_legacy(self, grams: tuple[str, ...]) -> set[tuple[str, ...]]:
-        """The original deletion-frontier BFS (equivalence reference)."""
-        min_len = max(1, math.ceil(self.threshold * len(grams)))
-        results: set[tuple[str, ...]] = set()
-        frontier = {grams}
-        while frontier:
-            results |= frontier
-            next_frontier: set[tuple[str, ...]] = set()
-            for current in frontier:
-                if len(current) <= min_len:
-                    continue
-                for index in range(len(current)):
-                    next_frontier.add(current[:index] + current[index + 1 :])
-            frontier = next_frontier - results
-        return {r for r in results if len(r) >= min_len}
 
     def _groups(self, dataset: Dataset) -> list[list[str]]:
         # Batch key path: keys in one memoized pass, gram extraction

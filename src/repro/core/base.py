@@ -20,7 +20,7 @@ from repro.minhash.shingling import Shingler
 from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset, LinkedCorpus
-from repro.records.ground_truth import Pair, sorted_pair
+from repro.records.ground_truth import Pair
 from repro.records.record import Record
 from repro.records.pairs import (
     csr_source_counts,
@@ -75,9 +75,9 @@ class BlockingResult:
         semantic-function build time of Fig. 13).
 
     Every count, pair key and array view below reads the block list's
-    CSR arrays; only the ``*_legacy`` references and
-    ``record_block_ids`` walk the block tuples. Derived caches stay out
-    of the pickled state (see :meth:`__getstate__`).
+    CSR arrays, never the block tuples (their per-block loop oracles
+    are in :mod:`repro.reference.pairs`). Derived caches stay out of
+    the pickled state (see :meth:`__getstate__`).
     """
 
     blocker_name: str
@@ -121,20 +121,6 @@ class BlockingResult:
         tuples (the sorted local vocabulary makes them canonical).
         """
         return frozenset(pairs_from_keys(self.pair_keys_local, self.local_arrays.ids))
-
-    def distinct_pairs_legacy(self) -> frozenset[Pair]:
-        """Γ via the original per-block Python loops (uncached).
-
-        Kept as the reference implementation for the equivalence suite
-        and the perf benchmark's legacy column.
-        """
-        pairs: set[Pair] = set()
-        for block in self.blocks:
-            for i, first in enumerate(block):
-                for second in block[i + 1 :]:
-                    if first != second:
-                        pairs.add(sorted_pair(first, second))
-        return frozenset(pairs)
 
     @cached_property
     def _per_dataset_cache(self) -> "weakref.WeakKeyDictionary[Dataset, np.ndarray]":
@@ -187,14 +173,6 @@ class BlockingResult:
     def max_block_size(self) -> int:
         sizes = self.blocks.sizes()
         return int(sizes.max()) if sizes.size else 0
-
-    def record_block_ids(self) -> dict[str, list[int]]:
-        """Record id -> indices of blocks containing it (meta-blocking)."""
-        assignment: dict[str, list[int]] = {}
-        for index, block in enumerate(self.blocks):
-            for record_id in set(block):
-                assignment.setdefault(record_id, []).append(index)
-        return assignment
 
     def with_timing(self, seconds: float) -> "BlockingResult":
         """Copy of the result annotated with a wall-clock time."""
@@ -271,20 +249,6 @@ class BipartiteBlockingResult(BlockingResult):
         """Γ as distinct ``(source_id, target_id)`` tuples."""
         linked = self._require_linked()
         return frozenset(linked.pairs_from_keys(self.cross_pair_keys))
-
-    def cross_pairs_legacy(self) -> frozenset[Pair]:
-        """Γ via per-block Python loops (the reference implementation)."""
-        linked = self._require_linked()
-        source_ids = linked.source_id_set
-        pairs: set[Pair] = set()
-        for block in self.blocks:
-            members = set(block)
-            src = [rid for rid in members if rid in source_ids]
-            tgt = [rid for rid in members if rid not in source_ids]
-            for s in src:
-                for t in tgt:
-                    pairs.add((s, t))
-        return frozenset(pairs)
 
     @property
     def num_cross_multiset_comparisons(self) -> int:
@@ -429,14 +393,13 @@ class OnlineIndex(ABC):
 class LSHFamilyBlocker(Blocker):
     """Base of the four minhash LSH blockers: one engine per technique.
 
-    A subclass supplies four things: its :meth:`online` index, its
-    :attr:`parameter_names`, its per-record reference engine
-    (:meth:`_block_per_record`, run when ``batch=False``) and its
-    pool-mapped signature pass (:attr:`_slab_pass`, run when
-    ``processes``/``pool`` resolve to more than one worker). The entry
-    points are derived here once, because the online index's
-    incremental ≡ rebuild contract (:class:`OnlineIndex`) makes batch,
-    streamed and linkage blocking three ways of feeding one index:
+    A subclass supplies three things: its :meth:`online` index, its
+    :attr:`parameter_names` and its pool-mapped signature pass
+    (:attr:`_slab_pass`, run when ``processes``/``pool`` resolve to
+    more than one worker). The entry points are derived here once,
+    because the online index's incremental ≡ rebuild contract
+    (:class:`OnlineIndex`) makes batch, streamed and linkage blocking
+    three ways of feeding one index:
 
     * :meth:`block` — ``online(D).blocks()``; the pool path feeds the
       same index slab by slab through its ``add_signatures``;
@@ -444,8 +407,9 @@ class LSHFamilyBlocker(Blocker):
     * :meth:`block_pair` — the target-side :meth:`linkage_index`, then
       ``add_many(source)``.
 
-    The per-record engine is the anchor the derived paths are checked
-    against (``tests/test_batch_equivalence.py``).
+    The per-record engines of :mod:`repro.reference.blocking` are the
+    anchor the derived paths are checked against
+    (``tests/test_batch_equivalence.py``).
 
     Parameters
     ----------
@@ -461,17 +425,12 @@ class LSHFamilyBlocker(Blocker):
         Seed for the minhash permutations.
     padded:
         Pad values before q-gram extraction.
-    batch:
-        Use the corpus-level vectorized engine (default). The
-        per-record engine produces identical blocks and exists for
-        equivalence tests and the perf benchmark.
     processes:
         Worker *processes* for the sharded runtime (``None`` = all
         CPUs): record slabs are shingled/minhashed in parallel
         processes and bucket grouping is band-sharded across the same
         pool — escaping the GIL for the string-heavy hot loops. Blocks
-        are byte-identical for every process count; applies to the
-        batch engine only.
+        are byte-identical for every process count.
     pool:
         Optional persistent :class:`~repro.utils.parallel.ShardPool`
         carrying the sharded runtime: the pool's executor stays warm
@@ -502,7 +461,6 @@ class LSHFamilyBlocker(Blocker):
         *,
         seed: int = 0,
         padded: bool = False,
-        batch: bool = True,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
@@ -514,7 +472,6 @@ class LSHFamilyBlocker(Blocker):
         self.k = k
         self.l = l
         self.seed = seed
-        self.batch = batch
         self.processes = processes
         self.pool = pool
         self.shingler = Shingler(self.attributes, q=q, padded=padded)
@@ -524,10 +481,6 @@ class LSHFamilyBlocker(Blocker):
     @abstractmethod
     def online(self, records: Iterable[Record] = (), **options) -> OnlineIndex:
         """A mutable online index seeded with ``records``."""
-
-    @abstractmethod
-    def _block_per_record(self, dataset: Dataset) -> Sequence[Sequence[str]]:
-        """Groups of the record-at-a-time reference engine."""
 
     def _parameters(self, index: OnlineIndex | None) -> dict[str, Any]:
         """The parameters reported in a result's metadata."""
@@ -565,9 +518,6 @@ class LSHFamilyBlocker(Blocker):
 
     def block(self, dataset: Dataset) -> BlockingResult:
         start = time.perf_counter()
-        if not self.batch:
-            blocks = make_blocks(self._block_per_record(dataset))
-            return self._result(blocks, start, "per-record")
         if effective_processes(self.processes, self.pool) > 1:
             index = self.online()
             for part in self._slab_pass(

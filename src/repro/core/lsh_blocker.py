@@ -14,8 +14,9 @@ entry points from it — :meth:`~repro.core.base.LSHFamilyBlocker.block`,
 signature spill) and ``block_pair`` — all byte-identical to one batch
 pass over the records. ``processes=`` runs the signature pass over
 record slabs in worker processes and band-shards the bucket grouping
-(see DESIGN.md, "Process-sharded streaming runtime"); ``batch=False``
-runs the per-record reference loop instead.
+(see DESIGN.md, "Process-sharded streaming runtime"). The per-record
+reference loop it is checked against is
+:func:`repro.reference.lsh_blocks`.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import numpy as np
 
 from repro.core.base import LSHFamilyBlocker, OnlineIndex
 from repro.errors import ConfigurationError
-from repro.lsh.bands import record_band_keys, split_bands, split_bands_matrix
+from repro.lsh.bands import record_band_keys, split_bands_matrix
 from repro.lsh.index import BandedLSHIndex
 from repro.minhash.corpus import ShingleVocabulary
 from repro.minhash.minhash import HashColumns
 from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.blocks import BlockList
-from repro.records.dataset import Dataset
 from repro.records.record import Record
 
 
@@ -113,11 +113,6 @@ class _BandedOnlineIndex(OnlineIndex):
     def blocks(self) -> BlockList:
         return self._index.blocks()
 
-    @property
-    def banded_index(self) -> BandedLSHIndex:
-        """The underlying banded index (the on-disk exporter's input)."""
-        return self._index
-
 
 class OnlineLSHIndex(_BandedOnlineIndex):
     """The engine of :class:`LSHBlocker`, built once, then mutated.
@@ -177,13 +172,6 @@ class LSHBlocker(LSHFamilyBlocker):
 
     def describe(self) -> str:
         return f"{self.name}(q={self.q}, k={self.k}, l={self.l})"
-
-    def _block_per_record(self, dataset: Dataset):
-        index = BandedLSHIndex(self.l)
-        for record in dataset:
-            signature = self.hasher.signature(self.shingler.shingle_ids(record))
-            index.add(record.record_id, split_bands(signature, self.k, self.l))
-        return index.blocks()
 
     def online(
         self,

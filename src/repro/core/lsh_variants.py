@@ -15,13 +15,12 @@ is its online index (:class:`OnlineMultiProbeIndex`,
 the corpus-level batch kernels and reruns the batch grouping over the
 survivors; :class:`~repro.core.base.LSHFamilyBlocker` derives
 ``block``, ``block_stream`` (without a signature spill) and
-``block_pair`` from it. ``batch=False`` runs the per-record reference
-engine instead.
+``block_pair`` from it. Their per-record reference engines are in
+:mod:`repro.reference.blocking`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.lsh.index import check_new_ids, grouped_indices
 from repro.lsh.sharding import runner_up_signature_slabs
 from repro.minhash.corpus import ShingledCorpus, ShingleVocabulary
 from repro.minhash.minhash import MinHasher, compact_vocabulary, sentinel_stream
-from repro.records.dataset import Dataset
 from repro.records.record import Record
 from repro.utils.hashing import MERSENNE_PRIME_61
 from repro.utils.parallel import ShardPool
@@ -152,13 +150,12 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
         *,
         num_probes: int | None = None,
         seed: int = 0,
-        batch: bool = True,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
         super().__init__(
-            attributes, q, k, l, seed=seed, batch=batch,
+            attributes, q, k, l, seed=seed,
             processes=processes, pool=pool, name=name,
         )
         self.num_probes = k if num_probes is None else num_probes
@@ -191,7 +188,7 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
             lo = table * self.k
             band = minima[:, lo : lo + self.k]
             # Probe keys in (record-major, probe-row) order, matching the
-            # per-record insertion order of the legacy path.
+            # per-record insertion order of the reference engine.
             probe_cols = []
             for probe_row in range(self.num_probes):
                 perturbed = band.copy()
@@ -225,38 +222,6 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
                     groups.append(group_ids)
         return groups
 
-    def _block_per_record(self, dataset: Dataset) -> list[list[str]]:
-        exact_buckets: list[dict] = [defaultdict(list) for _ in range(self.l)]
-        probe_membership: list[dict] = [defaultdict(list) for _ in range(self.l)]
-
-        for record in dataset:
-            minima, runners = self.hasher.signature_with_runner_up(
-                self.shingler.shingle_ids(record)
-            )
-            for table in range(self.l):
-                lo = table * self.k
-                band = tuple(int(v) for v in minima[lo : lo + self.k])
-                exact_buckets[table][band].append(record.record_id)
-                for probe_row in range(self.num_probes):
-                    perturbed = list(band)
-                    perturbed[probe_row] = int(runners[lo + probe_row])
-                    probe_membership[table][tuple(perturbed)].append(
-                        record.record_id
-                    )
-
-        groups: list[list[str]] = []
-        for table in range(self.l):
-            for key, members in exact_buckets[table].items():
-                probers = [
-                    rid
-                    for rid in probe_membership[table].get(key, ())
-                    if rid not in members
-                ]
-                group = members + probers
-                if len(group) >= 2:
-                    groups.append(group)
-        return groups
-
     def online(
         self, records: Iterable[Record] = ()
     ) -> "OnlineMultiProbeIndex":
@@ -285,13 +250,12 @@ class LSHForestBlocker(LSHFamilyBlocker):
         *,
         max_block_size: int = 50,
         seed: int = 0,
-        batch: bool = True,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
         super().__init__(
-            attributes, q, k, l, seed=seed, batch=batch,
+            attributes, q, k, l, seed=seed,
             processes=processes, pool=pool, name=name,
         )
         if max_block_size < 2:
@@ -326,14 +290,6 @@ class LSHForestBlocker(LSHFamilyBlocker):
             result.extend(self._split(members[part], band, depth + 1))
         return result
 
-    def _block_per_record(self, dataset: Dataset) -> list[list[str]]:
-        ids = np.empty(len(dataset), dtype=object)
-        rows = np.empty((len(dataset), self.hasher.num_hashes), dtype=np.uint64)
-        for i, record in enumerate(dataset):
-            ids[i] = record.record_id
-            rows[i] = self.hasher.signature(self.shingler.shingle_ids(record))
-        return self._forest_groups(ids, rows)
-
     def _forest_groups(
         self, ids: np.ndarray, signatures: np.ndarray
     ) -> list[list[str]]:
@@ -341,7 +297,7 @@ class LSHForestBlocker(LSHFamilyBlocker):
 
         The batch grouping rule, run by :meth:`OnlineForestIndex.blocks`
         (survivor trees rebuilt with the batch descent verbatim) and by
-        the per-record engine.
+        the per-record reference engine.
         """
         groups: list[list[str]] = []
         for table in range(self.l):

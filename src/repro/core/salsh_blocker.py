@@ -23,11 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.base import BlockingResult, LSHFamilyBlocker, make_blocks
+from repro.core.base import BlockingResult, LSHFamilyBlocker
 from repro.core.lsh_blocker import _BandedOnlineIndex
 from repro.errors import ConfigurationError, SemanticFunctionError
-from repro.lsh.bands import split_bands
-from repro.lsh.index import BandedLSHIndex
 from repro.lsh.sharding import semantic_signature_slabs, signature_slabs
 from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.blocks import BlockList
@@ -163,7 +161,7 @@ class SALSHBlocker(LSHFamilyBlocker):
 
     Parameters
     ----------
-    attributes, q, k, l, seed, padded, batch, processes, pool, name:
+    attributes, q, k, l, seed, padded, processes, pool, name:
         As for :class:`~repro.core.base.LSHFamilyBlocker`. With
         ``processes``/``pool`` the worker processes also *interpret*
         their record slabs.
@@ -192,7 +190,6 @@ class SALSHBlocker(LSHFamilyBlocker):
         mode: str = "or",
         seed: int = 0,
         padded: bool = False,
-        batch: bool = True,
         processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
@@ -200,7 +197,7 @@ class SALSHBlocker(LSHFamilyBlocker):
         if mode not in ("and", "or"):
             raise ConfigurationError(f"mode must be 'and' or 'or', got {mode!r}")
         super().__init__(
-            attributes, q, k, l, seed=seed, padded=padded, batch=batch,
+            attributes, q, k, l, seed=seed, padded=padded,
             processes=processes, pool=pool, name=name,
         )
         self.w = w
@@ -231,14 +228,13 @@ class SALSHBlocker(LSHFamilyBlocker):
 
     def block(self, dataset: Dataset) -> BlockingResult:
         start = time.perf_counter()
-        engine = "batch" if self.batch else "per-record"
         if not len(dataset):
             # An empty corpus has no interpretations to derive semhash
             # bits from; every engine (serial, sharded, pooled) returns
             # empty blocks instead of tripping the encoder's
             # no-concepts error.
-            return self._result((), start, engine, sf_seconds=0.0)
-        if self.batch and effective_processes(self.processes, self.pool) > 1:
+            return self._result((), start, "batch", sf_seconds=0.0)
+        if effective_processes(self.processes, self.pool) > 1:
             index, sf_seconds = self._sharded_index(dataset)
             return self._result(
                 index.blocks(), start, "sharded", index, sf_seconds=sf_seconds
@@ -249,37 +245,10 @@ class SALSHBlocker(LSHFamilyBlocker):
         sf_start = time.perf_counter()
         encoder = SemhashEncoder(self.semantic_function, dataset)
         sf_seconds = time.perf_counter() - sf_start
-        if not self.batch:
-            blocks = make_blocks(self._block_per_record(dataset, encoder))
-            return self._result(
-                blocks, start, engine,
-                num_semantic_bits=encoder.num_bits, sf_seconds=sf_seconds,
-            )
         index = self.online(dataset, encoder=encoder)
         return self._result(
-            index.blocks(), start, engine, index, sf_seconds=sf_seconds
+            index.blocks(), start, "batch", index, sf_seconds=sf_seconds
         )
-
-    def _block_per_record(
-        self, dataset: Dataset, encoder: SemhashEncoder | None = None
-    ):
-        if encoder is None:
-            encoder = SemhashEncoder(self.semantic_function, dataset)
-        gates = self._gates(encoder.num_bits)
-        index = BandedLSHIndex(self.l)
-        for record in dataset:
-            signature = self.hasher.signature(self.shingler.shingle_ids(record))
-            # The construction records themselves: their cached ζ is
-            # theirs, and saves a second interpretation.
-            semhash = encoder.encode_interpretation(encoder.interpretation(record))
-
-            def gate(table: int, _record_id: str, _sig=semhash):
-                return gates.gate_suffixes(table, _sig)
-
-            index.add(
-                record.record_id, split_bands(signature, self.k, self.l), gate
-            )
-        return index.blocks()
 
     def _sharded_index(
         self, dataset: Dataset

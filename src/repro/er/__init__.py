@@ -13,7 +13,6 @@ from repro.er.matching import MatchDecision, SimilarityMatcher
 from repro.er.resolver import CandidateScore, ResolvedEntity, Resolver
 from repro.er.clustering import (
     component_labels,
-    connected_components,
     connected_components_arrays,
     resolve,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ResolvedEntity",
     "CandidateScore",
     "component_labels",
-    "connected_components",
     "connected_components_arrays",
     "resolve",
     "ResolutionMetrics",

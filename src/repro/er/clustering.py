@@ -4,15 +4,11 @@ The classic post-matching step: matched pairs induce a graph whose
 connected components are the resolved entities (Hernández & Stolfo's
 merge/purge closure).
 
-Two engines produce identical clusters:
-
-* ``array`` (default in :func:`resolve`) — the pair-engine route:
-  matched pairs are encoded as ``uint64`` keys over the dataset's
-  int32 id codec (:mod:`repro.records.pairs`) and components are found
-  by vectorized min-label propagation with pointer jumping over the
-  decoded index arrays — no per-edge Python work;
-* ``legacy`` — the original string-keyed union-find, kept as the
-  equivalence-tested reference.
+Matched pairs are encoded as ``uint64`` keys over the dataset's int32
+id codec (:mod:`repro.records.pairs`) and components are found by
+vectorized min-label propagation with pointer jumping over the decoded
+index arrays — no per-edge Python work. The clusters equal those of the
+string-keyed union-find in :mod:`repro.reference.er`.
 """
 
 from __future__ import annotations
@@ -25,61 +21,6 @@ from repro.errors import ConfigurationError
 from repro.records.dataset import Dataset
 from repro.records.ground_truth import Pair
 from repro.records.pairs import decode_pair_keys, encode_pair_keys
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-        self._rank: dict[str, int] = {}
-
-    def add(self, item: str) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._rank[item] = 0
-
-    def find(self, item: str) -> str:
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        # Path compression.
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return
-        if self._rank[root_a] < self._rank[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        if self._rank[root_a] == self._rank[root_b]:
-            self._rank[root_a] += 1
-
-    def components(self) -> list[list[str]]:
-        groups: dict[str, list[str]] = {}
-        for item in self._parent:
-            groups.setdefault(self.find(item), []).append(item)
-        return [sorted(members) for members in groups.values()]
-
-
-def connected_components(
-    record_ids: Iterable[str], matched_pairs: Iterable[Pair]
-) -> list[list[str]]:
-    """Entity clusters: connected components over matched pairs.
-
-    The legacy (string/dict union-find) reference engine. Every record
-    id appears in exactly one cluster; unmatched records form
-    singletons. Clusters and members are sorted for determinism.
-    """
-    uf = _UnionFind()
-    for record_id in record_ids:
-        uf.add(record_id)
-    for a, b in matched_pairs:
-        uf.add(a)
-        uf.add(b)
-        uf.union(a, b)
-    return sorted(uf.components())
 
 
 def component_labels(num_records: int, pair_keys: np.ndarray) -> np.ndarray:
@@ -122,9 +63,8 @@ def connected_components_arrays(
     """Entity clusters over encoded pair keys — the array engine.
 
     ``record_ids`` positions define the index space of ``pair_keys``.
-    Output is identical to :func:`connected_components` over the
-    decoded pairs: every record in exactly one cluster, members and
-    clusters sorted.
+    Every record lands in exactly one cluster, members and clusters
+    sorted.
     """
     record_ids = list(record_ids)
     labels = component_labels(len(record_ids), pair_keys)
@@ -134,25 +74,12 @@ def connected_components_arrays(
     return sorted(sorted(members) for members in clusters.values())
 
 
-def resolve(
-    dataset: Dataset,
-    matched_pairs: Iterable[Pair],
-    *,
-    engine: str = "array",
-) -> list[list[str]]:
+def resolve(dataset: Dataset, matched_pairs: Iterable[Pair]) -> list[list[str]]:
     """Cluster a dataset's records given matched pairs.
 
-    The default ``array`` engine encodes the pairs through the
-    dataset's id codec and unions over int32 indices (pairs must
-    reference dataset records); ``engine="legacy"`` runs the reference
-    union-find, which also tolerates pair ids outside the dataset.
+    The pairs are encoded through the dataset's id codec and unioned
+    over int32 indices, so they must reference dataset records.
     """
-    if engine == "legacy":
-        return connected_components(dataset.record_ids, matched_pairs)
-    if engine != "array":
-        raise ConfigurationError(
-            f"engine must be 'array' or 'legacy', got {engine!r}"
-        )
     pairs = list(matched_pairs)
     if not pairs:
         return connected_components_arrays(

@@ -293,20 +293,11 @@ class SimilarityMatcher:
         return MatchDecision(pair=pair, score=score, label=self._label(score))
 
     def match_pairs(
-        self,
-        dataset: Dataset,
-        candidate_pairs: Iterable[Pair],
-        *,
-        batch: bool = True,
+        self, dataset: Dataset, candidate_pairs: Iterable[Pair]
     ) -> list[MatchDecision]:
-        """Classify every candidate pair (sorted for determinism).
-
-        ``batch=False`` scores one pair at a time (the reference path);
-        both engines produce identical decisions.
-        """
+        """Classify every candidate pair (sorted for determinism),
+        scored in one :meth:`score_pairs` pass."""
         pairs = sorted(candidate_pairs)
-        if not batch:
-            return [self.classify(dataset, pair) for pair in pairs]
         scores = self.score_pairs(dataset, pairs)
         return [
             MatchDecision(pair=pair, score=score, label=self._label(score))

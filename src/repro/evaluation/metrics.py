@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.base import BipartiteBlockingResult, BlockingResult
+from repro.core.base import BipartiteBlockingResult, BlockingResult, as_bipartite
 from repro.errors import DatasetError, EvaluationError
 from repro.records.dataset import Dataset, LinkedCorpus
 
@@ -55,21 +55,28 @@ class BlockingMetrics:
         )
 
 
-def evaluate_blocks(
-    result: BlockingResult, dataset: Dataset, *, engine: str = "array"
-) -> BlockingMetrics:
+def evaluate_blocks(result: BlockingResult, dataset: Dataset) -> BlockingMetrics:
     """Score a blocking result against the dataset's ground truth.
 
-    The default ``array`` engine intersects the result's encoded
-    ``uint64`` pair keys with the dataset's cached ``true_match_keys``
-    (no Python pair sets); ``engine="legacy"`` runs the original
-    set-based path, kept as the equivalence/benchmark reference.
+    Intersects the result's encoded ``uint64`` pair keys with the
+    dataset's cached ``true_match_keys`` (no Python pair sets). No
+    membership pre-check: unknown block ids surface as encode errors
+    from the dataset codec.
     """
-    if engine == "array":
-        return _evaluate_array(result, dataset)
-    if engine == "legacy":
-        return _evaluate_legacy(result, dataset)
-    raise EvaluationError(f"unknown evaluation engine {engine!r}")
+    try:
+        candidate_keys = result.pair_keys(dataset)
+    except DatasetError as exc:
+        raise EvaluationError(f"block references unknown record: {exc}") from None
+    truth_keys = dataset.true_match_keys
+    return _metrics_from_counts(
+        BlockingMetrics,
+        result,
+        total_pairs=dataset.total_pairs,
+        num_multiset=result.num_multiset_comparisons,
+        true_positives=count_common_keys(candidate_keys, truth_keys),
+        total_true=int(truth_keys.size),
+        num_distinct=int(candidate_keys.size),
+    )
 
 
 def count_common_keys(sorted_keys: np.ndarray, probe_keys: np.ndarray) -> int:
@@ -85,42 +92,6 @@ def count_common_keys(sorted_keys: np.ndarray, probe_keys: np.ndarray) -> int:
     positions = np.searchsorted(sorted_keys, probe_keys)
     positions = np.minimum(positions, sorted_keys.size - 1)
     return int((sorted_keys[positions] == probe_keys).sum())
-
-
-def _evaluate_array(result: BlockingResult, dataset: Dataset) -> BlockingMetrics:
-    # No membership pre-check: unknown block ids surface as encode
-    # errors from the dataset codec.
-    try:
-        candidate_keys = result.pair_keys(dataset)
-    except DatasetError as exc:
-        raise EvaluationError(f"block references unknown record: {exc}") from None
-    truth_keys = dataset.true_match_keys
-    true_positives = count_common_keys(candidate_keys, truth_keys)
-    return _metrics_from_counts(
-        result,
-        dataset,
-        true_positives=true_positives,
-        total_true=int(truth_keys.size),
-        num_distinct=int(candidate_keys.size),
-    )
-
-
-def _evaluate_legacy(result: BlockingResult, dataset: Dataset) -> BlockingMetrics:
-    for block in result.blocks:
-        for record_id in block:
-            if record_id not in dataset:
-                raise EvaluationError(
-                    f"block references unknown record {record_id!r}"
-                )
-    candidate_pairs = result.distinct_pairs
-    true_matches = dataset.true_matches
-    return _metrics_from_counts(
-        result,
-        dataset,
-        true_positives=len(candidate_pairs & true_matches),
-        total_true=len(true_matches),
-        num_distinct=len(candidate_pairs),
-    )
 
 
 @dataclass(frozen=True)
@@ -158,20 +129,37 @@ class LinkageMetrics:
 
 
 def evaluate_linkage(
-    result: BipartiteBlockingResult,
-    linked: LinkedCorpus | None = None,
-    *,
-    engine: str = "array",
+    result: BipartiteBlockingResult, linked: LinkedCorpus | None = None
 ) -> LinkageMetrics:
     """Score a linkage result against a bipartite ground truth.
 
-    ``linked`` defaults to the result's attached corpus. The ``array``
-    engine intersects the result's bipartite ``uint64`` cross-pair keys
-    with ``linked.true_match_keys``; ``engine="legacy"`` runs the
-    set-based reference path over ``(source_id, target_id)`` tuples.
-    Within-side pairs never enter either computation — the candidate
-    set is the cross-side enumeration by construction.
+    ``linked`` defaults to the result's attached corpus. Intersects the
+    result's bipartite ``uint64`` cross-pair keys with
+    ``linked.true_match_keys``. Within-side pairs never enter the
+    computation — the candidate set is the cross-side enumeration by
+    construction.
     """
+    result, linked = _as_linkage(result, linked)
+    try:
+        candidate_keys = result.cross_pair_keys
+    except DatasetError as exc:
+        raise EvaluationError(f"block references unknown record: {exc}") from None
+    truth_keys = linked.true_match_keys
+    return _metrics_from_counts(
+        LinkageMetrics,
+        result,
+        total_pairs=linked.total_pairs,
+        num_multiset=result.num_cross_multiset_comparisons,
+        true_positives=count_common_keys(candidate_keys, truth_keys),
+        total_true=int(truth_keys.size),
+        num_distinct=int(candidate_keys.size),
+    )
+
+
+def _as_linkage(
+    result: BlockingResult, linked: LinkedCorpus | None
+) -> tuple[BipartiteBlockingResult, LinkedCorpus]:
+    """The result typed as bipartite over ``linked`` (default: its own)."""
     if linked is None:
         if not isinstance(result, BipartiteBlockingResult):
             raise EvaluationError(
@@ -179,79 +167,27 @@ def evaluate_linkage(
                 "explicit LinkedCorpus"
             )
         linked = result._require_linked()
-    if not isinstance(result, BipartiteBlockingResult):
-        from repro.core.base import as_bipartite
-
+    if not isinstance(result, BipartiteBlockingResult) or result.linked is not linked:
         result = as_bipartite(result, linked)
-    elif result.linked is not linked:
-        from repro.core.base import as_bipartite
-
-        result = as_bipartite(result, linked)
-    if engine == "array":
-        try:
-            candidate_keys = result.cross_pair_keys
-        except DatasetError as exc:
-            raise EvaluationError(
-                f"block references unknown record: {exc}"
-            ) from None
-        truth_keys = linked.true_match_keys
-        true_positives = count_common_keys(candidate_keys, truth_keys)
-        total_true = int(truth_keys.size)
-        num_distinct = int(candidate_keys.size)
-    elif engine == "legacy":
-        union = linked.union
-        for block in result.blocks:
-            for record_id in block:
-                if record_id not in union:
-                    raise EvaluationError(
-                        f"block references unknown record {record_id!r}"
-                    )
-        candidate_pairs = result.cross_pairs_legacy()
-        true_matches = linked.true_matches
-        true_positives = len(candidate_pairs & true_matches)
-        total_true = len(true_matches)
-        num_distinct = len(candidate_pairs)
-    else:
-        raise EvaluationError(f"unknown evaluation engine {engine!r}")
-
-    total_pairs = linked.total_pairs
-    num_multiset = result.num_cross_multiset_comparisons
-    pc = true_positives / total_true if total_true else 0.0
-    pq = true_positives / num_distinct if num_distinct else 0.0
-    pq_star = true_positives / num_multiset if num_multiset else 0.0
-    rr = 1.0 - num_distinct / total_pairs if total_pairs else 0.0
-    return LinkageMetrics(
-        pc=pc,
-        pq=pq,
-        rr=rr,
-        fm=_harmonic(pc, pq),
-        pq_star=pq_star,
-        fm_star=_harmonic(pc, pq_star),
-        num_blocks=result.num_blocks,
-        num_distinct_pairs=num_distinct,
-        num_multiset_pairs=num_multiset,
-        num_true_positives=true_positives,
-        max_block_size=result.max_block_size,
-    )
+    return result, linked
 
 
 def _metrics_from_counts(
+    metrics_type,
     result: BlockingResult,
-    dataset: Dataset,
     *,
+    total_pairs: int,
+    num_multiset: int,
     true_positives: int,
     total_true: int,
     num_distinct: int,
-) -> BlockingMetrics:
-    total_pairs = dataset.total_pairs
-    num_multiset = result.num_multiset_comparisons
-
+):
+    """The measures of either kind from the counts they are defined by."""
     pc = true_positives / total_true if total_true else 0.0
     pq = true_positives / num_distinct if num_distinct else 0.0
     pq_star = true_positives / num_multiset if num_multiset else 0.0
     rr = 1.0 - num_distinct / total_pairs if total_pairs else 0.0
-
-    return BlockingMetrics(
+    return metrics_type(
         pc=pc,
         pq=pq,
         rr=rr,

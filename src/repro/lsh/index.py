@@ -7,36 +7,28 @@ record's semhash signature, implementing the w-way AND/OR functions of
 paper §5.2 without pairwise work (see DESIGN.md, "O(n) SA-LSH bucket
 construction").
 
-Two insertion styles fill the same index:
-
-* :meth:`BandedLSHIndex.add` — one record at a time into per-table
-  dicts of buckets (the legacy path);
-* :meth:`BandedLSHIndex.add_many` — one *slab* (a whole corpus, or a
-  streamed chunk of one) at a time: slabs are appended cheaply and the
-  buckets of every table are derived lazily, by one vectorized
-  sort-and-segment pass over all slabs together, never touching a
-  Python dict (see DESIGN.md, "Batch signature engine" and "Parallel &
-  streaming runtime"). Buckets *merge across ``add_many`` calls* —
-  records from different slabs sharing a (band key, gate suffix) land
-  in one bucket, exactly as if the concatenated corpus had been
-  inserted in a single call — which is what lets corpora larger than
-  RAM stream through blocking slab by slab. Both insertion styles emit
-  buckets in first-occurrence order with members in insertion order,
-  so :meth:`BandedLSHIndex.blocks` is byte-identical across them.
-
-  The one seam that does not merge: dict buckets from :meth:`add` stay
-  separate from bulk buckets (the legacy path exists for equivalence
-  tests; production code uses one style per index).
+Records arrive in *slabs* (:meth:`BandedLSHIndex.add_many`: a whole
+corpus, or a streamed chunk of one): slabs are appended cheaply and
+the buckets of every table are derived lazily, by one vectorized
+sort-and-segment pass over all slabs together, never touching a Python
+dict (see DESIGN.md, "Batch signature engine" and "Parallel &
+streaming runtime"). Buckets *merge across ``add_many`` calls* —
+records from different slabs sharing a (band key, gate suffix) land in
+one bucket, exactly as if the concatenated corpus had been inserted in
+a single call — which is what lets corpora larger than RAM stream
+through blocking slab by slab. Buckets come out in first-occurrence
+order with members in insertion order, byte-identical to the
+paper-literal record-at-a-time dict loop
+(:func:`repro.reference.banded_buckets`).
 
 Beyond construction, the index is a *mutable, long-lived* structure
 (the online resolver path): :meth:`BandedLSHIndex.remove` tombstones a
 record without regrouping, and :meth:`BandedLSHIndex.query_keys`
 answers "which live records share a bucket with these band keys"
-against both insertion styles without mutating anything. Tombstoned
-entries are dropped *before* the deferred grouping runs, so
-:meth:`BandedLSHIndex.blocks` after removals is byte-identical to
-rebuilding the index from the surviving records in their original
-insertion order. Removed ids are retired permanently — re-adding one
+without mutating anything. Tombstoned entries are dropped *before*
+the deferred grouping runs, so :meth:`BandedLSHIndex.blocks` after
+removals is byte-identical to rebuilding the index from the surviving
+records in their original insertion order. Removed ids are retired permanently — re-adding one
 would resurrect its dead bucket entries — so replacements must use a
 fresh id.
 """
@@ -44,7 +36,6 @@ fresh id.
 from __future__ import annotations
 
 import gc
-from collections import defaultdict
 from itertools import repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -59,10 +50,6 @@ GateFn = Callable[[int, str], Sequence[Hashable]]
 #: A gate takes (table_index, record_id) and returns the bucket-key
 #: suffixes under which the record is inserted in that table. Returning
 #: an empty sequence excludes the record from the table entirely.
-
-
-def _no_gate(_table: int, _record_id: str) -> Sequence[Hashable]:
-    return (0,)
 
 
 def check_new_ids(
@@ -103,8 +90,8 @@ def _scalar_code(codes: dict[Hashable, int], suffix: Hashable) -> int:
     Negative codes can never collide with OR-gate suffixes, which are
     non-negative semhash bit indices; distinct scalar suffixes get
     distinct codes, and equal suffixes from different slabs get the
-    same code — so cross-slab bucket merging matches the per-record
-    dict keyed by (band key, suffix).
+    same code — so cross-slab bucket merging matches a dict keyed by
+    (band key, suffix).
     """
     code = codes.get(suffix)
     if code is None:
@@ -154,8 +141,8 @@ def grouped_indices(labels: np.ndarray) -> list[np.ndarray]:
     Returns one int array per distinct label. Positions within a group
     are ascending and groups are ordered by first occurrence — exactly
     the order a ``dict``-of-lists insertion loop over ``labels`` would
-    produce, which keeps batch blockers byte-identical to the legacy
-    per-record path.
+    produce, which keeps batch blockers byte-identical to their
+    per-record reference engines.
     """
     if labels.size == 0:
         return []
@@ -255,16 +242,13 @@ class BandedLSHIndex:
         self.num_tables = num_tables
         self.processes = processes
         self.pool = pool
-        self._tables: list[dict[Hashable, list[str]]] = [
-            defaultdict(list) for _ in range(num_tables)
-        ]
         self._pending: list[_PendingSlab] = []
         #: Lazily derived buckets of all pending slabs, merged: the
         #: bulk id array and one (or no) bucket group per table;
         #: ``None`` marks the cache stale (new slabs arrived or records
         #: were removed since the last grouping).
         self._bulk: tuple[np.ndarray, list[_BulkBuckets | None]] | None = None
-        #: Ids ever inserted (either style) and ids since retired.
+        #: Ids ever inserted and ids since retired.
         self._ids_seen: set[str] = set()
         self._tombstones: set[str] = set()
         #: Lazy per-table query maps over the bulk slabs:
@@ -275,46 +259,13 @@ class BandedLSHIndex:
         self._query_maps: list[dict] | None = None
         self._query_cursor = 0
 
-    def add(
-        self,
-        record_id: str,
-        keys: Sequence[Hashable],
-        gate: GateFn = _no_gate,
-    ) -> None:
-        """Insert one record under its per-table band keys.
-
-        Parameters
-        ----------
-        record_id:
-            Identifier stored in the buckets.
-        keys:
-            One band key per table (length must equal ``num_tables``).
-        gate:
-            Semantic gate; for every table the record is inserted once
-            per suffix the gate yields.
-        """
-        if len(keys) != self.num_tables:
-            raise ValueError(
-                f"expected {self.num_tables} band keys, got {len(keys)}"
-            )
-        if record_id in self._tombstones:
-            raise KeyError(
-                f"record id {record_id!r} was removed and is retired; "
-                "re-adding it would resurrect its dead bucket entries"
-            )
-        self._ids_seen.add(record_id)
-        for table_index, key in enumerate(keys):
-            for suffix in gate(table_index, record_id):
-                self._tables[table_index][(key, suffix)].append(record_id)
-
     def add_many(
         self,
         record_ids: Sequence[str],
         key_matrix: np.ndarray,
         gate_entries: Sequence[GateEntries | None] | None = None,
     ) -> None:
-        """Bulk insertion of a whole corpus — the batch counterpart of
-        :meth:`add`.
+        """Insert a slab of records (a whole corpus, or a chunk of one).
 
         Parameters
         ----------
@@ -327,12 +278,11 @@ class BandedLSHIndex:
             ``S{8k}`` bytes; 64-bit integer keys work too).
         gate_entries:
             Optional per-table batch gates (see :data:`GateEntries`);
-            ``None`` inserts every record once per table, like the
-            per-record no-gate path.
+            ``None`` inserts every record once per table.
 
         Buckets come out of :meth:`blocks` in first-occurrence order
-        with members in insertion order — exactly what n calls to
-        :meth:`add` would have produced — at the cost of one stable
+        with members in insertion order — exactly what a
+        record-at-a-time dict loop would produce — at the cost of one
         sort per table instead of per-record dict operations.
 
         Slabs of one corpus may arrive across *multiple* calls (the
@@ -433,68 +383,6 @@ class BandedLSHIndex:
             self._tombstones.add(record_id)
         self._bulk = None
 
-    def export_entries(
-        self,
-    ) -> tuple[np.ndarray, "list[list[tuple[np.ndarray, np.ndarray, object]]]"]:
-        """Raw live bulk entries for the on-disk index exporter.
-
-        Returns ``(ids, tables)``: ``ids`` is the live record ids in
-        insertion order; ``tables`` holds, per table, a list of
-        ``(rows, keys, suffixes)`` segments in insertion order, where
-        ``rows`` are int64 indices into ``ids``, ``keys`` the
-        segment's fixed-width band keys (aligned with ``rows``) and
-        ``suffixes`` is ``None`` for ungated entries, a per-entry
-        non-negative int array for OR gates, or the scalar suffix
-        shared by the whole segment for AND-style gates. Tombstoned
-        records are dropped. Entries created through the per-record
-        :meth:`add` path (the legacy equivalence path) have no batch
-        layout and cannot be exported.
-        """
-        for table in self._tables:
-            if table:
-                raise ValueError(
-                    "per-record add() entries cannot be exported to disk; "
-                    "build the index through add_many (the batch path)"
-                )
-        slabs = self._pending
-        ids_all, bases, keep = self._bulk_ids()
-        if keep is not None:
-            live_ids = ids_all[keep]
-            live_row = np.cumsum(keep, dtype=np.int64) - 1
-        else:
-            live_ids = ids_all
-            live_row = None
-        tables: list[list[tuple[np.ndarray, np.ndarray, object]]] = []
-        for table in range(self.num_tables):
-            segments: list[tuple[np.ndarray, np.ndarray, object]] = []
-            for slab, base in zip(slabs, bases):
-                keys = slab.key_matrix[:, table]
-                gate = (
-                    None if slab.gate_entries is None
-                    else slab.gate_entries[table]
-                )
-                if gate is None:
-                    rows = np.arange(slab.ids.size, dtype=np.int64) + base
-                    suffixes: object = None
-                else:
-                    entry_rows, suffixes = gate
-                    entry_rows = np.asarray(entry_rows, dtype=np.int64)
-                    keys = keys[entry_rows]
-                    rows = entry_rows + base
-                if keep is not None:
-                    mask = keep[rows]
-                    rows = rows[mask]
-                    keys = keys[mask]
-                    if isinstance(suffixes, np.ndarray):
-                        suffixes = suffixes[mask]
-                if rows.size == 0:
-                    continue
-                if live_row is not None:
-                    rows = live_row[rows]
-                segments.append((rows, np.asarray(keys), suffixes))
-            tables.append(segments)
-        return live_ids, tables
-
     def _bulk_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(ids, bases, keep)`` of the bulk slabs.
 
@@ -527,10 +415,10 @@ class BandedLSHIndex:
         Returns the bulk id array and one bucket group (or ``None``)
         per table, whose members are rows of that array. Entries are
         ordered slab-major (call order), record-major within a slab —
-        the order ``n`` per-record :meth:`add` calls over the
-        concatenated corpus would produce — so bucket members and
-        first-occurrence emission are byte-identical to a single bulk
-        insertion of the whole corpus. Tombstoned records are dropped
+        the order a record-at-a-time loop over the concatenated corpus
+        inserts them in — so bucket members and first-occurrence
+        emission are byte-identical to a single bulk insertion of the
+        whole corpus. Tombstoned records are dropped
         here, *before* grouping: surviving entries keep their relative
         order, so partitions, member order and bucket emission order
         all match an index rebuilt from the survivors alone.
@@ -657,47 +545,20 @@ class BandedLSHIndex:
         """All buckets holding at least ``min_size`` records, as one CSR
         block list over the index's ids.
 
-        Tables come in order, each with its per-record :meth:`add`
-        buckets first, then its bulk buckets by first occurrence; bucket
-        contents preserve insertion order. A bucket from table t is
-        independent of buckets from other tables (blocks may overlap, as
-        the paper's framework intends). Bulk buckets go out as rows of
-        the bulk id array with no per-bucket Python object; the ids of
-        per-record buckets are appended to that vocabulary.
+        Tables come in order, each with its buckets by first occurrence;
+        bucket contents preserve insertion order. A bucket from table t
+        is independent of buckets from other tables (blocks may overlap,
+        as the paper's framework intends). Buckets go out as rows of the
+        insertion-order id array with no per-bucket Python object.
         """
         ids_all, merged = self._merged_bulk()
-        tombstones = self._tombstones
-        vocabulary: list[str] | None = None
-        row_of: dict[str, int] = {}
         sizes: list[np.ndarray] = []
         rows: list[np.ndarray] = []
-        for table in range(self.num_tables):
-            dict_sizes: list[int] = []
-            dict_rows: list[int] = []
-            for members in self._tables[table].values():
-                live = [m for m in members if m not in tombstones]
-                if len(live) < min_size:
-                    continue
-                if vocabulary is None:
-                    vocabulary = ids_all.tolist()
-                    row_of = {rid: row for row, rid in enumerate(vocabulary)}
-                for member in live:
-                    row = row_of.get(member)
-                    if row is None:
-                        row = row_of[member] = len(vocabulary)
-                        vocabulary.append(member)
-                    dict_rows.append(row)
-                dict_sizes.append(len(live))
-            if dict_sizes:
-                sizes.append(np.array(dict_sizes, dtype=np.int64))
-                rows.append(np.array(dict_rows, dtype=np.int64))
-            if merged[table] is not None:
-                table_sizes, table_rows = merged[table].emitted(min_size)
+        for bulk in merged:
+            if bulk is not None:
+                table_sizes, table_rows = bulk.emitted(min_size)
                 sizes.append(table_sizes)
                 rows.append(table_rows)
-        if vocabulary is not None:
-            ids_all = np.empty(len(vocabulary), dtype=object)
-            ids_all[:] = vocabulary
         offsets = np.zeros(sum(part.size for part in sizes) + 1, dtype=np.int64)
         if sizes:
             np.cumsum(np.concatenate(sizes), out=offsets[1:])
@@ -708,30 +569,17 @@ class BandedLSHIndex:
 
     def bucket_sizes(self) -> list[int]:
         """Sizes of all non-empty buckets (diagnostics)."""
-        tombstones = self._tombstones
-        if tombstones:
-            sizes = [
-                size
-                for table in self._tables
-                for members in table.values()
-                if (size := sum(m not in tombstones for m in members))
-            ]
-        else:
-            sizes = [
-                len(members)
-                for table in self._tables
-                for members in table.values()
-            ]
-        for bulk in self._merged_bulk()[1]:
-            if bulk is not None:
-                sizes.extend(bulk.sizes()[bulk.emit_order].tolist())
-        return sizes
+        return [
+            size
+            for bulk in self._merged_bulk()[1]
+            if bulk is not None
+            for size in bulk.sizes()[bulk.emit_order].tolist()
+        ]
 
     def _ensure_query_maps(self) -> list[dict]:
         """Fold any new bulk slabs into the per-table query maps.
 
-        The maps index the *bulk* entries only (the dict tables are
-        already keyed for direct lookup) by ``(band key, suffix)`` with
+        The maps index the entries by ``(band key, suffix)`` with
         members in insertion order. The fold is append-only — each slab
         is visited exactly once across the index's lifetime, so a query
         after ``add_many`` costs O(new slab entries), not O(index).
@@ -795,7 +643,9 @@ class BandedLSHIndex:
         Parameters
         ----------
         keys:
-            One band key per table, as :meth:`add` takes.
+            One band key per table, in the key convention of the
+            inserted slabs (:func:`~repro.lsh.bands.record_band_keys`
+            for :func:`~repro.lsh.bands.split_bands_matrix` slabs).
         gate:
             Optional semantic gate; for each table the query probes one
             bucket per suffix the gate yields (an empty yield skips the
@@ -811,30 +661,18 @@ class BandedLSHIndex:
             raise ValueError(
                 f"expected {self.num_tables} band keys, got {len(keys)}"
             )
-        query_maps = self._ensure_query_maps() if self._pending else None
+        if not self._pending:
+            return []
+        query_maps = self._ensure_query_maps()
         tombstones = self._tombstones
         seen: set[str] = set()
         found: list[str] = []
         for table_index, key in enumerate(keys):
-            if gate is None:
-                dict_suffixes: Sequence[Hashable] = (0,)
-                bulk_suffixes: Sequence[Hashable] = (_NO_GATE,)
-            else:
-                dict_suffixes = bulk_suffixes = gate(table_index, record_id or "")
-            table = self._tables[table_index]
-            for suffix in dict_suffixes:
-                for member in table.get((key, suffix), ()):
-                    if (
-                        member not in seen
-                        and member not in tombstones
-                        and member != record_id
-                    ):
-                        seen.add(member)
-                        found.append(member)
-            if query_maps is None:
-                continue
+            suffixes: Sequence[Hashable] = (
+                (_NO_GATE,) if gate is None else gate(table_index, record_id or "")
+            )
             bucket_map = query_maps[table_index]
-            for suffix in bulk_suffixes:
+            for suffix in suffixes:
                 for member in bucket_map.get((key, suffix), ()):
                     if (
                         member not in seen

@@ -6,26 +6,17 @@ the edges, prune weak ones, and emit the surviving edges as the new
 candidate pairs.
 """
 
-from repro.metablocking.graph import (
-    ArrayBlockingGraph,
-    BlockingGraph,
-    build_array_graph,
-    build_blocking_graph,
-)
-from repro.metablocking.weights import WEIGHT_SCHEMES, compute_weights, edge_weight
-from repro.metablocking.pruning import PRUNING_ALGORITHMS, prune, prune_array
+from repro.metablocking.graph import ArrayBlockingGraph, build_array_graph
+from repro.metablocking.weights import WEIGHT_SCHEMES, compute_weights
+from repro.metablocking.pruning import PRUNING_ALGORITHMS, prune_array
 from repro.metablocking.pipeline import run_metablocking
 
 __all__ = [
     "ArrayBlockingGraph",
-    "BlockingGraph",
     "build_array_graph",
-    "build_blocking_graph",
     "WEIGHT_SCHEMES",
-    "edge_weight",
     "compute_weights",
     "PRUNING_ALGORITHMS",
-    "prune",
     "prune_array",
     "run_metablocking",
 ]

@@ -1,13 +1,11 @@
 """The blocking graph: records as nodes, co-occurrence as edges.
 
-Two representations coexist:
-
-* :class:`BlockingGraph` — the original dict-of-edges form, kept as the
-  legacy/reference path;
-* :class:`ArrayBlockingGraph` — the candidate-pair engine's form
-  (DESIGN.md, "Candidate-pair engine"): edges as sorted ``uint64`` pair
-  keys over the result's local id codec, per-edge co-occurrence
-  statistics as flat arrays, and a CSR record→block incidence matrix.
+:class:`ArrayBlockingGraph` is the candidate-pair engine's form
+(DESIGN.md, "Candidate-pair engine"): edges as sorted ``uint64`` pair
+keys over the result's local id codec, per-edge co-occurrence
+statistics as flat arrays, and a CSR record→block incidence matrix.
+Its dict-of-edges oracle is :class:`repro.reference.metablocking.
+BlockingGraph`.
 """
 
 from __future__ import annotations
@@ -18,60 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.base import BlockingResult
-from repro.records.ground_truth import Pair, sorted_pair
 from repro.records.pairs import (
     PAIR_SHIFT,
     decode_pair_keys,
     enumerate_csr_pairs,
     sorted_unique_keys,
 )
-
-
-@dataclass(frozen=True)
-class BlockingGraph:
-    """Weighted blocking graph derived from a block collection.
-
-    Attributes
-    ----------
-    edges:
-        Pair -> weight.
-    block_ids_of:
-        Record id -> set of block indices containing it.
-    num_blocks:
-        Number of blocks in the source collection.
-    block_sizes:
-        Size of each source block (for ARCS).
-    """
-
-    edges: dict[Pair, float]
-    block_ids_of: dict[str, frozenset[int]]
-    num_blocks: int
-    block_sizes: tuple[int, ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.block_ids_of)
-
-    @cached_property
-    def degrees(self) -> dict[str, int]:
-        """Incident-edge count per node, derived once from the edges."""
-        counts: dict[str, int] = dict.fromkeys(self.block_ids_of, 0)
-        for a, b in self.edges:
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
-        return counts
-
-    def degree(self, record_id: str) -> int:
-        """Number of graph edges incident to the record."""
-        return self.degrees.get(record_id, 0)
-
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        """Node -> [(neighbour, weight)] (built on demand)."""
-        adj: dict[str, list[tuple[str, float]]] = {}
-        for (a, b), weight in self.edges.items():
-            adj.setdefault(a, []).append((b, weight))
-            adj.setdefault(b, []).append((a, weight))
-        return adj
 
 
 @dataclass(frozen=True)
@@ -145,7 +95,7 @@ def build_array_graph(result: BlockingResult) -> ArrayBlockingGraph:
     list, the common-block counts (CBS) and — accumulating the per-block
     reciprocal-comparison contributions per edge — ARCS. ARCS
     contributions are ordered by ascending block index inside each edge
-    segment, reproducing the legacy sum bit for bit.
+    segment, reproducing the reference sum bit for bit.
     """
     arrays = result.local_arrays
     num_blocks = len(result.blocks)
@@ -191,7 +141,7 @@ def build_array_graph(result: BlockingResult) -> ArrayBlockingGraph:
         contributions = np.zeros(num_blocks, dtype=np.float64)
         np.divide(1.0, comparisons, out=contributions, where=comparisons > 0)
         # np.add.at accumulates strictly in element order (ascending
-        # block index within each edge here), reproducing the legacy
+        # block index within each edge here), reproducing the reference
         # sequential sum bit for bit — reduceat's pairwise summation
         # rounds differently.
         arcs = np.zeros(edge_keys.size, dtype=np.float64)
@@ -218,53 +168,5 @@ def build_array_graph(result: BlockingResult) -> ArrayBlockingGraph:
         member_block=member_block,
         member_record=member_record,
         num_blocks=num_blocks,
-        block_sizes=block_sizes,
-    )
-
-
-def build_blocking_graph(result: BlockingResult, scheme: str) -> BlockingGraph:
-    """Construct the legacy weighted graph for one weighting scheme.
-
-    Edge weights are computed by :func:`repro.metablocking.weights.edge_weight`
-    from the co-occurrence statistics gathered here. Kept as the
-    per-pair reference path; the array engine is
-    :func:`build_array_graph` + ``compute_weights``.
-    """
-    from repro.metablocking.weights import edge_weight
-
-    block_ids_of: dict[str, set[int]] = {}
-    for index, block in enumerate(result.blocks):
-        for record_id in set(block):
-            block_ids_of.setdefault(record_id, set()).add(index)
-
-    frozen = {rid: frozenset(ids) for rid, ids in block_ids_of.items()}
-    block_sizes = tuple(len(b) for b in result.blocks)
-
-    # Degrees (|v_i| for EJS) need the distinct-neighbour counts first.
-    neighbour_sets: dict[str, set[str]] = {}
-    for pair in result.distinct_pairs:
-        a, b = pair
-        neighbour_sets.setdefault(a, set()).add(b)
-        neighbour_sets.setdefault(b, set()).add(a)
-    degrees = {rid: len(ns) for rid, ns in neighbour_sets.items()}
-    total_edges = len(result.distinct_pairs)
-
-    edges: dict[Pair, float] = {}
-    for pair in result.distinct_pairs:
-        a, b = pair
-        edges[sorted_pair(a, b)] = edge_weight(
-            scheme,
-            blocks_a=frozen[a],
-            blocks_b=frozen[b],
-            num_blocks=len(result.blocks),
-            block_sizes=block_sizes,
-            degree_a=degrees[a],
-            degree_b=degrees[b],
-            total_edges=total_edges,
-        )
-    return BlockingGraph(
-        edges=edges,
-        block_ids_of=frozen,
-        num_blocks=len(result.blocks),
         block_sizes=block_sizes,
     )

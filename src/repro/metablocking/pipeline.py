@@ -3,42 +3,27 @@
 from __future__ import annotations
 
 from repro.core.base import BlockingResult
-from repro.errors import ConfigurationError
-from repro.metablocking.graph import build_array_graph, build_blocking_graph
-from repro.metablocking.pruning import prune, prune_array
+from repro.metablocking.graph import build_array_graph
+from repro.metablocking.pruning import prune_array
 from repro.metablocking.weights import compute_weights
 from repro.records.pairs import pairs_from_keys
 
 
 def run_metablocking(
-    result: BlockingResult,
-    scheme: str,
-    algorithm: str,
-    *,
-    engine: str = "array",
+    result: BlockingResult, scheme: str, algorithm: str
 ) -> BlockingResult:
     """Restructure a block collection with meta-blocking.
 
     The output's blocks are the surviving record pairs (size-2 blocks),
     the standard form for evaluating meta-blocking with PC / PQ* / FM*
-    (Fig. 12). The default ``array`` engine runs the whole graph-weight-
-    prune pipeline on the candidate-pair arrays; ``engine="legacy"``
-    keeps the original dict-walking path as the reference.
+    (Fig. 12). The whole graph-weight-prune pipeline runs on the
+    candidate-pair arrays.
     """
-    if engine == "array":
-        graph = build_array_graph(result)
-        weights = compute_weights(graph, scheme)
-        keys = prune_array(graph, weights, algorithm)
-        # Keys are sorted and the vocabulary is sorted, so the decoded
-        # pairs land in the legacy sorted() order.
-        surviving = pairs_from_keys(keys, graph.ids)
-    elif engine == "legacy":
-        legacy_graph = build_blocking_graph(result, scheme)
-        surviving = sorted(prune(legacy_graph, algorithm))
-    else:
-        raise ConfigurationError(
-            f"unknown meta-blocking engine {engine!r}; known: array, legacy"
-        )
+    graph = build_array_graph(result)
+    keys = prune_array(graph, compute_weights(graph, scheme), algorithm)
+    # Keys are sorted and the vocabulary is sorted, so the decoded pairs
+    # land in sorted() order.
+    surviving = pairs_from_keys(keys, graph.ids)
     return BlockingResult(
         blocker_name=f"{result.blocker_name}+{algorithm}/{scheme}",
         blocks=tuple(surviving),
@@ -46,7 +31,7 @@ def run_metablocking(
             "source": result.blocker_name,
             "scheme": scheme,
             "algorithm": algorithm,
-            "engine": engine,
+            "engine": "array",
             "input_blocks": result.num_blocks,
         },
     )

@@ -9,107 +9,38 @@
 * CNP — Cardinality Node Pruning: per node, keep its k heaviest edges,
   k = max(1, floor(Σ_b |b| / |V|)); union over nodes.
 
-:func:`prune` walks the legacy dict graph; :func:`prune_array` applies
-the same policies to an :class:`ArrayBlockingGraph` edge list with
-vectorized thresholding (WEP), one global lexsort (CEP), and per-node
-segment partitioning of the doubled directed edge list (WNP/CNP). Ties
-break identically to the legacy heaps: by weight, then by pair key /
-neighbour index — and index order over the sorted local vocabulary *is*
-lexicographic id order.
+:func:`prune_array` applies them to an :class:`ArrayBlockingGraph`
+edge list with vectorized thresholding (WEP), one global lexsort (CEP),
+and per-node segment partitioning of the doubled directed edge list
+(WNP/CNP). Ties break identically to the heaps of the dict-graph
+reference (:func:`repro.reference.metablocking.prune`): by weight, then
+by pair key / neighbour index — and index order over the sorted local
+vocabulary *is* lexicographic id order.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.metablocking.graph import ArrayBlockingGraph, BlockingGraph
-from repro.records.ground_truth import Pair, sorted_pair
+from repro.metablocking.graph import ArrayBlockingGraph
 
-#: Pruning algorithm names accepted by :func:`prune`.
+#: Pruning algorithm names accepted by :func:`prune_array`.
 PRUNING_ALGORITHMS = ("WEP", "CEP", "WNP", "CNP")
 
 
-def _mean_threshold(weights) -> float:
+def _mean_threshold(mean: float) -> float:
     """Mean with a relative tolerance.
 
     Summation error can push the computed mean infinitesimally above
     every element when all weights are equal (e.g. a single block under
     ARCS); without the tolerance such graphs would prune *every* edge.
     """
-    weights = list(weights)
-    mean = sum(weights) / len(weights)
-    return mean - 1e-12 * max(1.0, abs(mean))
-
-
-def _wep(graph: BlockingGraph) -> set[Pair]:
-    if not graph.edges:
-        return set()
-    threshold = _mean_threshold(graph.edges.values())
-    return {pair for pair, weight in graph.edges.items() if weight >= threshold}
-
-
-def _cep(graph: BlockingGraph) -> set[Pair]:
-    if not graph.edges:
-        return set()
-    budget = sum(graph.block_sizes) // 2
-    budget = max(1, min(budget, len(graph.edges)))
-    heaviest = heapq.nlargest(
-        budget, graph.edges.items(), key=lambda item: (item[1], item[0])
-    )
-    return {pair for pair, _ in heaviest}
-
-
-def _wnp(graph: BlockingGraph) -> set[Pair]:
-    kept: set[Pair] = set()
-    for node, neighbours in graph.adjacency().items():
-        if not neighbours:
-            continue
-        threshold = _mean_threshold(w for _, w in neighbours)
-        for other, weight in neighbours:
-            if weight >= threshold:
-                kept.add(sorted_pair(node, other))
-    return kept
-
-
-def _cnp(graph: BlockingGraph) -> set[Pair]:
-    if graph.num_nodes == 0:
-        return set()
-    k = max(1, sum(graph.block_sizes) // graph.num_nodes)
-    kept: set[Pair] = set()
-    for node, neighbours in graph.adjacency().items():
-        top = heapq.nlargest(k, neighbours, key=lambda item: (item[1], item[0]))
-        for other, _ in top:
-            kept.add(sorted_pair(node, other))
-    return kept
-
-
-def prune(graph: BlockingGraph, algorithm: str) -> set[Pair]:
-    """Apply one pruning algorithm; returns the surviving pairs."""
-    if algorithm == "WEP":
-        return _wep(graph)
-    if algorithm == "CEP":
-        return _cep(graph)
-    if algorithm == "WNP":
-        return _wnp(graph)
-    if algorithm == "CNP":
-        return _cnp(graph)
-    raise ConfigurationError(
-        f"unknown pruning algorithm {algorithm!r}; known: {PRUNING_ALGORITHMS}"
-    )
-
-
-# -- array engine -------------------------------------------------------------
-
-
-def _mean_threshold_scalar(mean: float) -> float:
     return mean - 1e-12 * max(1.0, abs(mean))
 
 
 def _wep_array(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
-    threshold = _mean_threshold_scalar(float(weights.mean()))
+    threshold = _mean_threshold(float(weights.mean()))
     return graph.edge_keys[weights >= threshold]
 
 

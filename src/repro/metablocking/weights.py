@@ -7,82 +7,28 @@
 * ARCS — Aggregate Reciprocal Comparisons: Σ_{b ∈ B_i ∩ B_j} 1/||b||,
   with ||b|| the comparisons in block b.
 
-:func:`edge_weight` scores one edge (the legacy per-pair path);
 :func:`compute_weights` scores an :class:`ArrayBlockingGraph`'s whole
-edge list at once. The array path evaluates the per-record ``log``
-factors of ECBS/EJS with ``math.log`` (one call per record, not per
-edge) so its weights are bitwise identical to the legacy path, then
-combines them as whole-array expressions over the edge list.
+edge list at once. It evaluates the per-record ``log`` factors of
+ECBS/EJS with ``math.log`` (one call per record, not per edge) so its
+weights are bitwise identical to the per-edge reference
+(:func:`repro.reference.metablocking.edge_weight`), then combines them
+as whole-array expressions over the edge list.
 """
 
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.metablocking.graph import ArrayBlockingGraph
 
-#: Scheme names accepted by :func:`edge_weight` / :func:`compute_weights`.
+#: Scheme names accepted by :func:`compute_weights`.
 WEIGHT_SCHEMES = ("ARCS", "CBS", "ECBS", "JS", "EJS")
 
 
-def edge_weight(
-    scheme: str,
-    *,
-    blocks_a: AbstractSet[int],
-    blocks_b: AbstractSet[int],
-    num_blocks: int,
-    block_sizes: Sequence[int],
-    degree_a: int,
-    degree_b: int,
-    total_edges: int,
-) -> float:
-    """Weight of the edge between two records under one scheme."""
-    common = blocks_a & blocks_b
-    cbs = float(len(common))
-
-    if scheme == "CBS":
-        return cbs
-    if scheme == "ECBS":
-        if not blocks_a or not blocks_b:
-            return 0.0
-        return (
-            cbs
-            * math.log(num_blocks / len(blocks_a))
-            * math.log(num_blocks / len(blocks_b))
-        )
-    if scheme == "JS":
-        union = len(blocks_a) + len(blocks_b) - len(common)
-        return cbs / union if union else 0.0
-    if scheme == "EJS":
-        union = len(blocks_a) + len(blocks_b) - len(common)
-        js = cbs / union if union else 0.0
-        if degree_a == 0 or degree_b == 0 or total_edges == 0:
-            return 0.0
-        # Guard log of values < 1 when a node touches every edge.
-        factor_a = math.log(max(total_edges / degree_a, 1.0))
-        factor_b = math.log(max(total_edges / degree_b, 1.0))
-        return js * factor_a * factor_b
-    if scheme == "ARCS":
-        # Ascending block order, matching the array engine's reduceat,
-        # so both paths accumulate in the same float order.
-        weight = 0.0
-        for block_index in sorted(common):
-            size = block_sizes[block_index]
-            comparisons = size * (size - 1) / 2
-            if comparisons > 0:
-                weight += 1.0 / comparisons
-        return weight
-    raise ConfigurationError(
-        f"unknown weighting scheme {scheme!r}; known: {WEIGHT_SCHEMES}"
-    )
-
-
 def _log_table(values: np.ndarray, transform) -> np.ndarray:
-    """Per-record ``math.log`` factors (bit-compatible with the legacy path)."""
+    """Per-record ``math.log`` factors (bit-compatible with the reference)."""
     return np.fromiter(
         (transform(v) for v in values.tolist()),
         dtype=np.float64,

@@ -244,7 +244,15 @@ def write_pairs_csv(pairs: Iterable[Pair], path: str | Path) -> None:
 
 
 def read_pairs_csv(path: str | Path) -> set[Pair]:
-    """Read candidate pairs written by :func:`write_pairs_csv`."""
+    """Read candidate pairs written by :func:`write_pairs_csv`.
+
+    Raises
+    ------
+    DatasetError
+        If the header lacks ``id1``/``id2``, or a row has a missing or
+        empty id, more cells than the header, or malformed CSV; the
+        message names the offending source line.
+    """
     pairs: set[Pair] = set()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -252,6 +260,30 @@ def read_pairs_csv(path: str | Path) -> set[Pair]:
             reader.fieldnames
         ):
             raise DatasetError(f"CSV {path} is not a pairs file")
-        for row in reader:
+        rows = iter(reader)
+        while True:
+            try:
+                row = next(rows)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                # line_num still counts only the rows read before the
+                # failing one.
+                raise DatasetError(
+                    f"CSV {path} line {reader.line_num + 1}: malformed row "
+                    f"({exc})"
+                ) from exc
+            if None in row:
+                raise DatasetError(
+                    f"CSV {path} line {reader.line_num}: row has "
+                    f"{len(reader.fieldnames) + len(row[None])} cells, the "
+                    f"header {len(reader.fieldnames)}"
+                )
+            for column in ("id1", "id2"):
+                if not (row[column] or "").strip():
+                    raise DatasetError(
+                        f"CSV {path} line {reader.line_num}: row has no "
+                        f"{column!r} value"
+                    )
             pairs.add((row["id1"], row["id2"]))
     return pairs

@@ -1,12 +1,8 @@
-"""Durable resolver state: on-disk indexes, WAL, checkpoints.
+"""Durable resolver state: WAL and checkpoints.
 
 The serving stack's escape from "state dies with the process"
 (DESIGN.md, "Durability & crash recovery"):
 
-* :mod:`repro.store.index_file` — ``write_index``/``open_index``
-  persist a banded index as sorted band-key runs in memory-mapped
-  ``.npy`` segments; queries binary-search the mapping straight from
-  disk.
 * :mod:`repro.store.journal` — a length+CRC-framed write-ahead log for
   online mutations; replay truncates at the first torn frame.
 * :mod:`repro.store.checkpoint` — atomic snapshot/restore of a
@@ -21,7 +17,6 @@ from repro.store.checkpoint import (
     sweep_orphan_tmp,
     write_checkpoint,
 )
-from repro.store.index_file import DiskBandIndex, open_index, write_index
 from repro.store.journal import (
     JOURNAL_NAME,
     Journal,
@@ -30,14 +25,11 @@ from repro.store.journal import (
 
 __all__ = [
     "CheckpointData",
-    "DiskBandIndex",
     "JOURNAL_NAME",
     "Journal",
     "latest_checkpoint",
     "load_checkpoint",
-    "open_index",
     "read_journal",
     "sweep_orphan_tmp",
     "write_checkpoint",
-    "write_index",
 ]

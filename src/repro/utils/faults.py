@@ -37,14 +37,10 @@ Injection points
     publish rename; firing SIGKILLs the process with the snapshot still
     under its ``*.tmp-<pid>`` name (recovery must fall back to the
     previous checkpoint + journal).
-``index.write``
-    Consulted by :func:`~repro.store.index_file.write_index` between
-    segment files; firing SIGKILLs the process mid-write, leaving a
-    partial index directory that ``open_index`` must reject.
 
-The three ``wal.append``/``checkpoint.rename``/``index.write`` points
-are *crash* points: instead of raising they kill the process with
-SIGKILL (via :func:`kill_self`), which is what the kill−9 recovery
+The two ``wal.append``/``checkpoint.rename`` points are *crash*
+points: instead of raising they kill the process with SIGKILL (via
+:func:`kill_self`), which is what the kill−9 recovery
 harness in ``tests/test_durability.py`` drives through subprocesses
 armed with :func:`arm_from_env`.
 
@@ -81,11 +77,10 @@ POINTS = (
     "spill.write_error",
     "wal.append",
     "checkpoint.rename",
-    "index.write",
 )
 
 #: Points whose firing kills the process (SIGKILL) instead of raising.
-CRASH_POINTS = ("wal.append", "checkpoint.rename", "index.write")
+CRASH_POINTS = ("wal.append", "checkpoint.rename")
 
 #: Environment variable :func:`arm_from_env` reads, e.g.
 #: ``REPRO_FAULTS="wal.append:@2"`` (fire consultation index 2) or

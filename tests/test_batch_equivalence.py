@@ -1,5 +1,6 @@
 """Batch-engine equivalence: the corpus-level vectorized signature path
-must be byte-identical to the legacy per-record path.
+must be byte-identical to the per-record reference path
+(:mod:`repro.reference.blocking`).
 
 Covers every layer of the batch engine (see DESIGN.md, "Batch signature
 engine"): shingled corpora, minhash signature matrices (including the
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LSHBlocker, SALSHBlocker
+from repro.core.base import make_blocks
 from repro.core.lsh_variants import (
     LSHForestBlocker,
     MultiProbeLSHBlocker,
@@ -32,6 +34,7 @@ from repro.minhash.minhash import (
 )
 from repro.minhash.signature import open_signature_memmap
 from repro.records import Dataset, Record
+from repro.reference import banded_buckets, per_record_blocks
 from repro.semantic import (
     SemhashEncoder,
     VoterSemanticFunction,
@@ -402,14 +405,18 @@ class TestGroupedIndices:
         signatures = hasher.signature_matrix(corpus)
         k, l = 3, 4
 
-        looped = BandedLSHIndex(l)
-        for row, rid in enumerate(corpus.record_ids):
-            looped.add(rid, split_bands(signatures[row], k, l))
+        looped = banded_buckets(
+            l,
+            (
+                (rid, split_bands(signatures[row], k, l), None)
+                for row, rid in enumerate(corpus.record_ids)
+            ),
+        )
         bulk = BandedLSHIndex(l)
         bulk.add_many(corpus.record_ids, split_bands_matrix(signatures, k, l))
 
-        assert looped.blocks() == bulk.blocks()
-        assert looped.bucket_sizes() == bulk.bucket_sizes()
+        assert make_blocks(looped) == bulk.blocks()
+        assert [len(bucket) for bucket in looped] == bulk.bucket_sizes()
 
     def test_add_many_shape_validation(self):
         index = BandedLSHIndex(2)
@@ -503,12 +510,11 @@ class TestBlockerEquivalence:
         datasets = {"cora": cora_small, "voter": voter_small}
         for dataset_name, make in _blocker_grid(VoterSemanticFunction()):
             dataset = datasets[dataset_name]
-            batch = make(batch=True).block(dataset)
-            legacy = make(batch=False).block(dataset)
+            batch = make().block(dataset)
+            legacy = per_record_blocks(make(), dataset)
             label = f"{batch.blocker_name} on {dataset_name}"
-            assert batch.blocks == legacy.blocks, label
+            assert batch.blocks == legacy, label
             assert batch.metadata["engine"] == "batch"
-            assert legacy.metadata["engine"] == "per-record"
 
     def test_blockers_handle_all_empty_records(self):
         dataset = Dataset(
@@ -519,8 +525,8 @@ class TestBlockerEquivalence:
             lambda **kw: MultiProbeLSHBlocker(("title",), q=2, k=2, l=3, seed=0, **kw),
             lambda **kw: LSHForestBlocker(("title",), q=2, k=2, l=3, seed=0, **kw),
         ):
-            batch = make(batch=True).block(dataset)
-            legacy = make(batch=False).block(dataset)
-            assert batch.blocks == legacy.blocks
+            batch = make().block(dataset)
+            legacy = per_record_blocks(make(), dataset)
+            assert batch.blocks == legacy
             # All-empty records share the sentinel signature -> one block.
             assert all(len(block) == 4 for block in batch.blocks)

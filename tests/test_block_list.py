@@ -26,6 +26,7 @@ from repro.evaluation.metrics import evaluate_blocks, evaluate_linkage
 from repro.metablocking import run_metablocking
 from repro.records import Dataset, LinkedCorpus
 from repro.records.blocks import BlockList
+from repro.reference import per_record_blocks
 from repro.semantic import (
     PatternSemanticFunction,
     SemhashEncoder,
@@ -130,10 +131,9 @@ def _cora_lsh(**kw):
 def _per_record(make, records, encoder=None):
     """The reference engine's blocks over ``records`` in this order."""
     dataset = Dataset(records, name="reference")
-    blocker = make(batch=False)
     if encoder is None:
-        return blocker.block(dataset).blocks
-    return make_blocks(blocker._block_per_record(dataset, encoder))
+        return per_record_blocks(make(), dataset)
+    return per_record_blocks(make(), dataset, encoder=encoder)
 
 
 @pytest.mark.parametrize("make", [_cora_lsh, _cora_salsh], ids=["lsh", "salsh"])

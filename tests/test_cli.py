@@ -182,6 +182,20 @@ class TestEvaluateAndResolve:
         assert "matched pairs" in out
         assert "P=" in out
 
+    @pytest.mark.parametrize(
+        "bad_row", ["v0", "v0,v1,v2"], ids=["one-id", "three-cells"]
+    )
+    def test_evaluate_malformed_pairs_row_exits_2_with_line(
+        self, generated_csv, tmp_path, capsys, bad_row
+    ):
+        pairs_path = tmp_path / "pairs.csv"
+        pairs_path.write_text(f"id1,id2\nv0,v1\n{bad_row}\n")
+        assert main([
+            "evaluate", "--input", str(generated_csv), "--pairs", str(pairs_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{pairs_path} line 3:" in err
+
 
 @pytest.fixture()
 def linked_csvs(generated_csv, tmp_path):

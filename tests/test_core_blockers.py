@@ -8,6 +8,7 @@ from repro.datasets import fig1_dataset, fig1_semantic_function
 from repro.errors import ConfigurationError
 from repro.evaluation import evaluate_blocks
 from repro.records import Dataset, Record
+from repro.reference import record_block_ids
 
 
 class TestBlockingResult:
@@ -27,7 +28,7 @@ class TestBlockingResult:
 
     def test_record_block_ids(self):
         result = BlockingResult("x", (("a", "b"), ("b", "c")))
-        assignment = result.record_block_ids()
+        assignment = record_block_ids(result)
         assert assignment["b"] == [0, 1]
         assert assignment["a"] == [0]
 

@@ -1,4 +1,4 @@
-"""Crash-safe resolver state: WAL, checkpoints, disk index, kill −9.
+"""Crash-safe resolver state: WAL, checkpoints, kill −9.
 
 The durability contract (DESIGN.md, "Durability & crash recovery"):
 
@@ -10,9 +10,9 @@ The durability contract (DESIGN.md, "Durability & crash recovery"):
   acknowledged survivors, for all four online blockers;
 * a batch ``add_many`` is atomic across a crash: all of it or none of
   it, never a partial batch;
-* torn journal frames, partial checkpoints and partial index
-  directories are detected and either truncated (the WAL tail) or
-  rejected with a typed error — never served.
+* torn journal frames and partial checkpoints are detected and either
+  truncated (the WAL tail) or rejected with a typed error — never
+  served.
 
 The kill −9 matrix drives ``durability_driver.py`` in a subprocess
 armed via ``REPRO_FAULTS``; driver and oracle share the same schedule
@@ -31,25 +31,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durability_driver import apply_op, load_corpus, make_blocker, plan
-from repro.core import LSHBlocker, MultiProbeLSHBlocker, SALSHBlocker
+from repro.core import LSHBlocker
 from repro.datasets import fig1_dataset, fig1_semantic_function
 from repro.er import Resolver, SimilarityMatcher
 from repro.errors import (
     ConfigurationError,
     DatasetError,
     DurabilityError,
-    SlabTransportError,
 )
 from repro.records import Record
 from repro.store import (
     Journal,
     latest_checkpoint,
     load_checkpoint,
-    open_index,
     read_journal,
     sweep_orphan_tmp,
     write_checkpoint,
-    write_index,
 )
 from repro.store.checkpoint import CURRENT_NAME, TMP_MARKER
 from repro.store.journal import journal_path
@@ -220,101 +217,6 @@ class TestCheckpoint:
         assert not orphan.exists()      # dead pid: swept
         assert live.exists()            # own (live) pid: kept
         assert foreign.exists()         # unparsable pid: kept
-
-
-# ------------------------------------------------------------- disk index
-
-
-class TestDiskIndex:
-    def _equivalent(self, tmp_path, blocker, records, *, encoder=None):
-        online = (
-            blocker.online(records, encoder=encoder)
-            if encoder is not None else blocker.online(records)
-        )
-        target = tmp_path / "index"
-        write_index(target, online, metadata={"note": "test"})
-        disk = open_index(target)
-        assert disk.num_records == len(records)
-        assert disk.metadata == {"note": "test"}
-        assert disk.blocks() == online.blocks()
-        for record in records:
-            expected = online.query(record)
-            got = disk.query(
-                record, blocker,
-                encoder=getattr(online, "encoder", None),
-            )
-            assert got == expected, record.record_id
-        return disk
-
-    def test_lsh_round_trip_fig1(self, tmp_path, fig1):
-        self._equivalent(tmp_path, _fig1_blocker(), list(fig1))
-
-    def test_lsh_round_trip_after_mutations(self, tmp_path, fig1):
-        records = list(fig1)
-        blocker = _fig1_blocker()
-        online = blocker.online(records[:4])
-        online.add_many(records[4:])
-        online.remove(records[1].record_id)
-        target = tmp_path / "index"
-        write_index(target, online)
-        disk = open_index(target)
-        assert disk.blocks() == online.blocks()
-        assert disk.num_records == len(records) - 1
-        for record in records:
-            assert disk.query(record, blocker) == online.query(record)
-
-    def test_salsh_round_trip_fig1(self, tmp_path, fig1, fig1_sf):
-        blocker = SALSHBlocker(
-            ("title", "authors"), q=3, k=2, l=3, seed=1,
-            semantic_function=fig1_sf, w="all", mode="or",
-        )
-        self._equivalent(tmp_path, blocker, list(fig1))
-
-    def test_lsh_round_trip_cora(self, tmp_path, cora_small):
-        blocker = LSHBlocker(("authors", "title"), q=3, k=3, l=6, seed=3)
-        self._equivalent(tmp_path, blocker, list(cora_small))
-
-    def test_existing_path_refused(self, tmp_path, fig1):
-        online = _fig1_blocker().online(list(fig1))
-        target = tmp_path / "index"
-        write_index(target, online)
-        with pytest.raises(DurabilityError):
-            write_index(target, online)
-
-    def test_variant_index_not_persistable(self, tmp_path, fig1):
-        blocker = MultiProbeLSHBlocker(
-            ("title", "authors"), q=3, k=2, l=3, seed=1
-        )
-        with pytest.raises(ConfigurationError):
-            write_index(tmp_path / "index", blocker.online(list(fig1)))
-
-    def test_segment_corruption_rejected(self, tmp_path, fig1):
-        online = _fig1_blocker().online(list(fig1))
-        target = tmp_path / "index"
-        write_index(target, online)
-        segment = target / "table-001.members.npy"
-        data = bytearray(segment.read_bytes())
-        data[140] ^= 0xFF
-        segment.write_bytes(bytes(data))
-        with pytest.raises(SlabTransportError):
-            open_index(target)
-
-    def test_missing_manifest_rejected(self, tmp_path, fig1):
-        online = _fig1_blocker().online(list(fig1))
-        target = tmp_path / "index"
-        write_index(target, online)
-        (target / "INDEX.json").unlink()
-        with pytest.raises(DurabilityError):
-            open_index(target)
-
-    def test_resized_segment_rejected(self, tmp_path, fig1):
-        online = _fig1_blocker().online(list(fig1))
-        target = tmp_path / "index"
-        write_index(target, online)
-        with open(target / "ids.npy", "ab") as handle:
-            handle.write(b"\0" * 8)
-        with pytest.raises(DurabilityError):
-            open_index(target)
 
 
 # ------------------------------------------------- resolver save/open
@@ -556,44 +458,6 @@ def test_kill9_before_first_checkpoint(tmp_path):
     with pytest.raises(DurabilityError):
         Resolver.open(state)
     assert not [n for n in os.listdir(state) if TMP_MARKER in n]
-
-
-@pytest.mark.parametrize("kind", ["lsh", "salsh"])
-def test_kill9_during_write_index(kind, tmp_path):
-    """kill −9 between index segment writes leaves only tmp wreckage:
-    the target never appears, open_index refuses it, and a later
-    write to the same parent sweeps the orphan and succeeds."""
-    script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "from durability_driver import load_corpus, make_blocker; "
-        "from repro.store import write_index; "
-        "from repro.utils import faults; faults.arm_from_env(); "
-        "records = load_corpus('fig1'); "
-        f"online = make_blocker('{kind}', 'fig1').online(records); "
-        "write_index(sys.argv[2], online)"
-    )
-    target = tmp_path / "index"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC
-    env["REPRO_FAULTS"] = "index.write:@1"
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(Path(_DRIVER).parent),
-         str(target)],
-        capture_output=True, text=True, env=env, timeout=180,
-    )
-    assert result.returncode == -9, result.stderr
-    assert not target.exists()
-    with pytest.raises(DurabilityError):
-        open_index(target)
-    orphans = [n for n in os.listdir(tmp_path) if TMP_MARKER in n]
-    assert orphans, "the killed writer should leave its tmp directory"
-    # a healthy writer sweeps the dead writer's wreckage and publishes
-    records = load_corpus("fig1")
-    online = make_blocker(kind, "fig1").online(records)
-    write_index(target, online)
-    assert not [n for n in os.listdir(tmp_path) if TMP_MARKER in n]
-    disk = open_index(target)
-    assert disk.blocks() == online.blocks()
 
 
 # ------------------------------------------------------------------ CLI

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.er import (
-    SimilarityMatcher,
-    connected_components,
-    evaluate_resolution,
-    resolve,
-)
+from repro.er import SimilarityMatcher, evaluate_resolution, resolve
 from repro.errors import ConfigurationError
 from repro.records import Dataset, Record
+from repro.reference import connected_components
 
 
 def dataset():

@@ -118,7 +118,7 @@ def _reference_query(blocker, online, probe):
         def gate(table, _record_id):
             return gates.gate_suffixes(table, semhash)
 
-    return online.banded_index.query_keys(keys, gate, record_id=probe.record_id)
+    return online._index.query_keys(keys, gate, record_id=probe.record_id)
 
 
 def _check_equivalent(blocker, online, inserted, removed, probes):
@@ -374,7 +374,6 @@ class TestDerivedEntryPoints:
         blocker = _blocker(kind, "cora")
         results = {
             "batch": blocker.block(cora_small),
-            "per-record": _blocker(kind, "cora", batch=False).block(cora_small),
             "sharded": _blocker(kind, "cora", processes=2).block(cora_small),
             "streaming": _stream(blocker, [records], records),
             "linkage-online": blocker.block_pair(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core import (
     BipartiteBlockingResult,
     LSHBlocker,
@@ -235,7 +236,7 @@ class TestBlockPair:
         blocker = _blocker(kind, "fig1", fig1_sf)
         result = blocker.block_pair(linked)
         assert set(result.cross_pairs) == _oracle_cross_pairs(blocker, linked)
-        assert result.cross_pairs == result.cross_pairs_legacy()
+        assert result.cross_pairs == reference.cross_pairs(result)
 
     def test_cora_equals_oracle_across_runtimes(self, cora_small, kind):
         linked = _split(cora_small, seed=9, name="cora")
@@ -262,7 +263,7 @@ class TestBlockPair:
         linked = _split(cora_small, seed=9, name="cora")
         result = _blocker(kind, "cora").block_pair(linked)
         fast = evaluate_linkage(result)
-        slow = evaluate_linkage(result, engine="legacy")
+        slow = reference.evaluate_linkage(result)
         assert fast == slow
         assert 0.0 <= fast.pc <= 1.0 and 0.0 <= fast.rr <= 1.0
 

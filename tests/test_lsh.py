@@ -66,38 +66,44 @@ class TestBands:
         assert band_keys(signature, 2, 3) == band_keys(signature.copy(), 2, 3)
 
 
+def _keys(*rows: list[int]) -> np.ndarray:
+    """A key matrix with one row of integer band keys per record."""
+    return np.array(rows, dtype=np.int64)
+
+
+def _rows(*rows: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64)
+
+
 class TestBandedLSHIndex:
     def test_records_with_same_keys_share_block(self):
         index = BandedLSHIndex(2)
-        index.add("a", ["k1", "k2"])
-        index.add("b", ["k1", "x"])
+        index.add_many(["a", "b"], _keys([1, 2], [1, 9]))
         blocks = index.blocks()
         assert ("a", "b") in blocks
 
     def test_min_size_filters_singletons(self):
         index = BandedLSHIndex(1)
-        index.add("a", ["k1"])
-        index.add("b", ["k2"])
+        index.add_many(["a", "b"], _keys([1], [2]))
         assert index.blocks() == []
 
     def test_gate_excludes_records(self):
         index = BandedLSHIndex(1)
-        index.add("a", ["k"], gate=lambda t, r: ("s",))
-        index.add("b", ["k"], gate=lambda t, r: ())  # excluded
-        index.add("c", ["k"], gate=lambda t, r: ("s",))
+        # "b" has no gate entry: excluded from the table.
+        index.add_many(["a", "b", "c"], _keys([7], [7], [7]), [(_rows(0, 2), "s")])
         assert index.blocks() == [("a", "c")]
 
     def test_gate_multiple_suffixes_or_semantics(self):
         index = BandedLSHIndex(1)
-        index.add("a", ["k"], gate=lambda t, r: (0, 1))
-        index.add("b", ["k"], gate=lambda t, r: (1, 2))
+        gate = (_rows(0, 0, 1, 1), np.array([0, 1, 1, 2]))
+        index.add_many(["a", "b"], _keys([7], [7]), [gate])
         blocks = index.blocks()
         assert ("a", "b") in blocks  # met in suffix 1
 
     def test_wrong_number_of_keys(self):
         index = BandedLSHIndex(2)
         with pytest.raises(ValueError):
-            index.add("a", ["only-one"])
+            index.add_many(["a"], _keys([1]))
 
     def test_invalid_table_count(self):
         with pytest.raises(ValueError):
@@ -105,9 +111,7 @@ class TestBandedLSHIndex:
 
     def test_bucket_sizes(self):
         index = BandedLSHIndex(1)
-        index.add("a", ["k"])
-        index.add("b", ["k"])
-        index.add("c", ["other"])
+        index.add_many(["a", "b", "c"], _keys([7], [7], [8]))
         assert sorted(index.bucket_sizes()) == [1, 2]
 
 

@@ -7,15 +7,9 @@ import pytest
 from repro.core.base import BlockingResult
 from repro.errors import ConfigurationError
 from repro.evaluation import evaluate_blocks
-from repro.metablocking import (
-    PRUNING_ALGORITHMS,
-    WEIGHT_SCHEMES,
-    build_blocking_graph,
-    edge_weight,
-    prune,
-    run_metablocking,
-)
+from repro.metablocking import PRUNING_ALGORITHMS, WEIGHT_SCHEMES, run_metablocking
 from repro.records import Dataset, Record
+from repro.reference import build_blocking_graph, edge_weight, prune
 
 
 def blocks_fixture():

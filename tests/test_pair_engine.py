@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.core import LSHBlocker
 from repro.core.base import BlockingResult
 from repro.datasets import CoraLikeGenerator, NCVoterLikeGenerator, fig1_dataset
@@ -24,9 +25,7 @@ from repro.metablocking import (
     PRUNING_ALGORITHMS,
     WEIGHT_SCHEMES,
     build_array_graph,
-    build_blocking_graph,
     compute_weights,
-    prune,
     prune_array,
     run_metablocking,
 )
@@ -39,6 +38,7 @@ from repro.records.pairs import (
     pairs_from_keys,
     unique_pair_keys,
 )
+from repro.reference import build_blocking_graph, prune
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +146,11 @@ class TestDatasetCodec:
 class TestPairEnumeration:
     def test_distinct_pairs_match_legacy(self, corpora):
         for _, result in corpora:
-            assert result.distinct_pairs == result.distinct_pairs_legacy()
+            assert result.distinct_pairs == reference.distinct_pairs(result)
 
     def test_edge_results_match_legacy(self):
         for result in EDGE_RESULTS:
-            assert result.distinct_pairs == result.distinct_pairs_legacy()
+            assert result.distinct_pairs == reference.distinct_pairs(result)
 
     def test_pair_keys_decode_to_distinct_pairs(self, corpora):
         for dataset, result in corpora:
@@ -178,7 +178,7 @@ class TestMetricsEquivalence:
     def test_metrics_identical(self, corpora):
         for dataset, result in corpora:
             array_metrics = evaluate_blocks(result, dataset)
-            legacy_metrics = evaluate_blocks(result, dataset, engine="legacy")
+            legacy_metrics = reference.evaluate_blocks(result, dataset)
             assert array_metrics == legacy_metrics
 
     def test_unknown_record_is_evaluation_error(self, voter_slice):
@@ -186,18 +186,12 @@ class TestMetricsEquivalence:
         with pytest.raises(EvaluationError):
             evaluate_blocks(bad, voter_slice)
         with pytest.raises(EvaluationError):
-            evaluate_blocks(bad, voter_slice, engine="legacy")
-
-    def test_unknown_engine(self, voter_slice):
-        with pytest.raises(EvaluationError):
-            evaluate_blocks(
-                BlockingResult("x", ()), voter_slice, engine="quantum"
-            )
+            reference.evaluate_blocks(bad, voter_slice)
 
     def test_objective_matches_legacy_sets(self, corpora):
         for dataset, result in corpora:
             value = blocking_objective(result, dataset, epsilon=0.2)
-            candidates = result.distinct_pairs_legacy()
+            candidates = reference.distinct_pairs(result)
             tp = len(candidates & dataset.true_matches)
             expected_share = (
                 (len(candidates) - tp) / len(candidates) if candidates else 0.0
@@ -244,8 +238,8 @@ class TestMetaBlockingEquivalence:
             for scheme in ("CBS", "ARCS"):
                 for algorithm in PRUNING_ALGORITHMS:
                     array_run = run_metablocking(result, scheme, algorithm)
-                    legacy_run = run_metablocking(
-                        result, scheme, algorithm, engine="legacy"
+                    legacy_run = reference.run_metablocking(
+                        result, scheme, algorithm
                     )
                     assert array_run.blocks == legacy_run.blocks
                     assert array_run.metadata["engine"] == "array"
@@ -264,7 +258,7 @@ class TestMetaBlockingEquivalence:
     def test_incidence_csr_matches_record_block_ids(self, corpora):
         for _, result in corpora:
             graph = build_array_graph(result)
-            legacy_assignment = result.record_block_ids()
+            legacy_assignment = reference.record_block_ids(result)
             for position, rid in enumerate(graph.ids):
                 start = graph.record_block_offsets[position]
                 stop = graph.record_block_offsets[position + 1]
@@ -302,8 +296,8 @@ class TestBatchMatcher:
             match_threshold=0.8,
             possible_threshold=0.5,
         )
-        assert matcher.match_pairs(cora_slice, pairs) == matcher.match_pairs(
-            cora_slice, pairs, batch=False
+        assert matcher.match_pairs(cora_slice, pairs) == reference.match_pairs(
+            matcher, cora_slice, pairs
         )
 
     def test_matches_identical(self, voter_slice):
@@ -316,7 +310,7 @@ class TestBatchMatcher:
         batch_matches = matcher.matches(voter_slice, pairs)
         legacy_matches = {
             d.pair
-            for d in matcher.match_pairs(voter_slice, pairs, batch=False)
+            for d in reference.match_pairs(matcher, voter_slice, pairs)
             if d.label == "match"
         }
         assert batch_matches == legacy_matches

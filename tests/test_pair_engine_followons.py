@@ -9,15 +9,12 @@ import random
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.baselines import QGramBlocker
-from repro.er import (
-    component_labels,
-    connected_components,
-    connected_components_arrays,
-    resolve,
-)
+from repro.er import component_labels, connected_components_arrays, resolve
 from repro.errors import ConfigurationError
 from repro.records.pairs import encode_pair_keys
+from repro.reference import connected_components
 
 
 class TestArrayConnectedComponents:
@@ -29,8 +26,8 @@ class TestArrayConnectedComponents:
                 tuple(rng.sample(ids, 2))
                 for _ in range(rng.randrange(0, 400))
             ]
-            assert resolve(voter_small, pairs) == resolve(
-                voter_small, pairs, engine="legacy"
+            assert resolve(voter_small, pairs) == reference.resolve(
+                voter_small, pairs
             )
 
     def test_chain_graph(self, voter_small):
@@ -38,7 +35,7 @@ class TestArrayConnectedComponents:
         ids = voter_small.record_ids
         chain = [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
         clusters = resolve(voter_small, chain)
-        assert clusters == resolve(voter_small, chain, engine="legacy")
+        assert clusters == reference.resolve(voter_small, chain)
         assert len(clusters) == 1
 
     def test_empty_pairs_all_singletons(self, fig1):
@@ -63,10 +60,6 @@ class TestArrayConnectedComponents:
         clusters = connected_components_arrays(ids, keys)
         assert clusters == connected_components(ids, [("r3", "r1"), ("r2", "r0")])
 
-    def test_bad_engine_rejected(self, fig1):
-        with pytest.raises(ConfigurationError):
-            resolve(fig1, [], engine="mystery")
-
 
 class TestQGramFrontier:
     @pytest.mark.parametrize("threshold", [0.5, 0.7, 0.8, 0.9, 1.0])
@@ -78,12 +71,16 @@ class TestQGramFrontier:
             grams = tuple(
                 rng.choice(grams_pool) for _ in range(rng.randrange(1, 9))
             )
-            assert blocker._sublists(grams) == blocker._sublists_legacy(grams)
+            assert blocker._sublists(grams) == reference.qgram_sublists(
+                blocker, grams
+            )
 
     def test_blocks_match_legacy_engine(self, voter_small):
         new = QGramBlocker(("first_name",), q=2, threshold=0.8).block(voter_small)
         legacy_blocker = QGramBlocker(("first_name",), q=2, threshold=0.8)
-        legacy_blocker._sublists = legacy_blocker._sublists_legacy
+        legacy_blocker._sublists = lambda grams: reference.qgram_sublists(
+            legacy_blocker, grams
+        )
         legacy = legacy_blocker.block(voter_small)
         # Bucket emission order depends on set iteration; the block
         # *collection* (and hence every candidate pair) must agree.

@@ -17,13 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.base import BlockingResult
 from repro.evaluation import evaluate_blocks
-from repro.metablocking import (
-    PRUNING_ALGORITHMS,
-    WEIGHT_SCHEMES,
-    build_blocking_graph,
-    prune,
-)
+from repro.metablocking import PRUNING_ALGORITHMS, WEIGHT_SCHEMES
 from repro.records import Dataset, Record
+from repro.reference import build_blocking_graph, prune
 
 # -- strategies ---------------------------------------------------------------
 

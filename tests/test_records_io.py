@@ -85,3 +85,23 @@ class TestPairsCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(DatasetError):
             read_pairs_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad_row, problem",
+        [
+            ("c", "no 'id2' value"),
+            ("c,", "no 'id2' value"),
+            (",d", "no 'id1' value"),
+            ("c,d,e", "3 cells"),
+            ("c," + "x" * 200_000, "malformed row"),
+        ],
+        ids=[
+            "missing-id2", "empty-id2", "empty-id1", "extra-cell",
+            "oversized-cell",
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, bad_row, problem):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"id1,id2\na,b\n{bad_row}\n")
+        with pytest.raises(DatasetError, match=f"line 3: .*{problem}"):
+            read_pairs_csv(path)
