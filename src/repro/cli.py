@@ -60,6 +60,7 @@ from repro.records import (
     write_csv,
     write_pairs_csv,
 )
+from repro.records.io import csv_rows
 from repro.core.base import BlockingResult
 from repro.semantic import (
     PatternSemanticFunction,
@@ -207,17 +208,7 @@ def _read_ops_csv(path: str) -> list[tuple[str, Record]]:
                 f"ops CSV {path} needs 'op' and 'record_id' columns; "
                 f"found {reader.fieldnames}"
             )
-        rows = iter(reader)
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                raise ReproError(
-                    f"ops CSV {path} line {reader.line_num}: malformed "
-                    f"row ({exc})"
-                ) from exc
+        for row in csv_rows(reader, f"ops CSV {path}", ReproError):
             op = (row.get("op") or "").strip().lower()
             if op not in _SERVE_OPS:
                 raise ReproError(

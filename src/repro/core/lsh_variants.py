@@ -68,15 +68,21 @@ class _MinHasherWithRunnerUp(MinHasher):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batch minima and runner-ups for a whole corpus.
 
-        Works like :meth:`MinHasher.signature_matrix` (vocabulary-level
-        hashing + ``reduceat`` minima over the CSR token stream, in the
-        layout :meth:`MinHasher.gathered_blocks` picks for the stream
-        length), then recovers each segment's runner-up by masking the
+        Vocabulary-level hashing + ``reduceat`` minima over the
+        corpus's record-level CSR token stream, in the layout
+        :meth:`MinHasher.gathered_blocks` picks for the stream length;
+        then each segment's runner-up is recovered by masking the
         *first* occurrence of the minimum with the sentinel and reducing
         again — duplicated minima therefore survive as their own
         runner-up, byte-identical to the per-record sort. Like the plain
         signature matrix, the hash functions run as a serial loop over
         blocks capped at ``chunk_elements`` values.
+
+        Unlike the plain signature, the runner-up does not follow from
+        per-value rows: a merge of per-value top-2s would have to drop a
+        gram two values share, and it cannot tell that from two grams
+        with equal hash values, whose tie must survive. So this kernel
+        reads the record-level CSR the corpus derives from its values.
         """
         n = corpus.num_records
         sentinel = np.uint64(MERSENNE_PRIME_61)

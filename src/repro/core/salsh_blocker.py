@@ -258,8 +258,8 @@ class SALSHBlocker(LSHFamilyBlocker):
         One process-pool pass shingles, minhashes *and* interprets each
         record slab; the parent derives the semhash bit set from the
         shipped ζ sets (a union — order-independent, so identical to
-        the serial encoder), encodes each slab's semhash rows with the
-        vectorized scatter, and feeds the slabs to one online index.
+        the serial encoder), encodes each slab's semhash rows once per
+        distinct ζ, and feeds the slabs to one online index.
         Cross-slab bucket merging plus band-sharded grouping make the
         blocks byte-identical to the serial batch engine.
 

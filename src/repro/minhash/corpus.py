@@ -3,11 +3,15 @@
 A :class:`ShingledCorpus` is the output of one pass of
 :meth:`repro.minhash.shingling.Shingler.shingle_corpus` over a dataset:
 the shingle *vocabulary* is interned (each distinct q-gram hashed
-exactly once) and every record's shingle set is stored as a slice of a
-single concatenated token array — a CSR-style layout that downstream
-batch kernels (:meth:`repro.minhash.minhash.MinHasher.signature_matrix`)
-reduce with ``np.minimum.reduceat`` instead of n per-record broadcasts.
-See DESIGN.md, "Batch signature engine".
+exactly once), each distinct attribute value of the slab is tokenised
+once into a CSR of vocabulary indices, and every record is a row of an
+``(n, A)`` code matrix pointing at its values. A record's shingle set
+is the union of its values' q-grams, so the batch kernel
+(:meth:`repro.minhash.minhash.MinHasher.signature_matrix`) hashes each
+distinct value once and takes a record's signature as the element-wise
+minimum of its value rows. The record-level CSR (``indptr`` and
+``token_vocab``) is derived on first read for the readers that need
+shingle sets as such. See DESIGN.md, "Corpus layout".
 
 For streaming ingestion, a :class:`ShingleVocabulary` carries the
 interned vocabulary *across* shingling calls: successive record slabs
@@ -32,9 +36,9 @@ from repro.errors import ConfigurationError
 from repro.utils.cache import LRUCache
 from repro.utils.hashing import MERSENNE_PRIME_61, stable_hash
 
-#: Default capacity of the per-value / per-value-tuple memo caches of a
-#: :class:`ShingleVocabulary`. The caches only save recomputation —
-#: capping them bounds the memory of long-running streaming ingestion
+#: Default capacity of the per-value memo cache of a
+#: :class:`ShingleVocabulary`. The cache only saves recomputation —
+#: capping it bounds the memory of long-running streaming ingestion
 #: without affecting results.
 DEFAULT_VALUE_CACHE_SIZE = 65_536
 
@@ -52,12 +56,11 @@ class ShingleVocabulary:
     for token-level work; minhash signatures are hash-based and do not
     depend on it).
 
-    The vocabulary also owns the two memo caches used by
+    The vocabulary also owns the memo cache used by
     :meth:`repro.minhash.shingling.Shingler.shingle_corpus` — token ids
-    per attribute value and per value *tuple*. Both are LRU-capped
-    (``max_cached_values``) so unbounded streams of distinct values
-    cannot leak memory; an eviction merely costs re-tokenising that
-    value if it reappears.
+    per attribute value. It is LRU-capped (``max_cached_values``) so
+    unbounded streams of distinct values cannot leak memory; an
+    eviction merely costs re-tokenising that value if it reappears.
 
     A vocabulary is bound to the configuration of the first
     :class:`~repro.minhash.shingling.Shingler` that uses it; reusing it
@@ -66,8 +69,7 @@ class ShingleVocabulary:
     would silently be wrong otherwise).
     """
 
-    __slots__ = ("_index", "_hashes", "_snapshot", "_config",
-                 "value_tokens", "row_tokens")
+    __slots__ = ("_index", "_hashes", "_snapshot", "_config", "value_tokens")
 
     def __init__(self, *, max_cached_values: int = DEFAULT_VALUE_CACHE_SIZE) -> None:
         self._index: dict[str, int] = {}
@@ -75,7 +77,6 @@ class ShingleVocabulary:
         self._snapshot: np.ndarray | None = None
         self._config: tuple[Hashable, ...] | None = None
         self.value_tokens = LRUCache(max_cached_values)
-        self.row_tokens = LRUCache(max_cached_values)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -114,34 +115,46 @@ class ShingleVocabulary:
 
 @dataclass(frozen=True)
 class ShingledCorpus:
-    """Interned shingle sets of a record collection.
+    """Interned shingle sets of a record collection, stored by value.
 
     Attributes
     ----------
     record_ids:
-        Record identifiers, one per CSR row, in dataset order.
-    indptr:
-        ``(n + 1,)`` int64 row pointers: record ``i`` owns tokens
-        ``token_vocab[indptr[i]:indptr[i + 1]]``. Empty shingle sets are
-        empty slices (the batch minhash kernel maps them to the same
-        sentinel signature as the per-record path).
-    token_vocab:
-        Concatenated per-record vocabulary indices (int64). Within a
-        record the tokens are distinct; their order is unspecified —
-        minhash minima are order-invariant.
+        Record identifiers, one per row, in dataset order.
+    value_codes:
+        ``(n, A)`` int64: record ``i``'s value of the shingler's
+        attribute ``j`` is distinct value ``value_codes[i, j]``.
+    value_indptr:
+        ``(U + 1,)`` int64 row pointers of the slab's ``U`` distinct
+        values: value ``v`` owns tokens
+        ``value_tokens[value_indptr[v]:value_indptr[v + 1]]``. A value
+        without shingles (empty, or normalised to nothing) is an empty
+        slice.
+    value_tokens:
+        Concatenated per-value vocabulary indices (int64), distinct
+        within a value, in q-gram order.
     vocab_hashes:
         ``(V,)`` uint64 stable 61-bit shingle ids (already reduced
         modulo 2^61 - 1), one per distinct shingle string.
+
+    The record-level CSR — ``indptr`` and ``token_vocab``, each
+    record's shingle set with a gram two of its values share counted
+    once — is derived on first read.
     """
 
     record_ids: tuple[str, ...]
-    indptr: np.ndarray
-    token_vocab: np.ndarray
+    value_codes: np.ndarray
+    value_indptr: np.ndarray
+    value_tokens: np.ndarray
     vocab_hashes: np.ndarray
 
     @property
     def num_records(self) -> int:
         return len(self.record_ids)
+
+    @property
+    def num_values(self) -> int:
+        return int(self.value_indptr.shape[0]) - 1
 
     @property
     def num_tokens(self) -> int:
@@ -153,8 +166,53 @@ class ShingledCorpus:
 
     @cached_property
     def row_index(self) -> dict[str, int]:
-        """Record id -> CSR row."""
+        """Record id -> row."""
         return {rid: i for i, rid in enumerate(self.record_ids)}
+
+    @cached_property
+    def _record_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, token_vocab)``: each record's values' tokens in
+        attribute order, a token already seen in the record dropped."""
+        n, num_attributes = self.value_codes.shape
+        codes = self.value_codes.reshape(-1)
+        lengths = np.diff(self.value_indptr)[codes]
+        total = int(lengths.sum())
+        # Concatenate the value slices of every (record, attribute) in
+        # row-major order: stream position t of a slice starting at
+        # stream offset o reads value_tokens[value_indptr[code] + t - o].
+        offsets = np.cumsum(lengths) - lengths
+        positions = np.arange(total, dtype=np.int64) + np.repeat(
+            self.value_indptr[codes] - offsets, lengths
+        )
+        tokens = self.value_tokens[positions]
+        record_lengths = lengths.reshape(n, num_attributes).sum(axis=1)
+        if num_attributes > 1 and total:
+            # Values are distinct within themselves, so a repeat can
+            # only come from a second value of the same record: keep
+            # the first occurrence of each (record, token).
+            owner = np.repeat(np.arange(n, dtype=np.int64), record_lengths)
+            _, first = np.unique(
+                owner * (self.vocab_size + 1) + tokens, return_index=True
+            )
+            keep = np.zeros(total, dtype=bool)
+            keep[first] = True
+            tokens = tokens[keep]
+            record_lengths = np.bincount(owner[keep], minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(record_lengths, out=indptr[1:])
+        return indptr, tokens
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """``(n + 1,)`` int64 row pointers of the record-level CSR:
+        record ``i`` owns ``token_vocab[indptr[i]:indptr[i + 1]]``."""
+        return self._record_csr[0]
+
+    @property
+    def token_vocab(self) -> np.ndarray:
+        """Concatenated per-record vocabulary indices (int64), distinct
+        within a record, in the order its values' grams first appear."""
+        return self._record_csr[1]
 
     @cached_property
     def counts(self) -> np.ndarray:

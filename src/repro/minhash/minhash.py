@@ -147,21 +147,28 @@ class MinHasher:
         Evaluates the universal hash family over the interned shingle
         *vocabulary* once (each distinct shingle hashed ``num_hashes``
         times total, however many records contain it), gathers the
-        values along the corpus's CSR token stream, and reduces
-        per-record minima with ``np.minimum.reduceat``. The work runs
-        as a serial loop over blocks of hash functions laid out by
-        :meth:`gathered_blocks` — one multi-function chunk on short
-        token streams, one function at a time on long ones — so no
+        values along the corpus's CSR of distinct attribute values, and
+        reduces per-value minima with ``np.minimum.reduceat``. A
+        record's shingle set is the union of its values' shingles, so
+        its signature is the element-wise minimum of its value rows;
+        an empty value's row is the sentinel p, which never wins a
+        minimum, and a record whose values are all empty keeps it.
+
+        The value pass runs as a serial loop over blocks of hash
+        functions laid out by :meth:`gathered_blocks` — one
+        multi-function chunk on short token streams, one function at a
+        time on long ones — and the record pass over row blocks, so no
         intermediate exceeds ``chunk_elements`` values (see DESIGN.md,
         "Vocabulary-level minhash and `reduceat`"); each block writes a
-        disjoint column slice, so neither the layout nor the block size
+        disjoint slice, so neither the layout nor the block size
         changes a byte of the result.
 
         Parameters
         ----------
         chunk_elements:
             Working-set cap per block (uint64 values gathered along a
-            short stream, or hashed over the vocabulary for a long one).
+            short stream, hashed over the vocabulary for a long one, or
+            gathered per record block).
         out:
             Optional preallocated ``(num_records, num_hashes)`` uint64
             buffer, e.g. a memory-mapped ``.npy`` slice from
@@ -176,22 +183,43 @@ class MinHasher:
         out = ensure_signature_out(out, n, self.num_hashes)
         if n == 0:
             return out
-        if corpus.num_tokens == 0:
+        if corpus.value_tokens.size == 0:
             out[:] = np.uint64(MERSENNE_PRIME_61)
             return out
+        values = self._value_signatures(corpus, chunk_elements)
+        codes = corpus.value_codes
+        rows = self.rows_per_chunk(self.num_hashes * codes.shape[1], chunk_elements)
+        for lo, hi in chunk_spans(n, rows):
+            block = out[lo:hi]
+            # Codes index value rows by construction: "clip" only drops
+            # the bounds check that makes take() buffer its output.
+            np.take(values, codes[lo:hi, 0], axis=0, out=block, mode="clip")
+            for column in range(1, codes.shape[1]):
+                np.minimum(
+                    block, np.take(values, codes[lo:hi, column], axis=0), out=block
+                )
+        return out
 
-        tokens_ext, starts, empty_rows = sentinel_stream(corpus)
+    def _value_signatures(
+        self, corpus: ShingledCorpus, chunk_elements: int = _CHUNK_ELEMENTS
+    ) -> np.ndarray:
+        """``(num_values, num_hashes)`` signatures of the corpus's
+        distinct values; an empty value's row is the sentinel p."""
+        indptr = corpus.value_indptr
+        tokens_ext = np.concatenate([corpus.value_tokens, [corpus.vocab_size]])
+        starts = indptr[:-1]
+        empty_values = indptr[1:] == starts
         vocab_hashes, tokens_ext = compact_vocabulary(corpus, tokens_ext)
-
+        values = np.empty((corpus.num_values, self.num_hashes), dtype=np.uint64)
         for lo, hi, parts in self.gathered_blocks(
             vocab_hashes, tokens_ext, chunk_elements
         ):
             minima = np.vstack(
                 [np.minimum.reduceat(g, starts, axis=-1) for g in parts]
             )
-            minima[:, empty_rows] = MERSENNE_PRIME_61
-            out[:, lo:hi] = minima.T
-        return out
+            minima[:, empty_values] = MERSENNE_PRIME_61
+            values[:, lo:hi] = minima.T
+        return values
 
     def rows_per_chunk(self, width: int, chunk_elements: int) -> int:
         """Hash functions per chunk keeping ``rows × width`` under the cap."""

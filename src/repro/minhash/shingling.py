@@ -8,8 +8,8 @@ so minhash can work on numeric arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -83,10 +83,13 @@ class Shingler:
         """One-pass corpus shingling with an interned vocabulary.
 
         Each distinct shingle string across the whole corpus is
-        SHA-1-hashed exactly once; records are stored as CSR rows of
-        vocabulary indices. This is the entry point of the batch
-        signature engine (see DESIGN.md): downstream kernels evaluate
-        hash families over the vocabulary instead of per record.
+        SHA-1-hashed exactly once, and each distinct attribute value
+        of the slab is tokenised once: records are stored as rows of
+        value codes into a CSR of the slab's distinct values (see
+        :class:`~repro.minhash.corpus.ShingledCorpus`). This is the
+        entry point of the batch signature engine (see DESIGN.md):
+        downstream kernels evaluate hash families over the vocabulary
+        and the values instead of per record.
 
         Parameters
         ----------
@@ -106,55 +109,58 @@ class Shingler:
         """
         vocab = ShingleVocabulary() if vocabulary is None else vocabulary
         vocab.bind_config((self.attributes, self.q, self.padded))
-        indptr: list[int] = [0]
-        tokens: list[int] = []
         record_ids: list[str] = []
-
-        def intern_value(attribute: str, value: str) -> list[int]:
-            """Token ids of one attribute value's shingles."""
-            grams: Iterable[str]
-            normalized = normalize(value)
-            if not normalized:
-                grams = ()
-            elif self.q is None:
-                grams = (f"{attribute}={normalized}",)
-            else:
-                grams = qgrams(normalized, self.q, padded=self.padded)
-            return [vocab.intern(gram) for gram in grams]
-
-        # Shingle sets depend only on the attribute values, which repeat
-        # heavily in real corpora (duplicate entities, small name
-        # pools): memoize token ids per value — and per value *tuple* —
-        # so repeated records skip normalization, q-gram extraction and
-        # interning entirely. The memos live on the vocabulary and are
-        # LRU-capped, so streaming ingestion cannot leak through them.
-        by_value = vocab.value_tokens
-        by_values = vocab.row_tokens
+        codes: list[int] = []
+        # (attribute, value) of each distinct value, in order of first
+        # sight over records and then attributes: interning the values
+        # in this order gives every gram the vocabulary index a
+        # record-by-record pass would.
+        values: list[tuple[str, str]] = []
+        seen = [(attribute, {}) for attribute in self.attributes]
         for record in records:
             record_ids.append(record.record_id)
-            values = tuple(record.get(attribute) for attribute in self.attributes)
-            row_tokens = by_values.get(values)
-            if row_tokens is None:
-                merged: list[int] = []
-                for attribute, value in zip(self.attributes, values):
-                    key = (attribute, value)
-                    value_tokens = by_value.get(key)
-                    if value_tokens is None:
-                        value_tokens = intern_value(attribute, value)
-                        by_value[key] = value_tokens
-                    merged.extend(value_tokens)
-                # A record's shingles form a set: q-grams repeated
-                # within a value or shared across attributes count once.
-                row_tokens = list(dict.fromkeys(merged))
-                by_values[values] = row_tokens
-            tokens.extend(row_tokens)
-            indptr.append(len(tokens))
+            for attribute, codes_of in seen:
+                value = record.get(attribute)
+                code = codes_of.get(value)
+                if code is None:
+                    code = codes_of[value] = len(values)
+                    values.append((attribute, value))
+                codes.append(code)
+
+        # Token ids per value are memoised on the vocabulary (LRU-capped),
+        # so a value seen in an earlier slab skips normalisation, q-gram
+        # extraction and interning.
+        memo = vocab.value_tokens
+        value_indptr = [0]
+        tokens: list[int] = []
+        for key in values:
+            value_tokens = memo.get(key)
+            if value_tokens is None:
+                value_tokens = memo[key] = self._value_tokens(vocab, *key)
+            tokens.extend(value_tokens)
+            value_indptr.append(len(tokens))
         return ShingledCorpus(
             record_ids=tuple(record_ids),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            token_vocab=np.asarray(tokens, dtype=np.int64),
+            value_codes=np.asarray(codes, dtype=np.int64).reshape(
+                len(record_ids), len(self.attributes)
+            ),
+            value_indptr=np.asarray(value_indptr, dtype=np.int64),
+            value_tokens=np.asarray(tokens, dtype=np.int64),
             vocab_hashes=vocab.hashes(),
         )
+
+    def _value_tokens(
+        self, vocab: ShingleVocabulary, attribute: str, value: str
+    ) -> list[int]:
+        """Distinct token ids of one attribute value's shingles, in
+        q-gram order (a gram repeated within the value counts once)."""
+        normalized = normalize(value)
+        if not normalized:
+            return []
+        if self.q is None:
+            return [vocab.intern(f"{attribute}={normalized}")]
+        grams = qgrams(normalized, self.q, padded=self.padded)
+        return [vocab.intern(gram) for gram in dict.fromkeys(grams)]
 
     def jaccard(self, record1: Record, record2: Record) -> float:
         """Exact Jaccard similarity of two records' shingle sets.

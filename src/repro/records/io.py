@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.errors import DatasetError
 from repro.records.dataset import Dataset, LinkedCorpus
@@ -24,6 +24,31 @@ ENTITY_COLUMN = "entity_id"
 #: inferred from filenames — so one file can hold both sides and a
 #: mislabelled row fails loudly with its line number.
 DATASET_COLUMN = "dataset_id"
+
+
+def csv_rows(
+    reader: csv.DictReader,
+    source: str,
+    error: type[Exception] = DatasetError,
+) -> Iterator[dict]:
+    """The rows of ``reader``; a :class:`csv.Error` raises ``error``.
+
+    The message reads ``"{source} line N: malformed row (...)"``, where
+    N is the line the failing row starts on: a ``DictReader`` advances
+    its ``line_num`` only once a row parses, so at the error it still
+    names the last line of the row before.
+    """
+    rows = iter(reader)
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise error(
+                f"{source} line {reader.line_num + 1}: malformed row ({exc})"
+            ) from exc
+        yield row
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
@@ -66,17 +91,7 @@ def read_csv(
         has_entity = (
             entity_column is not None and entity_column in reader.fieldnames
         )
-        rows = iter(reader)
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                raise DatasetError(
-                    f"CSV {path} line {reader.line_num}: malformed row "
-                    f"({exc})"
-                ) from exc
+        for row in csv_rows(reader, f"CSV {path}"):
             record_id = (row.get(id_column) or "").strip()
             if not record_id:
                 raise DatasetError(
@@ -157,17 +172,7 @@ def read_linked_csv(
         has_entity = (
             entity_column is not None and entity_column in fieldnames
         )
-        rows = iter(reader)
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                raise DatasetError(
-                    f"CSV {path} line {reader.line_num}: malformed row "
-                    f"({exc})"
-                ) from exc
+        for row in csv_rows(reader, f"CSV {path}"):
             record_id = (row.get(id_column) or "").strip()
             if not record_id:
                 raise DatasetError(
@@ -260,19 +265,7 @@ def read_pairs_csv(path: str | Path) -> set[Pair]:
             reader.fieldnames
         ):
             raise DatasetError(f"CSV {path} is not a pairs file")
-        rows = iter(reader)
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                # line_num still counts only the rows read before the
-                # failing one.
-                raise DatasetError(
-                    f"CSV {path} line {reader.line_num + 1}: malformed row "
-                    f"({exc})"
-                ) from exc
+        for row in csv_rows(reader, f"CSV {path}"):
             if None in row:
                 raise DatasetError(
                     f"CSV {path} line {reader.line_num}: row has "

@@ -25,9 +25,11 @@ from repro.core.base import LSHFamilyBlocker, make_blocks
 from repro.core.lsh_blocker import LSHBlocker
 from repro.core.lsh_variants import LSHForestBlocker, MultiProbeLSHBlocker
 from repro.core.salsh_blocker import SALSHBlocker
+from repro.errors import SemanticFunctionError
 from repro.lsh.bands import split_bands
 from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset
+from repro.semantic.interpretation import enforce_specificity
 from repro.semantic.semhash import SemhashEncoder
 
 #: One record's insertion: its id, one band key per table, and per
@@ -77,23 +79,53 @@ def salsh_blocks(
 ) -> BlockList:
     """SA-LSH (§5.2), one record at a time.
 
-    ``encoder`` is the frozen semhash encoder to gate with; by default
-    one is frozen from ``dataset``, as :meth:`SALSHBlocker.block` does.
-    An empty corpus has no concepts to freeze and yields no blocks.
+    ``encoder`` is the frozen semhash encoder whose bit set gates the
+    records; by default the bit set is the one
+    :meth:`SALSHBlocker.block` freezes from ``dataset``. An empty
+    corpus has no concepts to freeze and yields no blocks.
+
+    Nothing here runs through the encoder's or the semantic function's
+    memos: each record is interpreted afresh with
+    :func:`~repro.semantic.interpretation.enforce_specificity` over the
+    raw concepts, and its row's bits are set by a loop over the
+    concepts' leaf sets.
     """
     if not len(dataset):
         return make_blocks(())
+    semantic_function = blocker.semantic_function
+    forest = semantic_function.forest
+    zetas = [
+        enforce_specificity(forest, semantic_function._interpret_raw(record))
+        for record in dataset
+    ]
     if encoder is None:
-        encoder = SemhashEncoder(blocker.semantic_function, dataset)
-    gates = blocker._gates(encoder.num_bits)
+        leaves = set()
+        for zeta in zetas:
+            for concept_id in zeta:
+                leaves |= forest.leaf_set(concept_id)
+        if not leaves:
+            raise SemanticFunctionError(
+                "no record produced any concept; cannot build semhash bits"
+            )
+        bits = tuple(sorted(leaves))
+    else:
+        bits = encoder.bits
+    bit_of = {concept_id: bit for bit, concept_id in enumerate(bits)}
+    gates = blocker._gates(len(bits))
     k, l = blocker.k, blocker.l
 
+    def semhash_of(zeta) -> np.ndarray:
+        row = np.zeros(len(bits), dtype=np.uint8)
+        for concept_id in zeta:
+            for leaf in forest.leaf_set(concept_id):
+                if leaf in bit_of:
+                    row[bit_of[leaf]] = 1
+        return row
+
     def entries():
-        for record in dataset:
+        for record, zeta in zip(dataset, zetas):
             signature = blocker.hasher.signature(blocker.shingler.shingle_ids(record))
-            # The construction records themselves: their cached ζ is
-            # theirs, and saves a second interpretation.
-            semhash = encoder.encode_interpretation(encoder.interpretation(record))
+            semhash = semhash_of(zeta)
             suffixes = [gates.gate_suffixes(table, semhash) for table in range(l)]
             yield record.record_id, split_bands(signature, k, l), suffixes
 

@@ -19,6 +19,12 @@ from repro.errors import SemanticFunctionError
 from repro.records.record import Record
 from repro.taxonomy.forest import TaxonomyForest
 from repro.taxonomy.tree import TaxonomyTree
+from repro.utils.cache import LRUCache
+
+#: Distinct raw concept sets whose specific form
+#: :meth:`SemanticFunction.interpret` keeps. A taxonomy-driven ζ yields
+#: few of them (a voter record is one race × gender reading).
+_SPECIFIC_SETS = 4096
 
 
 def _as_forest(taxonomy: TaxonomyTree | TaxonomyForest) -> TaxonomyForest:
@@ -60,6 +66,14 @@ class SemanticFunction(ABC):
     Subclasses implement :meth:`_interpret_raw`; the public
     :meth:`interpret` applies specificity enforcement and validates the
     result against the taxonomy.
+
+    :meth:`interpret` memoises the specific set per raw concept set.
+    That is sound because the forest's concept map is fixed when the
+    forest is built and a tree never re-parents a known concept, so
+    validation and subsumption among known concepts cannot change. A
+    failed interpretation is not memoised: an unknown concept raises on
+    every call. The memo is LRU-capped and left out of pickles
+    (checkpoints and pool payloads carry the semantic function).
     """
 
     def __init__(self, taxonomy: TaxonomyTree | TaxonomyForest) -> None:
@@ -71,7 +85,20 @@ class SemanticFunction(ABC):
 
     def interpret(self, record: Record) -> frozenset[str]:
         """The interpretation ζ(record): a specific, validated concept set."""
-        return enforce_specificity(self.forest, self._interpret_raw(record))
+        raw = frozenset(self._interpret_raw(record))
+        try:
+            memo = self._specific
+        except AttributeError:
+            memo = self._specific = LRUCache(_SPECIFIC_SETS)
+        zeta = memo.get(raw)
+        if zeta is None:
+            zeta = memo[raw] = enforce_specificity(self.forest, raw)
+        return zeta
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_specific", None)
+        return state
 
 
 class CallableSemanticFunction(SemanticFunction):

@@ -24,6 +24,11 @@ import numpy as np
 from repro.errors import ConfigurationError, SemanticFunctionError
 from repro.records.record import Record
 from repro.semantic.interpretation import SemanticFunction
+from repro.utils.cache import LRUCache
+
+#: Distinct interpretations whose semhash row :meth:`SemhashEncoder.
+#: encode` and the batch encoder keep.
+_ENCODED_ROWS = 4096
 
 
 def recommended_sample_size(
@@ -183,9 +188,8 @@ class SemhashEncoder:
         self.semantic_function = semantic_function
         forest = semantic_function.forest
         bit_concepts: set[str] = set()
-        for zeta in interpretations.values():
-            for concept_id in zeta:
-                bit_concepts |= forest.leaf_set(concept_id)
+        for concept_id in set().union(*set(interpretations.values())):
+            bit_concepts |= forest.leaf_set(concept_id)
         if not bit_concepts:
             raise SemanticFunctionError(
                 "no record produced any concept; cannot build semhash bits"
@@ -268,6 +272,13 @@ class SemhashEncoder:
         self._init(semantic_function, dict(interpretations))
         return self
 
+    def __getstate__(self) -> dict:
+        # The row memo is rebuilt on demand; checkpoints pickle the
+        # encoder.
+        state = self.__dict__.copy()
+        state.pop("_rows", None)
+        return state
+
     @property
     def num_bits(self) -> int:
         return len(self.bits)
@@ -299,14 +310,15 @@ class SemhashEncoder:
         return cached
 
     def encode(self, record: Record) -> np.ndarray:
-        """The semhash signature ``G(record)`` of a probe, as uint8.
+        """The semhash signature ``G(record)`` of a probe, as read-only
+        uint8.
 
         ζ is interpreted from the record's own fields, never taken from
         the construction-time cache: a probe may carry an indexed
         record's id with other values, and the cached ζ would gate it
-        with that record's semantics.
+        with that record's semantics. The row is memoised per ζ.
         """
-        return self.encode_interpretation(self.semantic_function.interpret(record))
+        return self._row(self.semantic_function.interpret(record))
 
     def encode_interpretation(self, zeta: Iterable[str]) -> np.ndarray:
         """The semhash signature of one precomputed ζ, as uint8."""
@@ -315,12 +327,27 @@ class SemhashEncoder:
             signature[self._bits_for(concept_id)] = 1
         return signature
 
+    def _row(self, zeta: frozenset[str]) -> np.ndarray:
+        """:meth:`encode_interpretation` of ``zeta``, memoised read-only.
+
+        The memo is LRU-capped and left out of pickles.
+        """
+        try:
+            memo = self._rows
+        except AttributeError:
+            memo = self._rows = LRUCache(_ENCODED_ROWS)
+        row = memo.get(zeta)
+        if row is None:
+            row = self.encode_interpretation(zeta)
+            row.flags.writeable = False
+            memo[zeta] = row
+        return row
+
     def signature_matrix(self, records: Iterable[Record]) -> np.ndarray:
         """Stack of signatures, one row per record — the batch encoder.
 
-        Gathers every (record, concept) pair's precomputed bit-index
-        array and sets all bits with a single scatter, instead of
-        per-record per-leaf dictionary lookups.
+        Each distinct ζ among the records is encoded once; the rows
+        reach the records through one gather.
         """
         return self.matrix_from_interpretations(
             self.interpretation(record) for record in records
@@ -331,24 +358,18 @@ class SemhashEncoder:
     ) -> np.ndarray:
         """Signature stack from precomputed ζ values, one row per set.
 
-        The scatter core of :meth:`signature_matrix`, exposed so the
+        The core of :meth:`signature_matrix`, exposed so the
         process-sharded runtime can encode worker-interpreted slabs
-        without Record objects.
+        without Record objects. The ζ values are factorised: each
+        distinct one takes its memoised row (:meth:`_row`), and an
+        inverse index scatters the rows to their records.
         """
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        num_rows = 0
-        for row, zeta in enumerate(zetas):
-            num_rows += 1
-            for concept_id in zeta:
-                bits = self._bits_for(concept_id)
-                if bits.size:
-                    col_parts.append(bits)
-                    row_parts.append(np.full(bits.size, row, dtype=np.int64))
-        matrix = np.zeros((num_rows, self.num_bits), dtype=np.uint8)
-        if col_parts:
-            matrix[np.concatenate(row_parts), np.concatenate(col_parts)] = 1
-        return matrix
+        codes: dict[frozenset[str], int] = {}
+        inverse = [codes.setdefault(frozenset(zeta), len(codes)) for zeta in zetas]
+        if not inverse:
+            return np.zeros((0, self.num_bits), dtype=np.uint8)
+        rows = np.stack([self._row(zeta) for zeta in codes])
+        return rows[np.asarray(inverse, dtype=np.intp)]
 
     def packed_signature_matrix(self, records: Iterable[Record]) -> np.ndarray:
         """:meth:`signature_matrix` packed with :func:`pack_signatures`."""

@@ -159,6 +159,25 @@ class TestBlock:
         ]) == 2
 
 
+class TestServeBatch:
+    def test_oversized_ops_cell_exits_2_naming_its_line(
+        self, generated_csv, tmp_path, capsys
+    ):
+        ops = tmp_path / "ops.csv"
+        ops.write_text(
+            "op,record_id,first_name\n"
+            "add,x1,anna\n"
+            f"add,x2,{'x' * 140_000}\n"
+        )
+        assert main([
+            "serve-batch", "--input", str(generated_csv), "--ops", str(ops),
+            "--technique", "lsh", "--attributes", "first_name,last_name",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{ops} line 3: malformed row" in err
+        assert "Traceback" not in err
+
+
 class TestEvaluateAndResolve:
     def test_full_cli_pipeline(self, generated_csv, tmp_path, capsys):
         pairs_path = tmp_path / "pairs.csv"

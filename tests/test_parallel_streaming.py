@@ -205,7 +205,6 @@ class TestIncrementalShingling:
         assert np.array_equal(capped.token_vocab, reference.token_vocab)
         assert np.array_equal(capped.indptr, reference.indptr)
         assert len(tiny_cache.value_tokens) <= 2
-        assert len(tiny_cache.row_tokens) <= 2
 
 
 class TestIndexSlabMerging:

@@ -7,6 +7,7 @@ from repro.records import (
     Dataset,
     Record,
     read_csv,
+    read_linked_csv,
     read_pairs_csv,
     write_csv,
     write_pairs_csv,
@@ -22,6 +23,38 @@ def dataset():
         ],
         name="io-test",
     )
+
+
+#: A cell past the csv module's default field limit (131,072 characters).
+OVERSIZED = "x" * 140_000
+
+
+class TestOversizedCellNamesItsLine:
+    """The csv module raises on line 3; the message must say line 3."""
+
+    def test_read_csv(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"record_id,name\nr1,anna\nr2,{OVERSIZED}\n")
+        with pytest.raises(DatasetError, match="line 3: malformed row"):
+            read_csv(path)
+
+    def test_read_linked_csv(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "record_id,dataset_id,name\n"
+            "r1,left,anna\n"
+            f"r2,right,{OVERSIZED}\n"
+        )
+        with pytest.raises(DatasetError, match="line 3: malformed row"):
+            read_linked_csv(path)
+
+    def test_row_after_a_multiline_row(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f'record_id,name\nr1,"two\nlines"\nr2,{OVERSIZED}\n'
+        )
+        with pytest.raises(DatasetError, match="line 4: malformed row"):
+            read_csv(path)
 
 
 class TestDatasetCsv:
