@@ -19,10 +19,10 @@ the same NC-Voter-like corpora and reports the full matrix:
   ``city``/``zip`` columns, the degraded-schema regime a production
   linker falls back to when the name schema is unavailable.
 
-Every linkage cell doubles as an equivalence check: ``block_pair``
-with ``processes=2`` must produce byte-identical blocks to the serial
-run, and the array evaluation engine must agree with the per-block
-reference (``repro.reference.evaluate_linkage``).
+Every linkage cell doubles as an equivalence check: the array
+evaluation engine must agree with the per-block reference
+(``repro.reference.evaluate_linkage``). ``block_pair`` never maps on a
+shard pool, so the matrix runs it serially only.
 
 ``check_linkage`` gates the matrix (``main`` and the pytest wrapper
 both fail if it does not hold):
@@ -45,9 +45,7 @@ Results land in ``BENCH_linkage_matrix.json`` at the repo root.
 Environment knobs:
 
 * ``REPRO_BENCH_LINKAGE_SIZE=1000`` — corpus size per cell (default
-  4,000 at small scale, 30,000 at ``REPRO_BENCH_SCALE=paper``);
-* ``REPRO_BENCH_PROCESSES=2`` — worker processes of the sharded
-  equivalence run (default 2).
+  4,000 at small scale, 30,000 at ``REPRO_BENCH_SCALE=paper``).
 """
 
 from __future__ import annotations
@@ -95,10 +93,6 @@ def matrix_size() -> int:
     return int(os.environ.get("REPRO_BENCH_LINKAGE_SIZE", default))
 
 
-def bench_processes() -> int:
-    return int(os.environ.get("REPRO_BENCH_PROCESSES", 2))
-
-
 def _corpus(variant: str, size: int) -> Dataset:
     return NCVoterLikeGenerator(
         num_records=size, seed=SEED, **CORPUS_VARIANTS[variant]
@@ -115,11 +109,8 @@ def _split(dataset: Dataset) -> LinkedCorpus:
     )
 
 
-def _blocker(attributes, *, processes: int | None = None) -> LSHBlocker:
-    return LSHBlocker(
-        attributes, q=VOTER_Q, k=VOTER_K, l=VOTER_L, seed=SEED,
-        processes=processes,
-    )
+def _blocker(attributes) -> LSHBlocker:
+    return LSHBlocker(attributes, q=VOTER_Q, k=VOTER_K, l=VOTER_L, seed=SEED)
 
 
 def _run_cell(variant: str, key_name: str, size: int) -> dict:
@@ -146,13 +137,6 @@ def _run_cell(variant: str, key_name: str, size: int) -> dict:
     assert linkage_metrics == legacy_metrics, (
         f"{variant}/{key_name}: array and legacy linkage evaluation "
         "disagree — equivalence broken"
-    )
-    sharded = _blocker(attributes, processes=bench_processes()).block_pair(
-        linked
-    )
-    assert sharded.blocks == linkage_result.blocks, (
-        f"{variant}/{key_name}: sharded block_pair diverges from serial "
-        "— equivalence broken"
     )
 
     # The per-record floor: the slowest honest engine on the same
@@ -208,7 +192,6 @@ def run_matrix() -> dict:
         "benchmark": "linkage_matrix",
         "scale": scale(),
         "size": size,
-        "processes": bench_processes(),
         "blocker": {"q": VOTER_Q, "k": VOTER_K, "l": VOTER_L, "seed": SEED},
         "cells": cells,
     }

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""The process-sharded streaming runtime end to end.
+"""Streaming SA-LSH and the pooled signature map end to end.
 
-Walks the three PR 4 pieces on one corpus (DESIGN.md,
-"Process-sharded streaming runtime"):
+Walks three pieces on one corpus (DESIGN.md, "Process-sharded
+streaming runtime"):
 
 1. freeze a semantic encoder from a 10% training sample
    (``SemhashEncoder.fit``) and stream SA-LSH over record slabs of
@@ -11,11 +11,11 @@ Walks the three PR 4 pieces on one corpus (DESIGN.md,
 2. verify the equivalence configuration: an encoder frozen from the
    full corpus streams to blocks byte-identical to the in-memory
    batch engine;
-3. run the same blocking under ``processes=2`` and confirm the
-   process-sharded runtime reproduces the serial blocks exactly;
-4. repeat the blocking on a persistent ``ShardPool`` (PR 5): one warm
-   executor and interned record slabs across calls, blocks still
-   byte-identical.
+3. block on a caller-held ``ShardPool`` of two processes: each worker
+   shingles and minhashes one record slab, the parent does the rest,
+   and the blocks equal the serial ones exactly. A warm repeat reuses
+   the pool's executor, its interned record slabs and the memoised
+   semantic encoder.
 
 Run:  python examples/streaming_sharded.py [num_records]
 """
@@ -91,23 +91,18 @@ def main():
         assert replay.blocks == reference.blocks
         print("streamed (full fit):  identical to batch blocks")
 
-    # 3. Process sharding: identical blocks, hot loops off the GIL.
-    sharded = make_blocker(processes=2).block(dataset)
-    assert sharded.blocks == reference.blocks
-    print(f"sharded (processes=2): identical to batch blocks "
-          f"(engine={sharded.metadata['engine']})")
-
-    # 4. Persistent shard pool: the same sharded runtime, but repeated
-    #    calls reuse one warm executor and the interned record slabs.
+    # 3. A caller-held shard pool: signature slabs off the GIL, blocks
+    #    identical; the warm repeat reuses the executor, the interned
+    #    record slabs and the memoised encoder.
     with ShardPool(processes=2) as pool:
         first = make_blocker(pool=pool).block(dataset)  # forks + interns
         start = time.perf_counter()
         repeat = make_blocker(pool=pool).block(dataset)
         warm_seconds = time.perf_counter() - start
     assert first.blocks == repeat.blocks == reference.blocks
-    print(f"pooled (warm repeat):  identical to batch blocks, "
-          f"{warm_seconds:.3f}s vs {sharded.seconds:.3f}s fresh-pool")
-
+    print(f"pooled (processes=2): identical to batch blocks "
+          f"(engine={repeat.metadata['engine']}), warm repeat "
+          f"{warm_seconds:.3f}s vs {reference.seconds:.3f}s serial")
 
 if __name__ == "__main__":
     main()

@@ -92,28 +92,27 @@ def _make_blocker(args, pool: ShardPool | None = None) -> object:
     if not attributes:
         raise ReproError("--attributes must name at least one attribute")
     technique = args.technique.lower()
-    processes = args.processes or None
     if technique == "lsh":
         return LSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            processes=processes, pool=pool,
+            pool=pool,
         )
     if technique == "salsh":
         return SALSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
             semantic_function=_semantic_function(args.domain),
             w=args.w if args.w else "all", mode=args.mode,
-            processes=processes, pool=pool,
+            pool=pool,
         )
     if technique == "mplsh":
         return MultiProbeLSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            processes=processes, pool=pool,
+            pool=pool,
         )
     if technique == "forest":
         return LSHForestBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            processes=processes, pool=pool,
+            pool=pool,
         )
     for name in TECHNIQUE_ORDER:
         if technique == name.lower():
@@ -125,13 +124,12 @@ def _make_blocker(args, pool: ShardPool | None = None) -> object:
 
 
 def _pool_context(args) -> "ShardPool | contextlib.nullcontext":
-    """The --processes contract shared by every blocking command.
+    """The pool ``block --processes N`` runs on.
 
-    ``--processes N`` with N ≠ 1 (0 = all CPUs) keeps one warm
-    ShardPool alive for the whole command, built with the
-    ``--retries``/``--map-timeout`` policy, so every parallel map
-    shares one executor and one recovery ladder; ``--processes 1``
-    runs the serial engine with no pool.
+    N ≠ 1 (0 = all CPUs) opens one ShardPool for the command, built
+    with the ``--retries``/``--map-timeout`` policy, on which batch
+    blocking maps its signature slabs; ``--processes 1`` runs the
+    serial engine with no pool.
     """
     if args.processes == 1:
         return contextlib.nullcontext()
@@ -142,9 +140,9 @@ def _pool_context(args) -> "ShardPool | contextlib.nullcontext":
     )
 
 
-def _resolver_from_args(args, dataset, pool: ShardPool | None) -> Resolver:
+def _resolver_from_args(args, dataset) -> Resolver:
     """A warm :class:`Resolver` over ``dataset`` per the CLI arguments."""
-    blocker = _make_blocker(args, pool=pool)
+    blocker = _make_blocker(args)
     if getattr(blocker, "online", None) is None:
         raise ReproError(
             f"technique {args.technique!r} has no online index; "
@@ -310,57 +308,55 @@ def _linked_from_args(args) -> LinkedCorpus:
 
 def cmd_link(args) -> int:
     linked = _linked_from_args(args)
-    with _pool_context(args) as pool:
-        blocker = _make_blocker(args, pool=pool)
-        if args.resolve:
-            if getattr(blocker, "online", None) is None:
-                raise ReproError(
-                    f"technique {args.technique!r} has no online index; "
-                    "link --resolve support: lsh, salsh, mplsh, forest"
-                )
-            matcher = SimilarityMatcher(
-                {a: args.similarity for a in blocker.attributes},
-                match_threshold=args.match_threshold,
-                possible_threshold=args.possible_threshold,
+    blocker = _make_blocker(args)
+    if args.resolve:
+        if getattr(blocker, "online", None) is None:
+            raise ReproError(
+                f"technique {args.technique!r} has no online index; "
+                "link --resolve support: lsh, salsh, mplsh, forest"
             )
-            resolver = Resolver.for_linkage(blocker, linked, matcher=matcher)
-            resolved = resolver.link()
-            _emit_results(resolved, args.out)
-            if args.out:
-                tiers = {t: 0 for t in ("match", "possible", "new", "error")}
-                for entity in resolved:
-                    tiers[entity.tier] += 1
-                print(
-                    f"linked {len(linked.source)} source records against "
-                    f"{len(linked.target)} target records "
-                    f"({tiers['match']} match / {tiers['possible']} "
-                    f"possible / {tiers['new']} new / {tiers['error']} "
-                    f"error) -> {args.out}"
-                )
-            return 0
-        result = blocker.block_pair(linked)
-        pairs = sorted(result.cross_pairs)
-        if args.out:
-            write_pairs_csv(pairs, args.out)
-            destination = f" -> {args.out}"
-        else:
-            destination = ""
-        print(
-            f"{result.blocker_name}: {len(pairs)} cross-dataset candidate "
-            f"pairs from |S|={len(linked.source)} x |T|={len(linked.target)} "
-            f"in {result.seconds:.2f}s{destination}"
+        matcher = SimilarityMatcher(
+            {a: args.similarity for a in blocker.attributes},
+            match_threshold=args.match_threshold,
+            possible_threshold=args.possible_threshold,
         )
-        if linked.num_true_matches:
-            print(f"quality vs ground truth: {evaluate_linkage(result)}")
+        resolver = Resolver.for_linkage(blocker, linked, matcher=matcher)
+        resolved = resolver.link()
+        _emit_results(resolved, args.out)
+        if args.out:
+            tiers = {t: 0 for t in ("match", "possible", "new", "error")}
+            for entity in resolved:
+                tiers[entity.tier] += 1
+            print(
+                f"linked {len(linked.source)} source records against "
+                f"{len(linked.target)} target records "
+                f"({tiers['match']} match / {tiers['possible']} "
+                f"possible / {tiers['new']} new / {tiers['error']} "
+                f"error) -> {args.out}"
+            )
+        return 0
+    result = blocker.block_pair(linked)
+    pairs = sorted(result.cross_pairs)
+    if args.out:
+        write_pairs_csv(pairs, args.out)
+        destination = f" -> {args.out}"
+    else:
+        destination = ""
+    print(
+        f"{result.blocker_name}: {len(pairs)} cross-dataset candidate "
+        f"pairs from |S|={len(linked.source)} x |T|={len(linked.target)} "
+        f"in {result.seconds:.2f}s{destination}"
+    )
+    if linked.num_true_matches:
+        print(f"quality vs ground truth: {evaluate_linkage(result)}")
     return 0
 
 
 def cmd_query(args) -> int:
     corpus = read_csv(args.input)
     queries = read_csv(args.queries)
-    with _pool_context(args) as pool:
-        resolver = _resolver_from_args(args, corpus, pool)
-        resolved = resolver.resolve_many(list(queries))
+    resolver = _resolver_from_args(args, corpus)
+    resolved = resolver.resolve_many(list(queries))
     _emit_results(resolved, args.out)
     if args.out:
         tiers = {tier: 0 for tier in ("match", "possible", "new", "error")}
@@ -379,32 +375,31 @@ def cmd_serve_batch(args) -> int:
     operations = _read_ops_csv(args.ops)
     state_dir = getattr(args, "state_dir", None)
     resume = state_dir is not None and latest_checkpoint(state_dir) is not None
-    with _pool_context(args) as pool:
-        if resume:
-            # The directory already holds resolver state: recover it
-            # (checkpoint + journal tail) instead of re-seeding.
-            resolver = Resolver.open(
-                state_dir, fsync=getattr(args, "fsync", "always")
-            )
+    if resume:
+        # The directory already holds resolver state: recover it
+        # (checkpoint + journal tail) instead of re-seeding.
+        resolver = Resolver.open(
+            state_dir, fsync=getattr(args, "fsync", "always")
+        )
+    else:
+        corpus = read_csv(args.input)
+        resolver = _resolver_from_args(args, corpus)
+    resolved = []
+    for op, record in operations:
+        if op == "add":
+            resolver.add(record)
+        elif op == "remove":
+            try:
+                resolver.remove(record.record_id)
+            except KeyError:
+                raise ReproError(
+                    f"cannot remove unknown record {record.record_id!r}"
+                ) from None
         else:
-            corpus = read_csv(args.input)
-            resolver = _resolver_from_args(args, corpus, pool)
-        resolved = []
-        for op, record in operations:
-            if op == "add":
-                resolver.add(record)
-            elif op == "remove":
-                try:
-                    resolver.remove(record.record_id)
-                except KeyError:
-                    raise ReproError(
-                        f"cannot remove unknown record {record.record_id!r}"
-                    ) from None
-            else:
-                resolved.append(resolver.resolve_one(record))
-        if state_dir is not None:
-            resolver.save()  # compact: fold the journal into a checkpoint
-        resolver.close()
+            resolved.append(resolver.resolve_one(record))
+    if state_dir is not None:
+        resolver.save()  # compact: fold the journal into a checkpoint
+    resolver.close()
     _emit_results(resolved, args.out)
     if args.out:
         source = f"state dir {state_dir}" if resume else args.input
@@ -458,26 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--w", type=int, default=0,
                          help="w-way size for salsh (0 = all bits)")
         sub.add_argument("--mode", choices=("and", "or"), default="or")
-        sub.add_argument("--processes", type=int, default=1,
-                         help="worker processes for the sharded runtime: "
-                              "record slabs are shingled/minhashed in "
-                              "parallel and bucket grouping is band-sharded "
-                              "on one shard pool (warm executor + "
-                              "shared-memory slab transport) spanning the "
-                              "whole command (0 = all CPUs, default 1 = "
-                              "serial); identical blocks either way")
-        sub.add_argument("--retries", type=int, default=None,
-                         help="retry rounds after a recoverable pool "
-                              "failure (broken worker, corrupt slab, "
-                              "timeout) before the map degrades "
-                              "to serial execution; 0 disables recovery "
-                              "and surfaces typed errors (default: the "
-                              "pool's self-healing policy)")
-        sub.add_argument("--map-timeout", type=float, default=None,
-                         help="seconds each pool map attempt may run "
-                              "before hung workers are terminated and "
-                              "the unfinished payloads retried "
-                              "(default: no timeout)")
         sub.add_argument("--seed", type=int, default=0)
 
     def add_matcher_arguments(sub: argparse.ArgumentParser) -> None:
@@ -490,6 +465,24 @@ def build_parser() -> argparse.ArgumentParser:
     block = commands.add_parser("block", help="block a CSV dataset")
     block.add_argument("--input", required=True)
     add_blocker_arguments(block)
+    block.add_argument("--processes", type=int, default=1,
+                       help="worker processes of one shard pool (warm "
+                            "executor + shared-memory slab transport) "
+                            "spanning the command; each shingles/minhashes "
+                            "one record slab (0 = all CPUs, default 1 = "
+                            "serial); identical blocks either way")
+    block.add_argument("--retries", type=int, default=None,
+                       help="retry rounds after a recoverable pool "
+                            "failure (broken worker, corrupt slab, "
+                            "timeout) before the map degrades "
+                            "to serial execution; 0 disables recovery "
+                            "and surfaces typed errors (default: the "
+                            "pool's self-healing policy)")
+    block.add_argument("--map-timeout", type=float, default=None,
+                       help="seconds each pool map attempt may run "
+                            "before hung workers are terminated and "
+                            "the unfinished payloads retried "
+                            "(default: no timeout)")
     block.add_argument("--out", required=True)
     block.set_defaults(func=cmd_block)
 

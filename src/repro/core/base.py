@@ -32,7 +32,7 @@ from repro.records.pairs import (
     unique_bipartite_keys,
     unique_pair_keys,
 )
-from repro.utils.parallel import ShardPool, effective_processes
+from repro.utils.parallel import ShardPool
 
 @dataclass(frozen=True)
 class BlockArrays:
@@ -395,17 +395,20 @@ class LSHFamilyBlocker(Blocker):
 
     A subclass supplies three things: its :meth:`online` index, its
     :attr:`parameter_names` and its pool-mapped signature pass
-    (:attr:`_slab_pass`, run when ``processes``/``pool`` resolve to
-    more than one worker). The entry points are derived here once,
-    because the online index's incremental ≡ rebuild contract
-    (:class:`OnlineIndex`) makes batch, streamed and linkage blocking
-    three ways of feeding one index:
+    (:attr:`_slab_pass`, run when ``pool`` has more than one process).
+    The entry points are derived here once, because the online index's
+    incremental ≡ rebuild contract (:class:`OnlineIndex`) makes batch,
+    streamed and linkage blocking three ways of feeding one index:
 
-    * :meth:`block` — ``online(D).blocks()``; the pool path feeds the
-      same index slab by slab through its ``add_signatures``;
+    * :meth:`block` — ``online(D).blocks()``; the pooled path maps the
+      signature slabs on the pool and feeds them to the same index
+      through its ``add_signatures``;
     * :meth:`block_stream` — one index, ``add_many`` per slab;
     * :meth:`block_pair` — the target-side :meth:`linkage_index`, then
       ``add_many(source)``.
+
+    Only :meth:`block` uses the pool. Bucket grouping, streaming,
+    linkage and the online index always run in the calling process.
 
     The per-record engines of :mod:`repro.reference.blocking` are the
     anchor the derived paths are checked against
@@ -425,19 +428,13 @@ class LSHFamilyBlocker(Blocker):
         Seed for the minhash permutations.
     padded:
         Pad values before q-gram extraction.
-    processes:
-        Worker *processes* for the sharded runtime (``None`` = all
-        CPUs): record slabs are shingled/minhashed in parallel
-        processes and bucket grouping is band-sharded across the same
-        pool — escaping the GIL for the string-heavy hot loops. Blocks
-        are byte-identical for every process count.
     pool:
-        Optional persistent :class:`~repro.utils.parallel.ShardPool`
-        carrying the sharded runtime: the pool's executor stays warm
-        across repeated blocking calls and slabs ride shared memory
-        instead of the executor's pipes. The pool's process count wins
-        over ``processes``; blocks stay byte-identical to serial for
-        any pool.
+        Optional :class:`~repro.utils.parallel.ShardPool`, opened and
+        closed by the caller. With more than one process, :meth:`block`
+        shingles and minhashes one record slab per pool process,
+        escaping the GIL for the string-heavy hot loops; the pool's
+        executor stays warm across repeated calls and slabs ride shared
+        memory. Blocks are byte-identical to serial for any pool.
     name:
         Display name; defaults to the class's :attr:`name`.
     """
@@ -448,8 +445,8 @@ class LSHFamilyBlocker(Blocker):
     #: Minhash implementation (MP-LSH also needs runner-up values).
     hasher_type: type = MinHasher
     #: The pool-mapped signature pass: ``(shingler, hasher, records,
-    #: processes, *, pool)`` to per-slab argument tuples of the online
-    #: index's ``add_signatures``.
+    #: pool)`` to per-slab argument tuples of the online index's
+    #: ``add_signatures``.
     _slab_pass = staticmethod(signature_slabs)
 
     def __init__(
@@ -461,7 +458,6 @@ class LSHFamilyBlocker(Blocker):
         *,
         seed: int = 0,
         padded: bool = False,
-        processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
@@ -472,7 +468,6 @@ class LSHFamilyBlocker(Blocker):
         self.k = k
         self.l = l
         self.seed = seed
-        self.processes = processes
         self.pool = pool
         self.shingler = Shingler(self.attributes, q=q, padded=padded)
         self.hasher = self.hasher_type(num_hashes=k * l, seed=seed)
@@ -481,6 +476,10 @@ class LSHFamilyBlocker(Blocker):
     @abstractmethod
     def online(self, records: Iterable[Record] = (), **options) -> OnlineIndex:
         """A mutable online index seeded with ``records``."""
+
+    def _processes(self) -> int:
+        """Processes :meth:`block` maps signature slabs on (1: serial)."""
+        return 1 if self.pool is None else self.pool.processes
 
     def _parameters(self, index: OnlineIndex | None) -> dict[str, Any]:
         """The parameters reported in a result's metadata."""
@@ -497,11 +496,15 @@ class LSHFamilyBlocker(Blocker):
         **extra: Any,
     ) -> BlockingResult:
         """Every entry point's result: blocks, time since ``start``, and
-        metadata of parameters, runtime and ``engine`` plus ``extra``."""
+        metadata of parameters, runtime and ``engine`` plus ``extra``.
+
+        ``processes``/``pooled`` describe the run, not the blocker: only
+        the ``sharded`` engine maps on the pool."""
+        pooled = engine == "sharded"
         metadata = {
             **self._parameters(index),
-            "processes": self.processes,
-            "pooled": self.pool is not None,
+            "processes": self._processes() if pooled else 1,
+            "pooled": pooled,
             "engine": engine,
             **extra,
         }
@@ -518,11 +521,10 @@ class LSHFamilyBlocker(Blocker):
 
     def block(self, dataset: Dataset) -> BlockingResult:
         start = time.perf_counter()
-        if effective_processes(self.processes, self.pool) > 1:
+        if self._processes() > 1:
             index = self.online()
             for part in self._slab_pass(
-                self.shingler, self.hasher, dataset, self.processes,
-                pool=self.pool,
+                self.shingler, self.hasher, dataset, self.pool
             ):
                 index.add_signatures(*part)
             return self._result(index.blocks(), start, "sharded", index)
@@ -600,8 +602,7 @@ class LSHFamilyBlocker(Blocker):
         the union in target-first insertion order, and because
         signatures and bucket membership do not depend on insertion
         order, the cross pair set equals the filtered ``block(S ∪ T)``
-        oracle. The ``processes=``/``pool=`` runtimes flow through
-        unchanged, so results stay byte-identical across them.
+        oracle. It never touches the blocker's pool.
 
         Probing alone — index the target, ``query()`` each source
         record, never insert it — is *not* equivalent for two of the

@@ -156,14 +156,10 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
         *,
         num_probes: int | None = None,
         seed: int = 0,
-        processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
-        super().__init__(
-            attributes, q, k, l, seed=seed,
-            processes=processes, pool=pool, name=name,
-        )
+        super().__init__(attributes, q, k, l, seed=seed, pool=pool, name=name)
         self.num_probes = k if num_probes is None else num_probes
         if not 0 <= self.num_probes <= k:
             raise ConfigurationError(
@@ -256,14 +252,10 @@ class LSHForestBlocker(LSHFamilyBlocker):
         *,
         max_block_size: int = 50,
         seed: int = 0,
-        processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
-        super().__init__(
-            attributes, q, k, l, seed=seed,
-            processes=processes, pool=pool, name=name,
-        )
+        super().__init__(attributes, q, k, l, seed=seed, pool=pool, name=name)
         if max_block_size < 2:
             raise ConfigurationError(
                 f"max_block_size must be >= 2, got {max_block_size}"

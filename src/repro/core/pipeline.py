@@ -37,16 +37,14 @@ class PipelineConfig:
     """Configuration of :func:`run_pipeline`.
 
     ``epsilon``, ``ph``, ``pl`` and ``sl_gap`` drive §5.3 tuning; gate
-    selection is automatic unless ``w``/``mode`` are pinned.
-    ``processes`` is passed to the blocker's process-sharded runtime
-    (record-slab signatures + band-sharded grouping on an ephemeral
-    :class:`~repro.utils.parallel.ShardPool` per call; blocks are
-    byte-identical for any count). ``pool`` hands the blocker a
-    persistent pool instead, so the blocking stage of repeated
-    pipeline runs shares one warm executor with shared-memory slab
-    transport (tuning and evaluation are serial); the pool's process
-    count wins over ``processes``, and its fault tolerance is whatever
-    the pool was built with (``ShardPool(retry=..., map_timeout=...)``).
+    selection is automatic unless ``w``/``mode`` are pinned. ``pool``
+    hands the blocker a caller-held
+    :class:`~repro.utils.parallel.ShardPool`: the blocking stage maps
+    its record-slab signatures on the pool's warm executor, so
+    repeated pipeline runs share one (tuning and evaluation are
+    serial). Blocks are byte-identical for any pool, and its fault
+    tolerance is whatever the pool was built with
+    (``ShardPool(retry=..., map_timeout=...)``).
     """
 
     attributes: tuple[str, ...]
@@ -59,7 +57,6 @@ class PipelineConfig:
     seed: int = 0
     w: int | str | None = None
     mode: str | None = None
-    processes: int | None = 1
     pool: ShardPool | None = None
 
 
@@ -121,7 +118,7 @@ def build_blocker(
         blocker = LSHBlocker(
             config.attributes, q=config.q,
             k=parameters.k, l=parameters.l, seed=config.seed,
-            processes=config.processes, pool=config.pool,
+            pool=config.pool,
         )
         return blocker, None, None
     quality = analyse_semantic_features(training, semantic_function)
@@ -135,7 +132,7 @@ def build_blocker(
         config.attributes, q=config.q,
         k=parameters.k, l=parameters.l, seed=config.seed,
         semantic_function=semantic_function, w=w, mode=mode,
-        processes=config.processes, pool=config.pool,
+        pool=config.pool,
     )
     return blocker, (mode, w), quality
 
@@ -175,10 +172,10 @@ def build_resolver(
     :class:`~repro.er.resolver.Resolver` over ``corpus``.
 
     Runs the same §5.3 tuning chain (sh → (k, l) → gate selection) on
-    ``training_dataset`` (default: the corpus), builds the blocker —
-    with the config's ``pool`` so repeated serving calls share one warm
-    shard runtime — and seeds the resolver's incremental index with the
-    corpus in one slab. Mutations and single-record queries then go
+    ``training_dataset`` (default: the corpus), builds the blocker with
+    the config's ``pool``, and seeds the resolver's incremental index
+    with the corpus in one slab; the index runs in this process and
+    never uses the pool. Mutations and single-record queries then go
     through :class:`~repro.er.resolver.Resolver`.
     """
     from repro.er.resolver import Resolver

@@ -12,8 +12,9 @@ frozen :class:`~repro.semantic.semhash.SemhashEncoder` gating each slab.
 :class:`~repro.core.base.LSHFamilyBlocker` derives ``block_stream`` and
 ``block_pair`` from it; :meth:`SALSHBlocker.block` keeps what is
 SA-LSH's own — the encoder-freeze time ``sf_seconds`` (Fig. 13), the
-empty corpus, and a sharded path that interprets records in the worker
-processes and memoises the semantic state on a persistent pool.
+empty corpus, and a pooled path that maps plain signature slabs on the
+pool while the parent freezes the encoder and encodes semhash, as the
+serial path does, memoising both on the pool per corpus.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from repro.core.base import BlockingResult, LSHFamilyBlocker
 from repro.core.lsh_blocker import _BandedOnlineIndex
 from repro.errors import ConfigurationError, SemanticFunctionError
-from repro.lsh.sharding import semantic_signature_slabs, signature_slabs
+from repro.lsh.sharding import signature_slabs
 from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset, LinkedCorpus
@@ -34,7 +35,7 @@ from repro.records.record import Record
 from repro.semantic.hashing import WWaySemanticHashFamily
 from repro.semantic.interpretation import SemanticFunction
 from repro.semantic.semhash import SemhashEncoder
-from repro.utils.parallel import ShardPool, effective_processes
+from repro.utils.parallel import ShardPool
 
 
 class OnlineSALSHIndex(_BandedOnlineIndex):
@@ -161,10 +162,8 @@ class SALSHBlocker(LSHFamilyBlocker):
 
     Parameters
     ----------
-    attributes, q, k, l, seed, padded, processes, pool, name:
-        As for :class:`~repro.core.base.LSHFamilyBlocker`. With
-        ``processes``/``pool`` the worker processes also *interpret*
-        their record slabs.
+    attributes, q, k, l, seed, padded, pool, name:
+        As for :class:`~repro.core.base.LSHFamilyBlocker`.
     semantic_function:
         The semantic function ζ (carries its taxonomy).
     w:
@@ -190,15 +189,14 @@ class SALSHBlocker(LSHFamilyBlocker):
         mode: str = "or",
         seed: int = 0,
         padded: bool = False,
-        processes: int | None = 1,
         pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
         if mode not in ("and", "or"):
             raise ConfigurationError(f"mode must be 'and' or 'or', got {mode!r}")
         super().__init__(
-            attributes, q, k, l, seed=seed, padded=padded,
-            processes=processes, pool=pool, name=name,
+            attributes, q, k, l, seed=seed, padded=padded, pool=pool,
+            name=name,
         )
         self.w = w
         self.mode = mode
@@ -230,12 +228,12 @@ class SALSHBlocker(LSHFamilyBlocker):
         start = time.perf_counter()
         if not len(dataset):
             # An empty corpus has no interpretations to derive semhash
-            # bits from; every engine (serial, sharded, pooled) returns
-            # empty blocks instead of tripping the encoder's
-            # no-concepts error.
+            # bits from; serial and pooled paths alike return empty
+            # blocks instead of tripping the encoder's no-concepts
+            # error.
             return self._result((), start, "batch", sf_seconds=0.0)
-        if effective_processes(self.processes, self.pool) > 1:
-            index, sf_seconds = self._sharded_index(dataset)
+        if self._processes() > 1:
+            index, sf_seconds = self._pooled_index(dataset)
             return self._result(
                 index.blocks(), start, "sharded", index, sf_seconds=sf_seconds
             )
@@ -250,72 +248,40 @@ class SALSHBlocker(LSHFamilyBlocker):
             index.blocks(), start, "batch", index, sf_seconds=sf_seconds
         )
 
-    def _sharded_index(
+    def _pooled_index(
         self, dataset: Dataset
     ) -> tuple[OnlineSALSHIndex, float]:
-        """The ``processes>1`` batch path: the index and ``sf_seconds``.
+        """The pooled batch path: the index and ``sf_seconds``.
 
-        One process-pool pass shingles, minhashes *and* interprets each
-        record slab; the parent derives the semhash bit set from the
-        shipped ζ sets (a union — order-independent, so identical to
-        the serial encoder), encodes each slab's semhash rows once per
-        distinct ζ, and feeds the slabs to one online index.
-        Cross-slab bucket merging plus band-sharded grouping make the
-        blocks byte-identical to the serial batch engine.
+        The pool maps the plain signature slabs. The parent freezes the
+        encoder and encodes the semhash rows exactly as the serial path
+        does, then feeds each slab with its rows to one online index;
+        cross-slab bucket merging makes the blocks byte-identical to
+        the serial engine.
 
-        On a persistent pool the derived semantic state — the frozen
-        encoder and per-slab semhash matrices, pure functions of
-        (semantic function, corpus, slab layout) — is memoised for the
-        pool's lifetime, so repeated calls over one corpus skip the
-        worker-side re-interpretation and the parent-side re-encode;
-        the workers then run the plain signature map, and
-        ``sf_seconds`` is 0. Blocks are byte-identical either way.
+        The encoder and the semhash rows are pure functions of
+        (semantic function, corpus), so they are memoised on the pool
+        per corpus: a warm repeat over one corpus skips interpretation
+        and encoding, and reports ``sf_seconds`` 0.
         """
         memo_key = ("salsh-semantic", self.semantic_function)
-        cached = (
-            self.pool.get_memo(dataset, memo_key)
-            if self.pool is not None
-            else None
-        )
+        cached = self.pool.get_memo(dataset, memo_key)
         if cached is None:
-            slabs = semantic_signature_slabs(
-                self.shingler, self.hasher, self.semantic_function,
-                dataset, self.processes, pool=self.pool,
-            )
-            # sf_seconds covers the parent-side bit-set fix + semhash
-            # encode; per-record interpretation time is folded into the
-            # parallel slab pass and not separable from minhashing.
             sf_start = time.perf_counter()
-            interpretations: dict[str, frozenset[str]] = {}
-            for record_ids, _, zetas in slabs:
-                interpretations.update(zip(record_ids, zetas))
-            encoder = SemhashEncoder.from_interpretations(
-                self.semantic_function, interpretations
-            )
-            semhash_slabs = [
-                encoder.matrix_from_interpretations(zetas)
-                for _, _, zetas in slabs
-            ]
+            encoder = SemhashEncoder(self.semantic_function, dataset)
             sf_seconds = time.perf_counter() - sf_start
-            signature_parts = [
-                (record_ids, signatures) for record_ids, signatures, _ in slabs
-            ]
-            if self.pool is not None:
-                self.pool.set_memo(
-                    dataset, memo_key, (encoder, semhash_slabs)
-                )
+            semhash = encoder.signature_matrix(dataset)
+            self.pool.set_memo(dataset, memo_key, (encoder, semhash))
         else:
-            encoder, semhash_slabs = cached
-            signature_parts = signature_slabs(
-                self.shingler, self.hasher, dataset, self.processes,
-                pool=self.pool,
-            )
-            sf_seconds = 0.0
+            (encoder, semhash), sf_seconds = cached, 0.0
         index = self.online(encoder=encoder)
-        for (record_ids, signatures), semhash in zip(
-            signature_parts, semhash_slabs
+        lo = 0
+        for record_ids, signatures in signature_slabs(
+            self.shingler, self.hasher, dataset, self.pool
         ):
-            index.add_signatures(record_ids, signatures, semhash)
+            hi = lo + len(record_ids)
+            index.add_signatures(record_ids, signatures, semhash[lo:hi])
+            lo = hi
         return index, sf_seconds
 
     def online(

@@ -99,8 +99,8 @@ class Resolver:
     blocker:
         Any blocker exposing ``online()`` (LSH, SA-LSH, MP-LSH,
         LSH-Forest). The resolver builds the online index once and
-        mutates it incrementally; a blocker carrying a persistent
-        ``pool`` keeps its sharded grouping warm across calls.
+        mutates it incrementally, always in this process: a blocker's
+        ``pool`` serves only its ``block()``.
     records:
         Initial corpus (indexed as one slab).
     matcher:

@@ -8,11 +8,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: Multiplier of the label-folding hash (the 64-bit golden ratio, as in
-#: splitmix64) — fixed so folds, and with them shard routing, are
-#: deterministic across runs and hosts.
+#: splitmix64) — fixed so folds are deterministic across runs and hosts.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX = np.uint64(0xFF51AFD7ED558CCD)
-_SHIFT = np.uint64(33)
 
 
 def split_bands(signature: np.ndarray, k: int, l: int) -> list[tuple[int, ...]]:
@@ -80,15 +77,14 @@ def band_keys(signature: np.ndarray, k: int, l: int) -> list[int]:
 
 
 def fold_labels(labels: np.ndarray) -> np.ndarray:
-    """Deterministic uint64 hash of grouping labels.
+    """Deterministic uint64 fold of band keys.
 
-    Accepts the two label dtypes the index groups by — fixed-width byte
-    band keys (``S{8k}``, folded word-wise) and int64 labels — and
-    avalanches the fold so ``fold_labels(labels) % num_shards`` spreads
-    near-equal labels over shards. Equal labels always fold equal, so
-    every bucket lands wholly inside one shard; distinct labels may
-    collide, so a fold orders keys but never groups them by itself
-    (:func:`dense_band_labels` verifies the words).
+    Accepts the two key dtypes :meth:`~repro.lsh.index.BandedLSHIndex.
+    add_many` takes: fixed-width byte keys (``S{8k}``, folded word-wise)
+    and 64-bit integer keys (reinterpreted as uint64). Equal keys always
+    fold equal; distinct byte keys may collide, so a fold orders keys
+    but never groups them by itself (:func:`dense_band_labels` verifies
+    the words).
     """
     if labels.dtype.kind == "S":
         itemsize = labels.dtype.itemsize
@@ -106,10 +102,7 @@ def fold_labels(labels: np.ndarray) -> np.ndarray:
             folded *= _GOLDEN
             folded += words[:, column]
     else:
-        folded = labels.astype(np.uint64, copy=True) * _GOLDEN
-    folded ^= folded >> _SHIFT
-    folded *= _MIX
-    folded ^= folded >> _SHIFT
+        folded = labels.astype(np.uint64)
     return folded
 
 

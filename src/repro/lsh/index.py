@@ -44,7 +44,6 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.lsh.bands import dense_band_labels
 from repro.records.blocks import BlockList
-from repro.utils.parallel import ShardPool, effective_processes
 
 GateFn = Callable[[int, str], Sequence[Hashable]]
 #: A gate takes (table_index, record_id) and returns the bucket-key
@@ -218,30 +217,12 @@ class _BulkBuckets:
 
 
 class BandedLSHIndex:
-    """Accumulates records into ``l`` hash tables keyed by band keys.
+    """Accumulates records into ``l`` hash tables keyed by band keys."""
 
-    ``processes`` routes the bulk bucket grouping through the
-    band-sharded process runtime (see DESIGN.md, "Process-sharded
-    streaming runtime"): entries are hashed to disjoint label shards,
-    each grouped by a worker process, and re-emitted in global
-    first-occurrence order — :meth:`blocks` is byte-identical for every
-    process count. ``pool`` runs that grouping on a persistent
-    :class:`~repro.utils.parallel.ShardPool` (its process count wins)
-    instead of an ephemeral pool per grouping pass.
-    """
-
-    def __init__(
-        self,
-        num_tables: int,
-        *,
-        processes: int | None = 1,
-        pool: ShardPool | None = None,
-    ) -> None:
+    def __init__(self, num_tables: int) -> None:
         if num_tables < 1:
             raise ValueError(f"need at least one table, got {num_tables}")
         self.num_tables = num_tables
-        self.processes = processes
-        self.pool = pool
         self._pending: list[_PendingSlab] = []
         #: Lazily derived buckets of all pending slabs, merged: the
         #: bulk id array and one (or no) bucket group per table;
@@ -429,20 +410,10 @@ class BandedLSHIndex:
         bulk: list[_BulkBuckets | None] = [None] * self.num_tables
         slabs = self._pending
         if slabs:
-            entries = [
-                self._table_entries(table, slabs, bases, keep)
-                for table in range(self.num_tables)
-            ]
-            if effective_processes(self.processes, self.pool) > 1:
-                # Lazy import: sharding's workers import this module.
-                from repro.lsh.sharding import group_tables_sharded
-
-                bulk = group_tables_sharded(
-                    entries, self.processes, pool=self.pool
+            for table in range(self.num_tables):
+                bulk[table] = self._group_entries(
+                    self._table_entries(table, slabs, bases, keep)
                 )
-            else:
-                for table, entry in enumerate(entries):
-                    bulk[table] = self._group_entries(entry)
         self._bulk = ids_all, bulk
         return self._bulk
 

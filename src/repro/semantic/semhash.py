@@ -153,13 +153,13 @@ class SemhashEncoder:
     """Generate semhash signatures for the records of a dataset.
 
     The encoder is *frozen at construction*: the bit set C is fixed from
-    the records (or interpretations) it is built on and never mutates
-    afterwards. Records outside the construction population encode
-    against the same bits — leaf concepts they reach that are absent
-    from C are dropped (their signature simply lacks those bits) — so a
-    single encoder fitted on a training slab can encode an unbounded
-    stream of unseen records with stable ``num_bits`` (see
-    :meth:`fit` and DESIGN.md, "Process-sharded streaming runtime").
+    the records it is built on and never mutates afterwards. Records
+    outside the construction population encode against the same bits —
+    leaf concepts they reach that are absent from C are dropped (their
+    signature simply lacks those bits) — so a single encoder fitted on
+    a training slab can encode an unbounded stream of unseen records
+    with stable ``num_bits`` (see :meth:`fit` and DESIGN.md,
+    "Sample-frozen semantic encoder").
 
     Parameters
     ----------
@@ -178,13 +178,6 @@ class SemhashEncoder:
             record.record_id: semantic_function.interpret(record)
             for record in records
         }
-        self._init(semantic_function, interpretations)
-
-    def _init(
-        self,
-        semantic_function: SemanticFunction,
-        interpretations: dict[str, frozenset[str]],
-    ) -> None:
         self.semantic_function = semantic_function
         forest = semantic_function.forest
         bit_concepts: set[str] = set()
@@ -254,23 +247,6 @@ class SemhashEncoder:
             rng = rng_from_seed(seed, "semhash-fit-sample", size)
             sample = rng.sample(population, size)
         return cls(semantic_function, sample)
-
-    @classmethod
-    def from_interpretations(
-        cls,
-        semantic_function: SemanticFunction,
-        interpretations: dict[str, frozenset[str]],
-    ) -> "SemhashEncoder":
-        """Build an encoder from precomputed ζ values.
-
-        The process-sharded runtime interprets record slabs in worker
-        processes and ships the ζ sets back; this constructor derives
-        the same bit set (a union is order-independent) without
-        re-interpreting anything in the parent.
-        """
-        self = cls.__new__(cls)
-        self._init(semantic_function, dict(interpretations))
-        return self
 
     def __getstate__(self) -> dict:
         # The row memo is rebuilt on demand; checkpoints pickle the
@@ -358,11 +334,10 @@ class SemhashEncoder:
     ) -> np.ndarray:
         """Signature stack from precomputed ζ values, one row per set.
 
-        The core of :meth:`signature_matrix`, exposed so the
-        process-sharded runtime can encode worker-interpreted slabs
-        without Record objects. The ζ values are factorised: each
-        distinct one takes its memoised row (:meth:`_row`), and an
-        inverse index scatters the rows to their records.
+        The core of :meth:`signature_matrix`. The ζ values are
+        factorised: each distinct one takes its memoised row
+        (:meth:`_row`), and an inverse index scatters the rows to their
+        records.
         """
         codes: dict[frozenset[str], int] = {}
         inverse = [codes.setdefault(frozenset(zeta), len(codes)) for zeta in zetas]

@@ -10,7 +10,6 @@ from repro.utils.cache import LRUCache
 from repro.utils.parallel import (
     ShardPool,
     chunk_spans,
-    map_processes,
     resolve_processes,
     set_slab_integrity,
     slab_integrity_enabled,
@@ -26,7 +25,6 @@ __all__ = [
     "LRUCache",
     "ShardPool",
     "chunk_spans",
-    "map_processes",
     "resolve_processes",
     "set_slab_integrity",
     "slab_integrity_enabled",

@@ -1,16 +1,14 @@
 """Process-parallel execution of independent work units.
 
-The ``processes=`` runtime (DESIGN.md, "Process-sharded streaming
-runtime") maps picklable payloads — record slabs and band-key shards —
-over worker processes and reassembles the results deterministically,
-so any process count produces byte-identical blocks.
-
 :class:`ShardPool` (DESIGN.md, "Persistent shard pool") is the one
-executor behind it: it owns a process pool for its lifetime and
-transports payloads/results through shared-memory slab files instead of
-the executor's pipes. A caller that keeps a pool warm stops paying a
-fork-and-pickle round per blocking call; :func:`map_processes` without
-a pool runs each call on an ephemeral pool closed before it returns.
+executor in the library: a caller opens it, hands it to a blocker as
+``pool=``, and every ``block()`` on that blocker maps its record-slab
+signature pass (:mod:`repro.lsh.sharding`) over the pool's worker
+processes. Results are reassembled in payload order, so any process
+count produces byte-identical blocks. The pool owns its process pool
+for its lifetime and transports payloads/results through
+shared-memory slab files instead of the executor's pipes, so repeated
+calls stop paying a fork-and-pickle round each.
 
 The pool is also *self-healing* (DESIGN.md, "Fault tolerance & the
 degradation ladder"): slab files carry length+checksum footers
@@ -72,7 +70,7 @@ def _available_cpus() -> int:
 
 
 def resolve_processes(processes: int | None) -> int:
-    """Normalise a ``processes=`` argument: ``None`` means all usable CPUs."""
+    """Normalise a pool's process count: ``None`` means all usable CPUs."""
     if processes is None:
         return _available_cpus()
     if processes < 1:
@@ -80,20 +78,6 @@ def resolve_processes(processes: int | None) -> int:
             f"processes must be >= 1 or None, got {processes}"
         )
     return processes
-
-
-def effective_processes(
-    processes: int | None, pool: "ShardPool | None" = None
-) -> int:
-    """Worker count a ``processes=``/``pool=`` pair resolves to.
-
-    A pool wins: its (fixed) process count governs slab and shard
-    layout, so every call site that may run on a shared pool derives
-    identical work splits from it.
-    """
-    if pool is not None:
-        return pool.processes
-    return resolve_processes(processes)
 
 
 #: Arrays at least this large ride as memory-mapped slab files instead
@@ -555,12 +539,12 @@ class ShardPool:
 
     Owns one :class:`~concurrent.futures.ProcessPoolExecutor` for its
     lifetime (workers start on the first parallel map and stay warm),
-    so repeated blocking calls stop paying the fork-and-join round an
-    ephemeral per-call pool pays. Payloads and results move through
-    slab files in a shared-memory directory — large arrays as
-    memory-mapped ``.npy`` slabs, the rest as one pickle file per
-    payload — instead of the executor's pipes. Every slab file carries
-    a length+checksum footer validated on attach.
+    so repeated blocking calls pay the fork-and-join round once.
+    Payloads and results move through slab files in a shared-memory
+    directory — large arrays as memory-mapped ``.npy`` slabs, the rest
+    as one pickle file per payload — instead of the executor's pipes.
+    Every slab file carries a length+checksum footer validated on
+    attach.
 
     :meth:`map` preserves order, runs serially in-process for
     ``processes=1`` (or a single payload) with results identical to any
@@ -1054,9 +1038,9 @@ class ShardPool:
 
         Returns ``None`` when absent (or when ``source`` cannot anchor
         the weak cache). Callers memoise *pure functions of the source*
-        only — e.g. SA-LSH's semantic encoder and semhash slabs, which
-        are deterministic per (semantic function, corpus, slab layout)
-        — so a hit changes wall time, never a byte of output; the same
+        only — e.g. SA-LSH's frozen encoder and semhash rows, which
+        are deterministic per (semantic function, corpus) — so a hit
+        changes wall time, never a byte of output; the same
         immutability contract as :meth:`intern_slabs` applies.
         """
         if self._closed:
@@ -1112,36 +1096,6 @@ def _unlink_quietly(path: str) -> None:
         os.unlink(path)
     except OSError:  # pragma: no cover - already gone / dir removed
         pass
-
-
-def map_processes(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    processes: int | None = 1,
-    *,
-    pool: ShardPool | None = None,
-) -> list[Any]:
-    """Map ``fn`` over payloads on a :class:`ShardPool`, preserving order.
-
-    ``fn`` must be a module-level function and every payload (and
-    result) picklable. With ``pool`` set the map runs on that
-    persistent pool (its process count wins over ``processes``), so
-    fork and slab transport costs are amortised across calls. Without
-    one, ``min(processes, len(payloads))`` decides: one or fewer runs
-    the payloads serially in this process and creates no pool; more
-    runs them on an ephemeral pool of that size, closed before this
-    returns. Results are identical for every process count, the pool's
-    self-healing ladder applies either way, and exceptions from ``fn``
-    propagate to the caller.
-    """
-    if pool is not None:
-        return pool.map(fn, payloads)
-    payloads = list(payloads)
-    effective = min(resolve_processes(processes), len(payloads))
-    if effective <= 1:
-        return [fn(payload) for payload in payloads]
-    with ShardPool(effective) as ephemeral:
-        return ephemeral.map(fn, payloads)
 
 
 def chunk_spans(total: int, per_chunk: int) -> list[tuple[int, int]]:

@@ -6,7 +6,7 @@
 * the banded indexes emit their blocks as CSR rows, and those blocks
   equal the per-record reference engine's tuples on every entry point
   of LSH and SA-LSH — ``block``, ``block_stream``, ``block_pair``,
-  ``processes=2``, a warm pool and after removals;
+  a ``ShardPool(2)`` cold and warm, and after removals;
 * blocking, evaluation, meta-blocking and linkage never build the
   tuples (the materialiser is patched to raise);
 * a result pickles after evaluation and meta-blocking, with the same
@@ -153,10 +153,9 @@ class TestBandedEntryPoints:
 
     def test_sharded_and_pooled(self, make, cora_small):
         expected = _per_record(make, list(cora_small))
-        assert make(processes=2).block(cora_small).blocks == expected
         with ShardPool(2) as pool:
             blocker = make(pool=pool)
-            assert blocker.block(cora_small).blocks == expected
+            assert blocker.block(cora_small).blocks == expected  # cold
             assert blocker.block(cora_small).blocks == expected  # warm
 
     def test_block_pair(self, make, cora_small):

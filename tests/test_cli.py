@@ -87,9 +87,9 @@ class TestBlock:
     def test_pooled_blocking_matches_fresh_pool(
         self, generated_csv, tmp_path, built_pools
     ):
-        # --processes 2 runs the sharded runtime on one shard pool
-        # spanning the command; its pairs equal the serial run and the
-        # library's fresh (ephemeral) pool per call.
+        # --processes 2 opens one shard pool spanning the command; its
+        # pairs equal the serial run and a library call on a
+        # caller-held pool of the same size.
         serial_path = tmp_path / "serial.csv"
         pooled_path = tmp_path / "pooled.csv"
         assert main(_block_lsh_args(generated_csv) + [
@@ -101,9 +101,10 @@ class TestBlock:
         ]) == 0
         assert [pool.processes for pool in built_pools] == [2]
         assert built_pools[0].closed
-        fresh = LSHBlocker(
-            ("first_name", "last_name"), q=2, k=5, l=10, processes=2
-        ).block(read_csv(generated_csv))
+        with ShardPool(2) as pool:
+            fresh = LSHBlocker(
+                ("first_name", "last_name"), q=2, k=5, l=10, pool=pool
+            ).block(read_csv(generated_csv))
         assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
         assert read_pairs_csv(pooled_path) == fresh.distinct_pairs
 
@@ -157,6 +158,28 @@ class TestBlock:
             "block", "--input", str(generated_csv), "--technique", "lsh",
             "--attributes", " , ", "--out", str(tmp_path / "x.csv"),
         ]) == 2
+
+
+#: Required arguments of the commands that never map on a pool.
+_POOL_FREE_COMMANDS = {
+    "link": ["link", "--attributes", "first_name"],
+    "query": ["query", "--input", "c.csv", "--queries", "q.csv",
+              "--attributes", "first_name"],
+    "serve-batch": ["serve-batch", "--input", "c.csv", "--ops", "o.csv",
+                    "--attributes", "first_name"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--processes", "--retries", "--map-timeout"])
+@pytest.mark.parametrize("command", sorted(_POOL_FREE_COMMANDS))
+def test_pool_flags_are_block_only(command, flag, capsys):
+    # Only batch block() maps on a pool, so only `block` takes its knobs.
+    parser = cli.build_parser()
+    args = _POOL_FREE_COMMANDS[command]
+    assert parser.parse_args(args).command == command
+    with pytest.raises(SystemExit):
+        parser.parse_args(args + [flag, "2"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeBatch:

@@ -75,7 +75,7 @@ def test_end_to_end_resolution_runs():
 
 def test_streaming_sharded_runs():
     # Reduced corpus; the script asserts streamed-vs-batch and
-    # sharded-vs-serial block identity internally.
+    # pooled-vs-serial block identity internally.
     result = run_example("streaming_sharded.py", "800")
     assert result.returncode == 0, result.stderr
     assert "identical to batch blocks" in result.stdout

@@ -44,7 +44,6 @@ from repro.utils.parallel import (
     ShardPool,
     _SLAB_DIR_PREFIX,
     _validate_slab,
-    map_processes,
     set_slab_integrity,
     slab_integrity_enabled,
 )
@@ -465,9 +464,10 @@ class TestOrphanSweep:
 
 
 class TestMapProcessesDegradation:
-    """``map_processes`` without ``pool=`` runs on an ephemeral
-    :class:`ShardPool`: the pool's recovery ladder applies, and its slab
-    directory never outlives the call — success or failure."""
+    """A short-lived :class:`ShardPool` opened for one map: the pool's
+    recovery ladder applies, and its slab directory never outlives the
+    pool — success or failure. (The class is named for the per-call
+    ``map_processes`` helper these cases first covered.)"""
 
     @pytest.fixture
     def slab_parent(self, tmp_path, monkeypatch):
@@ -481,44 +481,48 @@ class TestMapProcessesDegradation:
         return [n for n in os.listdir(parent) if n.startswith(_SLAB_DIR_PREFIX)]
 
     def test_fresh_pool_broken_completes_serially(self, tmp_path, slab_parent):
+        # A worker exit on a fresh pool's first map is retried.
         marker = str(tmp_path / "kill-once")
         payloads = [(1, marker), (2, None), (3, None), (4, None)]
-        results = map_processes(_exit_once, payloads, processes=2)
+        with ShardPool(2, retry=FAST_RETRY) as pool:
+            results = pool.map(_exit_once, payloads)
         assert results == [3, 6, 9, 12]
         assert os.path.exists(marker)  # a worker really died
         assert self._pool_dirs(slab_parent) == []
 
     def test_genuine_errors_still_propagate(self, slab_parent):
         with pytest.raises(ValueError, match="boom"):
-            map_processes(_raise_on_negative, [1, -1, 2], processes=2)
+            with ShardPool(2) as pool:
+                pool.map(_raise_on_negative, [1, -1, 2])
         assert self._pool_dirs(slab_parent) == []
 
     def test_ephemeral_pool_matches_serial(self, slab_parent):
-        # Large arrays ride slab files and come back as memory maps;
-        # they stay readable after the pool removed its directory.
+        # Large arrays ride slab files and come back as memory maps, in
+        # payload order; they stay readable after the pool removed its
+        # directory.
         payloads = [np.arange(i, i + 20_000, dtype=np.uint64) for i in range(5)]
-        serial = map_processes(_triple, payloads, processes=1)
-        pooled = map_processes(_triple, payloads, processes=2)
+        with ShardPool(1) as serial_pool:
+            serial = serial_pool.map(_triple, payloads)
+        with ShardPool(2) as pool:
+            pooled = pool.map(_triple, payloads)
         assert len(pooled) == len(serial) == 5
         for got, want in zip(pooled, serial):
             assert np.array_equal(got, want)
         assert self._pool_dirs(slab_parent) == []
 
-    def test_ephemeral_pool_sized_to_payloads(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(ShardPool):
-            def __init__(self, processes=None, **kwargs):
-                sizes.append(processes)
-                super().__init__(processes, **kwargs)
-
-        monkeypatch.setattr(parallel, "ShardPool", RecordingPool)
-        assert map_processes(_triple, [1, 2, 3], processes=8) == [3, 6, 9]
-        # One or no payloads, or one process: serial, no pool at all.
-        assert map_processes(_triple, [4], processes=8) == [12]
-        assert map_processes(_triple, [], processes=8) == []
-        assert map_processes(_triple, [1, 2], processes=1) == [3, 6]
-        assert sizes == [3]
+    def test_ephemeral_pool_sized_to_payloads(self):
+        # A map of one or no payloads, or on a one-process pool, runs
+        # in this process and forks no executor; a larger map on a pool
+        # with more processes than payloads still keeps order.
+        with ShardPool(4) as pool:
+            assert pool.map(_triple, [4]) == [12]
+            assert pool.map(_triple, []) == []
+            assert pool._executor is None
+            assert pool.map(_triple, [1, 2, 3]) == [3, 6, 9]
+            assert pool._executor is not None
+        with ShardPool(1) as serial:
+            assert serial.map(_triple, [1, 2]) == [3, 6]
+            assert serial._executor is None
 
 
 class TestResolverErrorIsolation:

@@ -20,8 +20,8 @@ of ``add_many`` / ``remove`` calls (DESIGN.md, "Resolver service"):
   probes, and with the hash-column budget shrunk to a few rows.
 
 The interleavings are seeded-random, so every run replays the same op
-sequences; the sharded variants assert the same contract with
-``processes=2`` and on a warm :class:`~repro.utils.parallel.ShardPool`.
+sequences; the pooled variants assert the same contract for blockers
+holding a :class:`~repro.utils.parallel.ShardPool`, cold and warm.
 """
 
 from __future__ import annotations
@@ -253,15 +253,15 @@ class TestProbeMemos:
 class TestShardedRuntime:
     @pytest.mark.parametrize("kind", ("lsh", "salsh"))
     def test_processes_two(self, cora_small, kind):
-        _exercise(_blocker(kind, "cora", processes=2), cora_small, seed=21)
+        with ShardPool(2) as pool:
+            _exercise(_blocker(kind, "cora", pool=pool), cora_small, seed=21)
 
     @pytest.mark.parametrize("kind", ("lsh", "salsh"))
     def test_warm_pool(self, cora_small, kind):
         with ShardPool(2) as pool:
-            _exercise(
-                _blocker(kind, "cora", processes=2, pool=pool),
-                cora_small, seed=22,
-            )
+            blocker = _blocker(kind, "cora", pool=pool)
+            blocker.block(cora_small)
+            _exercise(blocker, cora_small, seed=22)
 
 
 class TestMutationContract:
@@ -372,9 +372,11 @@ class TestDerivedEntryPoints:
         records = list(cora_small)
         half = len(records) // 2
         blocker = _blocker(kind, "cora")
+        with ShardPool(2) as pool:
+            sharded = _blocker(kind, "cora", pool=pool).block(cora_small)
         results = {
             "batch": blocker.block(cora_small),
-            "sharded": _blocker(kind, "cora", processes=2).block(cora_small),
+            "sharded": sharded,
             "streaming": _stream(blocker, [records], records),
             "linkage-online": blocker.block_pair(
                 Dataset(records[:half], name="src"),
@@ -386,7 +388,7 @@ class TestDerivedEntryPoints:
             metadata = result.metadata
             assert metadata["engine"] == engine
             assert metadata["processes"] == (2 if engine == "sharded" else 1)
-            assert metadata["pooled"] is False
+            assert metadata["pooled"] is (engine == "sharded")
             for name in names:
                 assert metadata[name] == getattr(blocker, name), (engine, name)
             if kind == "salsh":

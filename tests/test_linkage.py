@@ -3,8 +3,8 @@
 Covers the bipartite pair codec, the CSR cross-pair enumeration
 kernel, :class:`LinkedCorpus` semantics, ``block_pair`` on all four
 blockers (no within-side pairs, equality with the filtered
-``block(S ∪ T)`` oracle, byte-identical blocks across the serial,
-``processes=2`` and warm-pool runtimes), clean-clean evaluation
+``block(S ∪ T)`` oracle, byte-identical blocks for a blocker with and
+without a ``ShardPool(2)``), clean-clean evaluation
 (array ≡ legacy engines), the linked CSV codec's line-numbered
 errors, and the linkage resolver mode.
 """
@@ -243,12 +243,8 @@ class TestBlockPair:
         serial = _blocker(kind, "cora").block_pair(linked)
         oracle = _oracle_cross_pairs(_blocker(kind, "cora"), linked)
         assert set(serial.cross_pairs) == oracle
-        sharded = _blocker(kind, "cora", processes=2).block_pair(linked)
-        assert sharded.blocks == serial.blocks
         with ShardPool(2) as pool:
-            pooled = _blocker(kind, "cora", processes=2, pool=pool).block_pair(
-                linked
-            )
+            pooled = _blocker(kind, "cora", pool=pool).block_pair(linked)
         assert pooled.blocks == serial.blocks
 
     def test_two_datasets_equal_linked_corpus(self, fig1, fig1_sf, kind):

@@ -1,11 +1,11 @@
-"""Process-sharded runtime determinism (DESIGN.md, "Process-sharded
-streaming runtime").
+"""Pooled signature map determinism (DESIGN.md, "Process-level
+sharding").
 
-The contract extends the PR 2 guarantee to processes: neither the
-process count, nor the record-slab layout, nor the band-key shard
-assignment may change a single byte of the output — ``processes=2``
-blocks must equal serial blocks exactly, for every LSH blocker and at
-the index level (gated and ungated).
+The contract: neither the pool's process count nor the record-slab
+layout may change a single byte of the output — ``block()`` on a
+``ShardPool(2)`` must equal serial blocks exactly, for every LSH
+blocker. Only ``block()`` maps on the pool: streaming, linkage and the
+online index run in the calling process.
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ from repro.core import (
     SALSHBlocker,
 )
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.er import Resolver
 from repro.errors import ConfigurationError
-from repro.lsh.bands import split_bands_matrix
-from repro.lsh.index import BandedLSHIndex
-from repro.lsh.sharding import (
-    fold_labels,
-    record_slabs,
-    semantic_signature_slabs,
-    signature_slabs,
-)
+from repro.lsh.bands import fold_labels
+from repro.lsh.sharding import record_slabs, signature_slabs
 from repro.minhash import MinHasher, Shingler
-from repro.semantic import SemhashEncoder, VoterSemanticFunction
-from repro.semantic.hashing import WWaySemanticHashFamily
-from repro.utils.parallel import ShardPool, map_processes, resolve_processes
+from repro.records import Dataset, LinkedCorpus
+from repro.semantic import VoterSemanticFunction
+from repro.utils.parallel import ShardPool, resolve_processes
 
 VOTER_ATTRS = ("first_name", "last_name")
 
@@ -41,7 +36,18 @@ def _double(x):
     return 2 * x
 
 
+@pytest.fixture(scope="module")
+def pool():
+    """One two-process pool shared by the module's blocking tests."""
+    with ShardPool(2) as shared:
+        yield shared
+
+
 class TestParallelPrimitives:
+    """``ShardPool.map`` and the slab layout. The ``test_map_processes_*``
+    names are historic: they first covered the per-call
+    ``map_processes`` helper."""
+
     def test_resolve_processes(self):
         assert resolve_processes(3) == 3
         assert resolve_processes(None) >= 1
@@ -50,12 +56,14 @@ class TestParallelPrimitives:
 
     def test_map_processes_order_and_equivalence(self):
         payloads = list(range(23))
-        serial = map_processes(_double, payloads, processes=1)
-        pooled = map_processes(_double, payloads, processes=2)
+        with ShardPool(1) as serial_pool, ShardPool(2) as parallel_pool:
+            serial = serial_pool.map(_double, payloads)
+            pooled = parallel_pool.map(_double, payloads)
         assert serial == pooled == [2 * x for x in payloads]
 
     def test_map_processes_empty(self):
-        assert map_processes(_double, [], processes=4) == []
+        with ShardPool(4) as empty_pool:
+            assert empty_pool.map(_double, []) == []
 
     def test_record_slabs(self, fig1):
         records = list(fig1)
@@ -86,158 +94,121 @@ class TestFoldLabels:
 
 
 class TestShardedSignatureSlabs:
-    def test_concatenation_matches_one_shot(self, voter_small):
+    def test_concatenation_matches_one_shot(self, voter_small, pool):
         shingler = Shingler(VOTER_ATTRS, q=2)
         hasher = MinHasher(12, seed=9)
         expected = hasher.signature_matrix(shingler.shingle_corpus(voter_small))
-        parts = signature_slabs(shingler, hasher, voter_small, processes=2)
+        parts = signature_slabs(shingler, hasher, voter_small, pool)
+        assert len(parts) == pool.processes
         assert sum(len(p[0]) for p in parts) == len(voter_small)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), expected)
 
-    def test_semantic_slabs_ship_interpretations(self, voter_small):
-        shingler = Shingler(VOTER_ATTRS, q=2)
-        hasher = MinHasher(6, seed=2)
-        sf = VoterSemanticFunction()
-        parts = semantic_signature_slabs(
-            shingler, hasher, sf, voter_small, processes=2
-        )
-        zetas = {
-            rid: zeta
-            for record_ids, _, slab_zetas in parts
-            for rid, zeta in zip(record_ids, slab_zetas)
-        }
-        reference = SemhashEncoder(sf, voter_small)
-        rebuilt = SemhashEncoder.from_interpretations(sf, zetas)
-        assert rebuilt.bits == reference.bits
-
-
-class TestShardedIndexGrouping:
-    def _signatures(self, dataset, k=3, l=4):
-        shingler = Shingler(VOTER_ATTRS, q=2)
-        hasher = MinHasher(k * l, seed=2)
-        corpus = shingler.shingle_corpus(dataset)
-        return corpus.record_ids, hasher.signature_matrix(corpus), k, l
-
-    def test_ungated_blocks_identical(self, voter_small):
-        record_ids, signatures, k, l = self._signatures(voter_small)
-        keys = split_bands_matrix(signatures, k, l)
-        serial = BandedLSHIndex(l)
-        serial.add_many(record_ids, keys)
-        sharded = BandedLSHIndex(l, processes=2)
-        sharded.add_many(record_ids, keys)
-        assert sharded.blocks() == serial.blocks()
-        assert sharded.bucket_sizes() == serial.bucket_sizes()
-
-    @pytest.mark.parametrize("w,mode", [("all", "or"), (2, "and"), (3, "or")])
-    def test_gated_blocks_identical(self, voter_small, w, mode):
-        record_ids, signatures, k, l = self._signatures(voter_small)
-        keys = split_bands_matrix(signatures, k, l)
-        encoder = SemhashEncoder(VoterSemanticFunction(), voter_small)
-        semhash = encoder.signature_matrix(voter_small)
-        gates = WWaySemanticHashFamily(
-            num_bits=encoder.num_bits, w=w, mode=mode, num_tables=l, seed=1
-        )
-        entries = [gates.gate_entries(t, semhash) for t in range(l)]
-        serial = BandedLSHIndex(l)
-        serial.add_many(record_ids, keys, gate_entries=entries)
-        sharded = BandedLSHIndex(l, processes=3)
-        sharded.add_many(record_ids, keys, gate_entries=entries)
-        assert sharded.blocks() == serial.blocks()
-
-    def test_multi_slab_sharded_identical(self, voter_small):
-        record_ids, signatures, k, l = self._signatures(voter_small)
-        keys = split_bands_matrix(signatures, k, l)
-        serial = BandedLSHIndex(l)
-        serial.add_many(record_ids, keys)
-        sharded = BandedLSHIndex(l, processes=2)
-        for lo, hi in ((0, 123), (123, 124), (124, len(record_ids))):
-            sharded.add_many(record_ids[lo:hi], keys[lo:hi])
-        assert sharded.blocks() == serial.blocks()
-
 
 class TestShardedBlockersDeterministic:
-    def test_lsh_processes_identical(self, voter_small):
+    def test_lsh_processes_identical(self, voter_small, pool):
         serial = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=3).block(voter_small)
         sharded = LSHBlocker(
-            VOTER_ATTRS, q=2, k=4, l=6, seed=3, processes=2
+            VOTER_ATTRS, q=2, k=4, l=6, seed=3, pool=pool
         ).block(voter_small)
         assert sharded.blocks == serial.blocks
         assert sharded.metadata["processes"] == 2
+        assert serial.metadata["processes"] == 1
 
-    def test_salsh_processes_identical(self, voter_small):
+    def test_salsh_processes_identical(self, voter_small, pool):
         make = lambda **kw: SALSHBlocker(
             VOTER_ATTRS, q=2, k=4, l=6, seed=3,
             semantic_function=VoterSemanticFunction(), w=2, mode="or", **kw,
         )
         serial = make().block(voter_small)
-        sharded = make(processes=2).block(voter_small)
+        sharded = make(pool=pool).block(voter_small)
         assert sharded.blocks == serial.blocks
         assert sharded.metadata["engine"] == "sharded"
         assert sharded.metadata["num_semantic_bits"] == (
             serial.metadata["num_semantic_bits"]
         )
 
-    def test_salsh_fig1_processes_identical(self, fig1, fig1_sf):
+    def test_salsh_fig1_processes_identical(self, fig1, fig1_sf, pool):
         make = lambda **kw: SALSHBlocker(
             ("title", "authors"), q=3, k=2, l=3, seed=1,
             semantic_function=fig1_sf, w="all", mode="or", **kw,
         )
-        assert make(processes=2).block(fig1).blocks == make().block(fig1).blocks
+        assert make(pool=pool).block(fig1).blocks == make().block(fig1).blocks
 
-    def test_mplsh_processes_identical(self, voter_small):
+    def test_mplsh_processes_identical(self, voter_small, pool):
         make = lambda **kw: MultiProbeLSHBlocker(
             VOTER_ATTRS, q=2, k=3, l=4, seed=5, **kw
         )
         assert (
-            make(processes=2).block(voter_small).blocks
+            make(pool=pool).block(voter_small).blocks
             == make().block(voter_small).blocks
         )
 
-    def test_forest_processes_identical(self, voter_small):
+    def test_forest_processes_identical(self, voter_small, pool):
         make = lambda **kw: LSHForestBlocker(
             VOTER_ATTRS, q=2, k=4, l=3, seed=5, max_block_size=10, **kw
         )
         assert (
-            make(processes=2).block(voter_small).blocks
+            make(pool=pool).block(voter_small).blocks
             == make().block(voter_small).blocks
         )
 
-    def test_empty_dataset_all_blockers(self):
-        # The sharded path has no slabs to concatenate on an empty
+    def test_empty_dataset_all_blockers(self, pool):
+        # The pooled path has no slabs to concatenate on an empty
         # corpus; it must degrade to the serial result, not crash.
-        from repro.records import Dataset
-
         empty = Dataset([])
         for make in (
             lambda **kw: LSHBlocker(("a",), q=2, k=3, l=5, **kw),
             lambda **kw: MultiProbeLSHBlocker(("a",), q=2, k=3, l=5, **kw),
             lambda **kw: LSHForestBlocker(("a",), q=2, k=3, l=5, **kw),
         ):
-            assert make(processes=2).block(empty).blocks == (
+            assert make(pool=pool).block(empty).blocks == (
                 make().block(empty).blocks
             )
 
-    def test_workers_compose_with_processes(self, voter_small):
-        # A pool's worker count wins over the blocker's processes= (it
-        # lays out the slabs and shards); blocks stay serial-identical.
-        serial = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=3).block(voter_small)
-        with ShardPool(3) as pool:
-            combined = LSHBlocker(
-                VOTER_ATTRS, q=2, k=4, l=6, seed=3, processes=2, pool=pool
-            ).block(voter_small)
-        assert combined.blocks == serial.blocks
-
-    def test_streamed_sharded_identical(self, voter_small):
-        # processes= also applies to the streaming path's grouping.
+    def test_streamed_sharded_identical(self, voter_small, monkeypatch):
+        # block_stream runs in the calling process even when the
+        # blocker holds a pool: a map on it would raise.
         records = list(voter_small)
         slabs = [records[i : i + 111] for i in range(0, len(records), 111)]
         serial = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=3).block(voter_small)
-        streamed = LSHBlocker(
-            VOTER_ATTRS, q=2, k=4, l=6, seed=3, processes=2
-        ).block_stream(slabs)
+        with ShardPool(2) as unused:
+            monkeypatch.setattr(unused, "map", _no_map)
+            streamed = LSHBlocker(
+                VOTER_ATTRS, q=2, k=4, l=6, seed=3, pool=unused
+            ).block_stream(slabs)
         assert streamed.blocks == serial.blocks
 
-    def test_pipeline_processes_identical(self, voter_small):
+    @pytest.mark.parametrize("kind", ("lsh", "salsh"))
+    def test_only_block_maps_on_the_pool(self, voter_small, kind, monkeypatch):
+        # block_pair, the online index and the resolver built on it
+        # never touch the blocker's pool.
+        records = list(voter_small)
+        linked = LinkedCorpus(
+            Dataset(records[:100], name="src"), Dataset(records[100:], name="tgt")
+        )
+        extra = (
+            {} if kind == "lsh"
+            else dict(semantic_function=VoterSemanticFunction(), w=2)
+        )
+        cls = LSHBlocker if kind == "lsh" else SALSHBlocker
+        make = lambda **kw: cls(VOTER_ATTRS, q=2, k=4, l=6, seed=3, **extra, **kw)
+        serial = make()
+        with ShardPool(2) as unused:
+            monkeypatch.setattr(unused, "map", _no_map)
+            pooled = make(pool=unused)
+            paired = pooled.block_pair(linked)
+            assert paired.blocks == serial.block_pair(linked).blocks
+            assert paired.metadata["processes"] == 1
+            assert paired.metadata["pooled"] is False
+            online = pooled.online(records[:200])
+            online.add_many(records[200:])
+            assert online.blocks() == serial.block(voter_small).blocks
+            probes = records[200:210]
+            assert Resolver(pooled, records[:200]).resolve_many(probes) == (
+                Resolver(serial, records[:200]).resolve_many(probes)
+            )
+
+    def test_pipeline_processes_identical(self, voter_small, pool):
         serial = run_pipeline(
             voter_small,
             PipelineConfig(attributes=VOTER_ATTRS, q=2),
@@ -245,7 +216,12 @@ class TestShardedBlockersDeterministic:
         )
         sharded = run_pipeline(
             voter_small,
-            PipelineConfig(attributes=VOTER_ATTRS, q=2, processes=2),
+            PipelineConfig(attributes=VOTER_ATTRS, q=2, pool=pool),
             VoterSemanticFunction(),
         )
         assert sharded.outcome.result.blocks == serial.outcome.result.blocks
+        assert sharded.outcome.result.metadata["engine"] == "sharded"
+
+
+def _no_map(*_args, **_kwargs):
+    raise AssertionError("only block() may map on the pool")

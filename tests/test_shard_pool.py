@@ -1,7 +1,7 @@
 """Persistent shard pool: reuse determinism and slab transport
 (DESIGN.md, "Persistent shard pool").
 
-The pool extends the process-sharded contract across calls: repeated
+The pool carries the pooled signature map across calls: repeated
 ``block()``/``block_stream()`` calls on one warm pool — and interleaved
 blockers sharing it — must produce byte-identical blocks, equal to the
 serial engine for any pool size; a closed pool must fail loudly with
@@ -25,13 +25,7 @@ from repro.errors import ConfigurationError
 from repro.minhash import GrowableSignatureSpill
 from repro.records import Dataset
 from repro.semantic import VoterSemanticFunction
-from repro.utils.parallel import (
-    ShardPool,
-    _available_cpus,
-    effective_processes,
-    map_processes,
-    resolve_processes,
-)
+from repro.utils.parallel import ShardPool, _available_cpus, resolve_processes
 
 VOTER_ATTRS = ("first_name", "last_name")
 
@@ -68,9 +62,8 @@ class TestPoolPrimitives:
         payloads = list(range(17))
         with ShardPool(2) as pool:
             assert pool.map(_double, payloads) == [2 * x for x in payloads]
-        assert map_processes(_double, payloads, processes=1) == [
-            2 * x for x in payloads
-        ]
+        with ShardPool(1) as serial:
+            assert serial.map(_double, payloads) == [2 * x for x in payloads]
 
     def test_map_empty_and_single(self):
         with ShardPool(3) as pool:
@@ -97,12 +90,6 @@ class TestPoolPrimitives:
         ):
             assert serial_sum == pool_sum
             assert np.array_equal(np.asarray(pool_array), serial_array)
-
-    def test_map_processes_pool_takes_precedence(self):
-        with ShardPool(2) as pool:
-            assert map_processes(_double, [1, 2, 3], processes=7, pool=pool) == [
-                2, 4, 6,
-            ]
 
     def test_failed_map_cleans_slab_dir(self):
         # A map where one task raises must propagate the error AND
@@ -162,12 +149,6 @@ class TestPoolPrimitives:
         with pytest.raises(ConfigurationError, match="closed"):
             pool.map(_double, [1, 2])
         pool.close()  # idempotent
-
-    def test_effective_processes(self):
-        with ShardPool(3) as pool:
-            assert effective_processes(1, pool) == 3
-            assert effective_processes(None, pool) == 3
-        assert effective_processes(2) == 2
 
     def test_memo_capacity_bounded(self, voter_small):
         # Identity-keyed memo writers (e.g. a semantic function rebuilt
@@ -259,6 +240,9 @@ class TestPoolReuseDeterminism:
             other_sf = mk(sf2, pool=pool).block(voter_small)
         assert miss.blocks == hit.blocks == serial.blocks
         assert other_sf.blocks == serial.blocks
+        bits = serial.metadata["num_semantic_bits"]
+        assert miss.metadata["num_semantic_bits"] == bits
+        assert hit.metadata["num_semantic_bits"] == bits
         # The memoised call reports no semantic-function rebuild time.
         assert hit.metadata["sf_seconds"] == 0.0
         assert miss.metadata["sf_seconds"] > 0.0
@@ -275,7 +259,9 @@ class TestPoolReuseDeterminism:
             spill.finalize()
         assert first.blocks == serial.blocks
         assert second.blocks == serial.blocks
-        assert first.metadata["pooled"] is True
+        # Streaming groups in the calling process; the pool sits idle.
+        assert first.metadata["pooled"] is False
+        assert first.metadata["processes"] == 1
 
     def test_pipeline_on_pool(self, voter_small):
         serial = run_pipeline(
@@ -302,7 +288,8 @@ class TestPoolReuseDeterminism:
 
 class TestEmptyCorpus:
     """``record_slabs([], n)`` yields zero payloads; every blocker must
-    degrade to empty blocks, not crash — sharded and pooled alike."""
+    degrade to empty blocks, not crash — on a cold and a warm pool
+    alike."""
 
     def _makers(self):
         sf = VoterSemanticFunction()
@@ -317,9 +304,11 @@ class TestEmptyCorpus:
 
     def test_empty_blocks_sharded(self):
         empty = Dataset([])
-        for make in self._makers():
-            assert make().block(empty).blocks == ()
-            assert make(processes=2).block(empty).blocks == ()
+        with ShardPool(2) as pool:
+            # A pool that has never mapped: no executor forked yet.
+            for make in self._makers():
+                assert make().block(empty).blocks == ()
+                assert make(pool=pool).block(empty).blocks == ()
 
     def test_empty_blocks_on_warm_pool(self, voter_small):
         empty = Dataset([])

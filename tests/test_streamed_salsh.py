@@ -86,17 +86,6 @@ class TestFrozenEncoder:
         assert set(sample.bits) <= set(full.bits)
         assert sample.num_bits < full.num_bits
 
-    def test_from_interpretations_matches_records(self, voter_small):
-        sf = VoterSemanticFunction()
-        zetas = {r.record_id: sf.interpret(r) for r in voter_small}
-        from_zetas = SemhashEncoder.from_interpretations(sf, zetas)
-        from_records = SemhashEncoder(sf, voter_small)
-        assert from_zetas.bits == from_records.bits
-        assert np.array_equal(
-            from_zetas.signature_matrix(voter_small),
-            from_records.signature_matrix(voter_small),
-        )
-
 
 class TestStreamedEqualsBatch:
     @pytest.mark.parametrize("slab_size", [1, 3, 100])
