@@ -21,8 +21,7 @@ the same NC-Voter-like corpora and reports the full matrix:
 
 Every linkage cell doubles as an equivalence check: the array
 evaluation engine must agree with the per-block reference
-(``repro.reference.evaluate_linkage``). ``block_pair`` never maps on a
-shard pool, so the matrix runs it serially only.
+(``repro.reference.evaluate_linkage``).
 
 ``check_linkage`` gates the matrix (``main`` and the pytest wrapper
 both fail if it does not hold):

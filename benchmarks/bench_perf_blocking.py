@@ -1,15 +1,11 @@
-"""Perf benchmark — per-record vs batch vs pooled vs streamed engines.
+"""Perf benchmark — per-record vs batch vs streamed engines.
 
 Times LSH and SA-LSH blocking on synthetic NC-Voter at 10k/50k records
 (the paper's §6.1 voter parameters q=2, k=9, l=15) under the per-record
-reference loop (``repro.reference``) and the batch engine, the batch
-engine on a warm caller-held :class:`~repro.utils.parallel.ShardPool`
-(record-slab signatures mapped over the pool's processes with
-shared-memory slab transport, record slabs interned across calls), one
-call on a fresh pool (the shape of a ``repro block --processes N``
-command), the slab-streamed LSH path with a memory-mapped signature
-spill, and the streamed SA-LSH path (encoder frozen from the full
-corpus, growable spill). A further section times the survey
+reference loop (``repro.reference``) and the batch engine, the
+slab-streamed LSH path with a memory-mapped signature spill, and the
+streamed SA-LSH path (encoder frozen from the full corpus, growable
+spill). A further section times the survey
 baselines that run on the batch key-extraction path (TBlo, SorA,
 SorII, SuA) at the same sizes, so the techniques the survey calls
 "blocking one record at a time" finally appear on the same 50k+ axis.
@@ -42,8 +38,7 @@ resolver, WAL frame-decode throughput, and the journal's overhead on
 ops/s and the happy-path journal tax to < 5%.
 
 Every run doubles as a large-scale equivalence check: blocks are
-asserted identical across per-record/batch/pooled/cold-pool/streamed
-engines, and the pair pipeline asserts identical pair sets, metrics,
+asserted identical across per-record/batch/streamed engines, and the pair pipeline asserts identical pair sets, metrics,
 retained-edge sets and match decisions between the reference and array
 engines (``main`` and the pytest wrapper both fail if the speedup
 column is missing or < 1 — a silent fallback to reference-path
@@ -53,16 +48,11 @@ Environment knobs (see benchmarks/README.md):
 
 * ``REPRO_BENCH_PERF_SIZES=2000,5000`` — override the 10k/50k ladder
   (CI smoke uses one small size);
-* ``REPRO_BENCH_PROCESSES=4`` — process count of the pooled run
-  (default 4; the recorded ``cpu_count`` tells you whether the host
-  could actually exploit it — the ≥2× multicore headline only holds on
-  ≥4-core hosts, single-core hosts pay pool overhead and record it);
 * ``REPRO_BENCH_SCALE=paper`` keeps the default ladder.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import platform
@@ -88,7 +78,6 @@ from repro.minhash import GrowableSignatureSpill, open_signature_memmap
 from repro.records import Record
 from repro.semantic import SemhashEncoder
 from repro.store import Journal, read_journal
-from repro.utils.parallel import ShardPool, set_slab_integrity
 from repro.utils.rand import rng_from_seed
 
 from _shared import (
@@ -100,19 +89,6 @@ from _shared import (
 )
 
 DEFAULT_SIZES = (10_000, 50_000)
-DEFAULT_PROCESSES = 4
-#: The multicore headline (warm pool vs the serial batch engine) is
-#: only asserted at this ladder size and on hosts with this many cores;
-#: below either threshold the column is recorded, not asserted.
-PARALLEL_HEADLINE_SIZE = 50_000
-PARALLEL_HEADLINE_CORES = 4
-PARALLEL_HEADLINE_SPEEDUP = 2.0
-#: Happy-path cost of the fault-tolerance layer (integrity footers +
-#: disarmed injection hooks) on the pooled rung: asserted < 5% at the
-#: 10k headline size, recorded at the others (smoke runs are too short
-#: to resolve a few percent).
-RESILIENCE_OVERHEAD_BUDGET = 0.05
-RESILIENCE_HEADLINE_SIZE = 10_000
 #: Streamed runs cut the corpus into this many record slabs.
 STREAM_SLABS = 8
 #: Pair-pipeline meta-blocking configuration (per-node pruning is the
@@ -141,8 +117,8 @@ WAL_REPLAY_OPS = 20_000
 WAL_REPLAY_MIN_OPS_PER_SEC = 10_000
 #: Happy-path cost of the durability machinery on the read path:
 #: ``resolve_many`` on a journal-backed resolver vs the same corpus in
-#: a plain one. Asserted only at the 10k headline rung (same timing
-#: rationale as ``check_resilience``), recorded elsewhere.
+#: a plain one. Asserted only at the 10k headline rung, recorded
+#: elsewhere (see ``check_durability``).
 JOURNAL_OVERHEAD_BUDGET = 0.05
 DURABILITY_HEADLINE_SIZE = 10_000
 #: How far SA-LSH's PC may sit below LSH's while its PQ must be higher
@@ -160,26 +136,6 @@ def sizes() -> tuple[int, ...]:
     return DEFAULT_SIZES
 
 
-def bench_processes() -> int:
-    return int(os.environ.get("REPRO_BENCH_PROCESSES", str(DEFAULT_PROCESSES)))
-
-
-def host_clock():
-    """A host-speed clock: ``HostClock`` of ``erbench/reference.py``,
-    loaded from the file without changing it.
-
-    Each reading runs a fixed reference kernel; scaling a timed piece
-    of work by the mean of the readings before and after it removes the
-    host's speed drift between rounds (see that module's docstring).
-    """
-    spec = importlib.util.spec_from_file_location(
-        "erbench_reference", ROOT / "erbench" / "reference.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.HostClock()
-
-
 def _timed(run, *, repeats: int):
     """Best-of-``repeats`` wall time (standard throughput practice)."""
     best = None
@@ -193,7 +149,7 @@ def _timed(run, *, repeats: int):
 
 
 def _run_engine_pair(
-    make_blocker, dataset, warmup_dataset, clock, *, stream: str | None
+    make_blocker, dataset, warmup_dataset, *, stream: str | None
 ) -> dict:
     # One small warmup per engine: fills the process-wide SHA-1 memo
     # and numpy's lazily-initialised kernels so both engines are timed
@@ -211,81 +167,6 @@ def _run_engine_pair(
     )
     metrics = evaluate_blocks(batch_result, dataset)
 
-    # Pooled: batch blocking on one warm caller-held pool — the
-    # executor forks once, record slabs are interned in shared memory
-    # on the untimed warm calls, and the timed rounds measure the
-    # amortised steady state repeated blocking calls actually see.
-    # The integrity-off twin ("bare", snapshotting the toggle at
-    # construction) isolates what the fault-tolerance happy path
-    # (slab footers + disarmed injection hooks) costs when nothing
-    # fails. The two are timed in one shared window of paired rounds
-    # with strictly balanced ordering (the second call of a round pays
-    # the first call's tmpfs page reclaim, so each pool leads half the
-    # rounds). Each call's wall time is scaled by the host-speed
-    # readings taken just before and after it (CPU time would miss the
-    # workers' share), and the overhead column compares the *median*
-    # of each pool's scaled lead-position times — lead rounds are the
-    # clean samples, and the median rides out the multi-second load
-    # spikes a shared host throws at any individual round, which two
-    # separately-timed windows (or a min over a handful of rounds)
-    # cannot.
-    processes = bench_processes()
-    pooled_times: list[float] = []
-    bare_times: list[float] = []
-    pooled_leads: list[float] = []
-    bare_leads: list[float] = []
-    previous_integrity = set_slab_integrity(False)
-    try:
-        bare_pool = ShardPool(processes)
-    finally:
-        set_slab_integrity(previous_integrity)
-    with ShardPool(processes) as pool, bare_pool:
-        make_blocker(pool=pool).block(warmup_dataset)
-        make_blocker(pool=pool).block(dataset)
-        make_blocker(pool=bare_pool).block(warmup_dataset)
-        make_blocker(pool=bare_pool).block(dataset)
-        clock.read()
-        for round_index in range(12):
-            ordered = (pool, bare_pool) if round_index % 2 else (bare_pool, pool)
-            for position, timed_pool in enumerate(ordered):
-                start = time.perf_counter()
-                timed_result = make_blocker(pool=timed_pool).block(dataset)
-                elapsed = time.perf_counter() - start
-                scaled = clock.measure(elapsed)
-                if timed_pool is pool:
-                    pooled_result = timed_result
-                    pooled_times.append(elapsed)
-                    if position == 0:
-                        pooled_leads.append(scaled)
-                else:
-                    bare_result = timed_result
-                    bare_times.append(elapsed)
-                    if position == 0:
-                        bare_leads.append(scaled)
-    pooled_seconds = min(pooled_times)
-    bare_seconds = min(bare_times)
-    resilience_overhead = (
-        statistics.median(pooled_leads) / statistics.median(bare_leads) - 1.0
-    )
-    assert pooled_result.blocks == batch_result.blocks, (
-        "pooled and serial batch engines disagree — equivalence broken"
-    )
-    assert bare_result.blocks == batch_result.blocks, (
-        "integrity-off pooled engine disagrees — equivalence broken"
-    )
-
-    # Cold: a fresh pool per call, the shape of one ``repro block
-    # --processes N`` command — the executor forks inside the timed
-    # call and the pool's per-corpus memo starts empty.
-    def run_cold():
-        with ShardPool(processes) as cold_pool:
-            return make_blocker(pool=cold_pool).block(dataset)
-
-    cold_result, cold_seconds = _timed(run_cold, repeats=2)
-    assert cold_result.blocks == batch_result.blocks, (
-        "cold-pool and serial batch engines disagree — equivalence broken"
-    )
-
     n = len(dataset)
     stats = {
         "num_blocks": batch_result.num_blocks,
@@ -296,28 +177,6 @@ def _run_engine_pair(
         "per_record_records_per_sec": round(n / legacy_seconds, 1),
         "batch_records_per_sec": round(n / batch_seconds, 1),
         "speedup": round(legacy_seconds / batch_seconds, 2),
-        "processes": processes,
-        "pooled_seconds": round(pooled_seconds, 4),
-        "pooled_records_per_sec": round(n / pooled_seconds, 1),
-        # Guard column: the warm pool must stay ahead of the
-        # per-record legacy floor on any host.
-        "pooled_speedup": round(legacy_seconds / pooled_seconds, 2),
-        # Headline column: multicore scaling vs the serial batch
-        # engine; ≥2× asserted at 50k on ≥4-core hosts, recorded (with
-        # cpu_count) on smaller hosts.
-        "pooled_parallel_speedup": round(batch_seconds / pooled_seconds, 2),
-        "pooled_bare_seconds": round(bare_seconds, 4),
-        "cold_pooled_seconds": round(cold_seconds, 4),
-        "cold_pooled_records_per_sec": round(n / cold_seconds, 1),
-        # Guard column: one call on a fresh pool (fork and memo miss
-        # included) must stay ahead of the per-record legacy floor.
-        "cold_pooled_speedup": round(legacy_seconds / cold_seconds, 2),
-        # Resilience column: fractional happy-path cost of integrity
-        # footers + disarmed fault hooks on the warm pooled rung
-        # (ratio of the host-scaled lead-round medians over the shared
-        # balanced window above); < 5% asserted at 10k
-        # (check_resilience).
-        "resilience_overhead": round(resilience_overhead, 4),
     }
 
     records = list(dataset)
@@ -495,10 +354,9 @@ def _run_durability(dataset) -> dict:
 
     # The journal-overhead ratio compares two runs of the same length
     # (~0.1 s), which two separately-timed windows cannot resolve to a
-    # few percent on a loaded shared host — so, like the resilience
-    # column, the plain and journal-backed resolvers are timed in one
-    # shared window of balanced interleaved rounds and compared by
-    # median.
+    # few percent on a loaded shared host — so the plain and
+    # journal-backed resolvers are timed in one shared window of
+    # balanced interleaved rounds and compared by median.
     plain = Resolver(voter_lsh(), records)
     plain.resolve_many(probes[:8])  # untimed: folds the lazy query maps
     with tempfile.TemporaryDirectory() as tmp:
@@ -716,18 +574,13 @@ def run_perf() -> dict:
         "sizes": {},
     }
     warmup = NCVoterLikeGenerator(num_records=200, seed=SEED + 1).generate()
-    clock = host_clock()
     for n in sizes():
         dataset = NCVoterLikeGenerator(num_records=n, seed=SEED).generate()
         blocks = voter_lsh(k=PIPELINE_K).block(dataset).blocks
         report["sizes"][str(n)] = {
-            "lsh": _run_engine_pair(
-                lambda **kw: voter_lsh(**kw), dataset, warmup, clock,
-                stream="lsh",
-            ),
+            "lsh": _run_engine_pair(voter_lsh, dataset, warmup, stream="lsh"),
             "salsh": _run_engine_pair(
-                lambda **kw: voter_salsh(**kw), dataset, warmup, clock,
-                stream="salsh",
+                voter_salsh, dataset, warmup, stream="salsh"
             ),
             "baselines": _run_baselines(dataset),
             "pair_pipeline": _run_pair_pipeline(dataset, blocks),
@@ -770,45 +623,6 @@ def check_streamed(report: dict) -> None:
         )
 
 
-def check_pooled(report: dict) -> None:
-    """Guard the warm- and cold-pool columns.
-
-    The pooled columns must exist at every ladder size, and neither the
-    warm pool nor one call on a fresh pool may fall below the per-record
-    legacy floor. The ≥2× multicore headline vs
-    the *serial batch* engine is additionally asserted at 50k when the
-    host actually has ≥4 cores; on smaller hosts it is recorded
-    alongside ``cpu_count`` for the next multicore run to check.
-    """
-    cores = report.get("cpu_count") or 1
-    for n, entry in report["sizes"].items():
-        for technique in ("lsh", "salsh"):
-            stats = entry[technique]
-            floor = stats.get("pooled_speedup")
-            assert floor is not None and floor >= 1.0, (
-                f"size {n} {technique}: pooled speedup {floor!r} < 1 — "
-                "the warm pool fell below the per-record floor"
-            )
-            cold = stats.get("cold_pooled_speedup")
-            assert cold is not None and cold >= 1.0, (
-                f"size {n} {technique}: cold-pool speedup {cold!r} < 1 — "
-                "a fresh pool's call fell below the per-record floor"
-            )
-            parallel = stats.get("pooled_parallel_speedup")
-            assert parallel is not None, (
-                f"size {n} {technique}: pooled_parallel_speedup missing"
-            )
-            if (
-                cores >= PARALLEL_HEADLINE_CORES
-                and int(n) >= PARALLEL_HEADLINE_SIZE
-            ):
-                assert parallel >= PARALLEL_HEADLINE_SPEEDUP, (
-                    f"size {n} {technique}: pooled multicore speedup "
-                    f"{parallel!r} < {PARALLEL_HEADLINE_SPEEDUP} on a "
-                    f"{cores}-core host"
-                )
-
-
 def check_quality(report: dict) -> None:
     """Gate blocking quality on Fig. 9's claim at every ladder size.
 
@@ -834,39 +648,6 @@ def check_quality(report: dict) -> None:
             f"{QUALITY_PC_TOLERANCE} below LSH PC {lsh['pc']} — the "
             "semantic gate is losing true matches"
         )
-
-
-def check_resilience(report: dict) -> None:
-    """Guard the cost of the fault-tolerance machinery.
-
-    ``resilience_overhead`` compares the default pooled run (fault
-    hooks consulted, slab checksums verified) against the same warm
-    pool with integrity checking switched off, each call scaled by the
-    host-speed readings around it. The columns must exist at every
-    ladder size; at the 10k headline rung the overhead must stay under
-    ``RESILIENCE_OVERHEAD_BUDGET`` — robustness that taxes the happy
-    path more than a few percent is a regression, not a feature. The
-    other sizes are recorded for trajectory only: below 10k the runs
-    are too short to resolve a few-percent ratio, and above it the
-    measurement window stretches far enough that shared-host load
-    drift swamps the same few percent.
-    """
-    for n, entry in report["sizes"].items():
-        for technique in ("lsh", "salsh"):
-            stats = entry[technique]
-            for column in ("pooled_bare_seconds", "resilience_overhead"):
-                assert column in stats, (
-                    f"size {n} {technique}: resilience column "
-                    f"{column!r} missing"
-                )
-            if int(n) == RESILIENCE_HEADLINE_SIZE:
-                overhead = stats["resilience_overhead"]
-                assert overhead < RESILIENCE_OVERHEAD_BUDGET, (
-                    f"size {n} {technique}: fault-tolerance overhead "
-                    f"{overhead!r} >= {RESILIENCE_OVERHEAD_BUDGET} — "
-                    "the integrity/fault hooks are taxing the happy "
-                    "path"
-                )
 
 
 def check_query_path(report: dict) -> None:
@@ -912,8 +693,7 @@ def check_durability(report: dict) -> None:
     below that, journal-tail replay would dominate recovery). The
     journal's read-path overhead is asserted < 5% only at the 10k
     headline rung — shorter runs cannot resolve a few-percent ratio,
-    longer ones smear it with shared-host load drift (the same
-    rationale as ``check_resilience``).
+    longer ones smear it with shared-host load drift.
     """
     for n, entry in report["sizes"].items():
         stats = entry.get("durability")
@@ -954,28 +734,21 @@ def _persist(report: dict) -> None:
                 technique.upper(),
                 stats["per_record_seconds"],
                 stats["batch_seconds"],
-                stats["pooled_seconds"],
-                stats["cold_pooled_seconds"],
                 stats.get(
                     "streamed_seconds", stats.get("streamed_salsh_seconds", "-")
                 ),
                 stats["batch_records_per_sec"],
                 stats["speedup"],
-                stats["pooled_parallel_speedup"],
-                stats["resilience_overhead"],
                 stats["pc"],
                 stats["pq"],
             ])
     write_result(
         "perf_blocking",
         format_table(
-            ["records", "blocker", "t(loop)s", "t(batch)s",
-             f"t(pool={bench_processes()})s",
-             f"t(cold={bench_processes()})s", "t(stream)s",
-             "rec/s(batch)", "speedup", "pool.par", "resil.ovh", "PC",
-             "PQ"],
+            ["records", "blocker", "t(loop)s", "t(batch)s", "t(stream)s",
+             "rec/s(batch)", "speedup", "PC", "PQ"],
             rows,
-            title="Perf — per-record vs batch vs pooled vs streamed "
+            title="Perf — per-record vs batch vs streamed "
                   "(q=2, k=9, l=15)",
         ),
     )
@@ -1072,14 +845,10 @@ def test_perf_blocking(benchmark):
             # claim is asserted on the committed 10k/50k run, while CI
             # smoke sizes only check a real win to stay timing-robust.
             assert entry[technique]["speedup"] > 1.0
-            # Streamed/pooled equivalence is asserted inside the run;
-            # multicore *speedup* is only meaningful with spare cores,
-            # so it is asserted only where check_pooled says.
+            # Streamed equivalence is asserted inside the run.
     check_pair_pipeline(report)
     check_streamed(report)
-    check_pooled(report)
     check_quality(report)
-    check_resilience(report)
     check_query_path(report)
     check_durability(report)
 
@@ -1089,9 +858,7 @@ def main() -> int:
     _persist(report)
     check_pair_pipeline(report)
     check_streamed(report)
-    check_pooled(report)
     check_quality(report)
-    check_resilience(report)
     check_query_path(report)
     check_durability(report)
     return 0

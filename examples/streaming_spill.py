@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Streaming SA-LSH and the pooled signature map end to end.
+"""Streaming SA-LSH with a growable signature spill, end to end.
 
-Walks three pieces on one corpus (DESIGN.md, "Process-sharded
-streaming runtime"):
+Walks two pieces on one corpus (DESIGN.md, "Streams of unknown
+length"):
 
 1. freeze a semantic encoder from a 10% training sample
    (``SemhashEncoder.fit``) and stream SA-LSH over record slabs of
@@ -10,19 +10,13 @@ streaming runtime"):
    growable signature spill;
 2. verify the equivalence configuration: an encoder frozen from the
    full corpus streams to blocks byte-identical to the in-memory
-   batch engine;
-3. block on a caller-held ``ShardPool`` of two processes: each worker
-   shingles and minhashes one record slab, the parent does the rest,
-   and the blocks equal the serial ones exactly. A warm repeat reuses
-   the pool's executor, its interned record slabs and the memoised
-   semantic encoder.
+   batch engine.
 
-Run:  python examples/streaming_sharded.py [num_records]
+Run:  python examples/streaming_spill.py [num_records]
 """
 
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from repro.core import SALSHBlocker
@@ -30,7 +24,6 @@ from repro.datasets import NCVoterLikeGenerator
 from repro.evaluation import evaluate_blocks
 from repro.minhash import GrowableSignatureSpill
 from repro.semantic import SemhashEncoder, VoterSemanticFunction
-from repro.utils import ShardPool
 
 ATTRIBUTES = ("first_name", "last_name")
 SLAB = 500
@@ -49,15 +42,10 @@ def main():
     print(f"registry: {len(records)} records, "
           f"{dataset.num_true_matches} duplicate pairs\n")
 
-    # One shared semantic-function instance: the pool's SA-LSH memo is
-    # keyed by it, so repeated pooled calls below reuse the derived
-    # encoder instead of re-interpreting the corpus.
-    semantic_function = VoterSemanticFunction()
-
-    def make_blocker(**kw):
+    def make_blocker():
         return SALSHBlocker(
             ATTRIBUTES, q=2, k=9, l=15, seed=3,
-            semantic_function=semantic_function, w=2, mode="or", **kw,
+            semantic_function=VoterSemanticFunction(), w=2, mode="or",
         )
 
     reference = make_blocker().block(dataset)
@@ -91,18 +79,6 @@ def main():
         assert replay.blocks == reference.blocks
         print("streamed (full fit):  identical to batch blocks")
 
-    # 3. A caller-held shard pool: signature slabs off the GIL, blocks
-    #    identical; the warm repeat reuses the executor, the interned
-    #    record slabs and the memoised encoder.
-    with ShardPool(processes=2) as pool:
-        first = make_blocker(pool=pool).block(dataset)  # forks + interns
-        start = time.perf_counter()
-        repeat = make_blocker(pool=pool).block(dataset)
-        warm_seconds = time.perf_counter() - start
-    assert first.blocks == repeat.blocks == reference.blocks
-    print(f"pooled (processes=2): identical to batch blocks "
-          f"(engine={repeat.metadata['engine']}), warm repeat "
-          f"{warm_seconds:.3f}s vs {reference.seconds:.3f}s serial")
 
 if __name__ == "__main__":
     main()

@@ -18,7 +18,7 @@ setup(
     version=_version["__version__"],
     description=(
         "Reproduction of semantic-aware LSH blocking for entity "
-        "resolution, grown into a parallel, streaming blocking toolkit"
+        "resolution, grown into a streaming blocking toolkit"
     ),
     author="paper-repo-growth",
     python_requires=">=3.10",

@@ -71,7 +71,6 @@ from repro.store import latest_checkpoint
 from repro.store.journal import FSYNC_MODES
 from repro.taxonomy.builders import bibliographic_tree
 from repro.utils import faults
-from repro.utils.parallel import ShardPool
 
 #: Built-in semantic domains for the salsh technique.
 SEMANTIC_DOMAINS = ("cora", "voter")
@@ -87,32 +86,28 @@ def _semantic_function(domain: str):
     )
 
 
-def _make_blocker(args, pool: ShardPool | None = None) -> object:
+def _make_blocker(args) -> object:
     attributes = tuple(a.strip() for a in args.attributes.split(",") if a.strip())
     if not attributes:
         raise ReproError("--attributes must name at least one attribute")
     technique = args.technique.lower()
     if technique == "lsh":
         return LSHBlocker(
-            attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            pool=pool,
+            attributes, q=args.q, k=args.k, l=args.l, seed=args.seed
         )
     if technique == "salsh":
         return SALSHBlocker(
             attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
             semantic_function=_semantic_function(args.domain),
             w=args.w if args.w else "all", mode=args.mode,
-            pool=pool,
         )
     if technique == "mplsh":
         return MultiProbeLSHBlocker(
-            attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            pool=pool,
+            attributes, q=args.q, k=args.k, l=args.l, seed=args.seed
         )
     if technique == "forest":
         return LSHForestBlocker(
-            attributes, q=args.q, k=args.k, l=args.l, seed=args.seed,
-            pool=pool,
+            attributes, q=args.q, k=args.k, l=args.l, seed=args.seed
         )
     for name in TECHNIQUE_ORDER:
         if technique == name.lower():
@@ -120,23 +115,6 @@ def _make_blocker(args, pool: ShardPool | None = None) -> object:
     raise ReproError(
         f"unknown technique {args.technique!r}; known: lsh, salsh, mplsh, "
         f"forest, {', '.join(t.lower() for t in TECHNIQUE_ORDER)}"
-    )
-
-
-def _pool_context(args) -> "ShardPool | contextlib.nullcontext":
-    """The pool ``block --processes N`` runs on.
-
-    N ≠ 1 (0 = all CPUs) opens one ShardPool for the command, built
-    with the ``--retries``/``--map-timeout`` policy, on which batch
-    blocking maps its signature slabs; ``--processes 1`` runs the
-    serial engine with no pool.
-    """
-    if args.processes == 1:
-        return contextlib.nullcontext()
-    return ShardPool(
-        args.processes or None,
-        retry=args.retries,
-        map_timeout=args.map_timeout,
     )
 
 
@@ -246,10 +224,8 @@ def cmd_generate(args) -> int:
 
 def cmd_block(args) -> int:
     dataset = read_csv(args.input)
-    with _pool_context(args) as pool:
-        blocker = _make_blocker(args, pool=pool)
-        outcome = run_blocking(blocker, dataset)
-        write_pairs_csv(outcome.result.distinct_pairs, args.out)
+    outcome = run_blocking(_make_blocker(args), dataset)
+    write_pairs_csv(outcome.result.distinct_pairs, args.out)
     print(
         f"{outcome.description}: {outcome.metrics.num_distinct_pairs} "
         f"candidate pairs from {len(dataset)} records "
@@ -465,24 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     block = commands.add_parser("block", help="block a CSV dataset")
     block.add_argument("--input", required=True)
     add_blocker_arguments(block)
-    block.add_argument("--processes", type=int, default=1,
-                       help="worker processes of one shard pool (warm "
-                            "executor + shared-memory slab transport) "
-                            "spanning the command; each shingles/minhashes "
-                            "one record slab (0 = all CPUs, default 1 = "
-                            "serial); identical blocks either way")
-    block.add_argument("--retries", type=int, default=None,
-                       help="retry rounds after a recoverable pool "
-                            "failure (broken worker, corrupt slab, "
-                            "timeout) before the map degrades "
-                            "to serial execution; 0 disables recovery "
-                            "and surfaces typed errors (default: the "
-                            "pool's self-healing policy)")
-    block.add_argument("--map-timeout", type=float, default=None,
-                       help="seconds each pool map attempt may run "
-                            "before hung workers are terminated and "
-                            "the unfinished payloads retried "
-                            "(default: no timeout)")
     block.add_argument("--out", required=True)
     block.set_defaults(func=cmd_block)
 

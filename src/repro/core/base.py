@@ -14,7 +14,6 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
-from repro.lsh.sharding import signature_slabs
 from repro.minhash.minhash import MinHasher
 from repro.minhash.shingling import Shingler
 from repro.minhash.signature import GrowableSignatureSpill
@@ -32,7 +31,6 @@ from repro.records.pairs import (
     unique_bipartite_keys,
     unique_pair_keys,
 )
-from repro.utils.parallel import ShardPool
 
 @dataclass(frozen=True)
 class BlockArrays:
@@ -393,22 +391,16 @@ class OnlineIndex(ABC):
 class LSHFamilyBlocker(Blocker):
     """Base of the four minhash LSH blockers: one engine per technique.
 
-    A subclass supplies three things: its :meth:`online` index, its
-    :attr:`parameter_names` and its pool-mapped signature pass
-    (:attr:`_slab_pass`, run when ``pool`` has more than one process).
-    The entry points are derived here once, because the online index's
-    incremental ≡ rebuild contract (:class:`OnlineIndex`) makes batch,
-    streamed and linkage blocking three ways of feeding one index:
+    A subclass supplies two things: its :meth:`online` index and its
+    :attr:`parameter_names`. The entry points are derived here once,
+    because the online index's incremental ≡ rebuild contract
+    (:class:`OnlineIndex`) makes batch, streamed and linkage blocking
+    three ways of feeding one index:
 
-    * :meth:`block` — ``online(D).blocks()``; the pooled path maps the
-      signature slabs on the pool and feeds them to the same index
-      through its ``add_signatures``;
+    * :meth:`block` — ``online(D).blocks()``;
     * :meth:`block_stream` — one index, ``add_many`` per slab;
     * :meth:`block_pair` — the target-side :meth:`linkage_index`, then
       ``add_many(source)``.
-
-    Only :meth:`block` uses the pool. Bucket grouping, streaming,
-    linkage and the online index always run in the calling process.
 
     The per-record engines of :mod:`repro.reference.blocking` are the
     anchor the derived paths are checked against
@@ -428,26 +420,15 @@ class LSHFamilyBlocker(Blocker):
         Seed for the minhash permutations.
     padded:
         Pad values before q-gram extraction.
-    pool:
-        Optional :class:`~repro.utils.parallel.ShardPool`, opened and
-        closed by the caller. With more than one process, :meth:`block`
-        shingles and minhashes one record slab per pool process,
-        escaping the GIL for the string-heavy hot loops; the pool's
-        executor stays warm across repeated calls and slabs ride shared
-        memory. Blocks are byte-identical to serial for any pool.
     name:
         Display name; defaults to the class's :attr:`name`.
     """
 
-    #: Attributes reported, next to the runtime, in every result's
+    #: Attributes reported, next to the engine, in every result's
     #: metadata.
     parameter_names: tuple[str, ...] = ("k", "l", "q")
     #: Minhash implementation (MP-LSH also needs runner-up values).
     hasher_type: type = MinHasher
-    #: The pool-mapped signature pass: ``(shingler, hasher, records,
-    #: pool)`` to per-slab argument tuples of the online index's
-    #: ``add_signatures``.
-    _slab_pass = staticmethod(signature_slabs)
 
     def __init__(
         self,
@@ -458,7 +439,6 @@ class LSHFamilyBlocker(Blocker):
         *,
         seed: int = 0,
         padded: bool = False,
-        pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
         if k < 1 or l < 1:
@@ -468,7 +448,6 @@ class LSHFamilyBlocker(Blocker):
         self.k = k
         self.l = l
         self.seed = seed
-        self.pool = pool
         self.shingler = Shingler(self.attributes, q=q, padded=padded)
         self.hasher = self.hasher_type(num_hashes=k * l, seed=seed)
         self.name = name or type(self).name
@@ -476,10 +455,6 @@ class LSHFamilyBlocker(Blocker):
     @abstractmethod
     def online(self, records: Iterable[Record] = (), **options) -> OnlineIndex:
         """A mutable online index seeded with ``records``."""
-
-    def _processes(self) -> int:
-        """Processes :meth:`block` maps signature slabs on (1: serial)."""
-        return 1 if self.pool is None else self.pool.processes
 
     def _parameters(self, index: OnlineIndex | None) -> dict[str, Any]:
         """The parameters reported in a result's metadata."""
@@ -496,18 +471,8 @@ class LSHFamilyBlocker(Blocker):
         **extra: Any,
     ) -> BlockingResult:
         """Every entry point's result: blocks, time since ``start``, and
-        metadata of parameters, runtime and ``engine`` plus ``extra``.
-
-        ``processes``/``pooled`` describe the run, not the blocker: only
-        the ``sharded`` engine maps on the pool."""
-        pooled = engine == "sharded"
-        metadata = {
-            **self._parameters(index),
-            "processes": self._processes() if pooled else 1,
-            "pooled": pooled,
-            "engine": engine,
-            **extra,
-        }
+        metadata of parameters and ``engine`` plus ``extra``."""
+        metadata = {**self._parameters(index), "engine": engine, **extra}
         seconds = time.perf_counter() - start
         if linked is None:
             return BlockingResult(
@@ -521,13 +486,6 @@ class LSHFamilyBlocker(Blocker):
 
     def block(self, dataset: Dataset) -> BlockingResult:
         start = time.perf_counter()
-        if self._processes() > 1:
-            index = self.online()
-            for part in self._slab_pass(
-                self.shingler, self.hasher, dataset, self.pool
-            ):
-                index.add_signatures(*part)
-            return self._result(index.blocks(), start, "sharded", index)
         index = self.online(dataset)
         return self._result(index.blocks(), start, "batch", index)
 
@@ -602,7 +560,7 @@ class LSHFamilyBlocker(Blocker):
         the union in target-first insertion order, and because
         signatures and bucket membership do not depend on insertion
         order, the cross pair set equals the filtered ``block(S ∪ T)``
-        oracle. It never touches the blocker's pool.
+        oracle.
 
         Probing alone — index the target, ``query()`` each source
         record, never insert it — is *not* equivalent for two of the

@@ -12,10 +12,8 @@ across slabs. :class:`~repro.core.base.LSHFamilyBlocker` derives the
 entry points from it — :meth:`~repro.core.base.LSHFamilyBlocker.block`,
 ``block_stream`` (slabs, with an optional memory-mapped or growable
 signature spill) and ``block_pair`` — all byte-identical to one batch
-pass over the records. With a ``pool=``, ``block`` computes the
-signatures of one record slab per pool process (see DESIGN.md,
-"Process-level sharding"). The per-record reference loop it is
-checked against is :func:`repro.reference.lsh_blocks`.
+pass over the records. The per-record reference loop it is checked
+against is :func:`repro.reference.lsh_blocks`.
 """
 
 from __future__ import annotations
@@ -59,8 +57,7 @@ class _BandedOnlineIndex(OnlineIndex):
         self._signatures_out = signatures_out
         self._cursor = 0
         self._index = BandedLSHIndex(blocker.l)
-        # Held here, not on the blocker: checkpoints pickle the blocker
-        # and pools ship it to workers.
+        # Held here, not on the blocker: checkpoints pickle the blocker.
         self._columns = HashColumns(blocker.hasher)
 
     def _probe_keys(self, record: Record) -> list[bytes]:

@@ -29,12 +29,10 @@ from repro.core.base import LSHFamilyBlocker, OnlineIndex, make_blocks
 from repro.errors import ConfigurationError
 from repro.lsh.bands import split_bands_matrix
 from repro.lsh.index import check_new_ids, grouped_indices
-from repro.lsh.sharding import runner_up_signature_slabs
 from repro.minhash.corpus import ShingledCorpus, ShingleVocabulary
 from repro.minhash.minhash import MinHasher, compact_vocabulary, sentinel_stream
 from repro.records.record import Record
 from repro.utils.hashing import MERSENNE_PRIME_61
-from repro.utils.parallel import ShardPool
 
 
 class _MinHasherWithRunnerUp(MinHasher):
@@ -145,7 +143,6 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
     name = "MP-LSH"
     parameter_names = ("k", "l", "q", "num_probes")
     hasher_type = _MinHasherWithRunnerUp
-    _slab_pass = staticmethod(runner_up_signature_slabs)
 
     def __init__(
         self,
@@ -156,10 +153,9 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
         *,
         num_probes: int | None = None,
         seed: int = 0,
-        pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
-        super().__init__(attributes, q, k, l, seed=seed, pool=pool, name=name)
+        super().__init__(attributes, q, k, l, seed=seed, name=name)
         self.num_probes = k if num_probes is None else num_probes
         if not 0 <= self.num_probes <= k:
             raise ConfigurationError(
@@ -252,10 +248,9 @@ class LSHForestBlocker(LSHFamilyBlocker):
         *,
         max_block_size: int = 50,
         seed: int = 0,
-        pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
-        super().__init__(attributes, q, k, l, seed=seed, pool=pool, name=name)
+        super().__init__(attributes, q, k, l, seed=seed, name=name)
         if max_block_size < 2:
             raise ConfigurationError(
                 f"max_block_size must be >= 2, got {max_block_size}"

@@ -29,7 +29,6 @@ from repro.semantic.analysis import (
 )
 from repro.semantic.interpretation import SemanticFunction
 from repro.semantic.semhash import SemhashEncoder
-from repro.utils.parallel import ShardPool
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,7 @@ class PipelineConfig:
     """Configuration of :func:`run_pipeline`.
 
     ``epsilon``, ``ph``, ``pl`` and ``sl_gap`` drive §5.3 tuning; gate
-    selection is automatic unless ``w``/``mode`` are pinned. ``pool``
-    hands the blocker a caller-held
-    :class:`~repro.utils.parallel.ShardPool`: the blocking stage maps
-    its record-slab signatures on the pool's warm executor, so
-    repeated pipeline runs share one (tuning and evaluation are
-    serial). Blocks are byte-identical for any pool, and its fault
-    tolerance is whatever the pool was built with
-    (``ShardPool(retry=..., map_timeout=...)``).
+    selection is automatic unless ``w``/``mode`` are pinned.
     """
 
     attributes: tuple[str, ...]
@@ -57,7 +49,6 @@ class PipelineConfig:
     seed: int = 0
     w: int | str | None = None
     mode: str | None = None
-    pool: ShardPool | None = None
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,6 @@ def build_blocker(
         blocker = LSHBlocker(
             config.attributes, q=config.q,
             k=parameters.k, l=parameters.l, seed=config.seed,
-            pool=config.pool,
         )
         return blocker, None, None
     quality = analyse_semantic_features(training, semantic_function)
@@ -132,7 +122,6 @@ def build_blocker(
         config.attributes, q=config.q,
         k=parameters.k, l=parameters.l, seed=config.seed,
         semantic_function=semantic_function, w=w, mode=mode,
-        pool=config.pool,
     )
     return blocker, (mode, w), quality
 
@@ -172,11 +161,10 @@ def build_resolver(
     :class:`~repro.er.resolver.Resolver` over ``corpus``.
 
     Runs the same §5.3 tuning chain (sh → (k, l) → gate selection) on
-    ``training_dataset`` (default: the corpus), builds the blocker with
-    the config's ``pool``, and seeds the resolver's incremental index
-    with the corpus in one slab; the index runs in this process and
-    never uses the pool. Mutations and single-record queries then go
-    through :class:`~repro.er.resolver.Resolver`.
+    ``training_dataset`` (default: the corpus), builds the blocker, and
+    seeds the resolver's incremental index with the corpus in one slab.
+    Mutations and single-record queries then go through
+    :class:`~repro.er.resolver.Resolver`.
     """
     from repro.er.resolver import Resolver
 

@@ -11,10 +11,8 @@ The engine is :class:`OnlineSALSHIndex`, the banded LSH engine with a
 frozen :class:`~repro.semantic.semhash.SemhashEncoder` gating each slab.
 :class:`~repro.core.base.LSHFamilyBlocker` derives ``block_stream`` and
 ``block_pair`` from it; :meth:`SALSHBlocker.block` keeps what is
-SA-LSH's own — the encoder-freeze time ``sf_seconds`` (Fig. 13), the
-empty corpus, and a pooled path that maps plain signature slabs on the
-pool while the parent freezes the encoder and encodes semhash, as the
-serial path does, memoising both on the pool per corpus.
+SA-LSH's own — the encoder-freeze time ``sf_seconds`` (Fig. 13) and
+the empty corpus.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 from repro.core.base import BlockingResult, LSHFamilyBlocker
 from repro.core.lsh_blocker import _BandedOnlineIndex
 from repro.errors import ConfigurationError, SemanticFunctionError
-from repro.lsh.sharding import signature_slabs
 from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset, LinkedCorpus
@@ -35,7 +32,6 @@ from repro.records.record import Record
 from repro.semantic.hashing import WWaySemanticHashFamily
 from repro.semantic.interpretation import SemanticFunction
 from repro.semantic.semhash import SemhashEncoder
-from repro.utils.parallel import ShardPool
 
 
 class OnlineSALSHIndex(_BandedOnlineIndex):
@@ -162,7 +158,7 @@ class SALSHBlocker(LSHFamilyBlocker):
 
     Parameters
     ----------
-    attributes, q, k, l, seed, padded, pool, name:
+    attributes, q, k, l, seed, padded, name:
         As for :class:`~repro.core.base.LSHFamilyBlocker`.
     semantic_function:
         The semantic function ζ (carries its taxonomy).
@@ -189,14 +185,12 @@ class SALSHBlocker(LSHFamilyBlocker):
         mode: str = "or",
         seed: int = 0,
         padded: bool = False,
-        pool: ShardPool | None = None,
         name: str | None = None,
     ) -> None:
         if mode not in ("and", "or"):
             raise ConfigurationError(f"mode must be 'and' or 'or', got {mode!r}")
         super().__init__(
-            attributes, q, k, l, seed=seed, padded=padded, pool=pool,
-            name=name,
+            attributes, q, k, l, seed=seed, padded=padded, name=name
         )
         self.w = w
         self.mode = mode
@@ -228,15 +222,9 @@ class SALSHBlocker(LSHFamilyBlocker):
         start = time.perf_counter()
         if not len(dataset):
             # An empty corpus has no interpretations to derive semhash
-            # bits from; serial and pooled paths alike return empty
-            # blocks instead of tripping the encoder's no-concepts
-            # error.
+            # bits from; it returns empty blocks instead of tripping the
+            # encoder's no-concepts error.
             return self._result((), start, "batch", sf_seconds=0.0)
-        if self._processes() > 1:
-            index, sf_seconds = self._pooled_index(dataset)
-            return self._result(
-                index.blocks(), start, "sharded", index, sf_seconds=sf_seconds
-            )
         # sf_seconds is the encoder-freeze time — every record
         # interpreted and the semhash bit set fixed — reported apart
         # from blocking as the SF curve of Fig. 13.
@@ -247,42 +235,6 @@ class SALSHBlocker(LSHFamilyBlocker):
         return self._result(
             index.blocks(), start, "batch", index, sf_seconds=sf_seconds
         )
-
-    def _pooled_index(
-        self, dataset: Dataset
-    ) -> tuple[OnlineSALSHIndex, float]:
-        """The pooled batch path: the index and ``sf_seconds``.
-
-        The pool maps the plain signature slabs. The parent freezes the
-        encoder and encodes the semhash rows exactly as the serial path
-        does, then feeds each slab with its rows to one online index;
-        cross-slab bucket merging makes the blocks byte-identical to
-        the serial engine.
-
-        The encoder and the semhash rows are pure functions of
-        (semantic function, corpus), so they are memoised on the pool
-        per corpus: a warm repeat over one corpus skips interpretation
-        and encoding, and reports ``sf_seconds`` 0.
-        """
-        memo_key = ("salsh-semantic", self.semantic_function)
-        cached = self.pool.get_memo(dataset, memo_key)
-        if cached is None:
-            sf_start = time.perf_counter()
-            encoder = SemhashEncoder(self.semantic_function, dataset)
-            sf_seconds = time.perf_counter() - sf_start
-            semhash = encoder.signature_matrix(dataset)
-            self.pool.set_memo(dataset, memo_key, (encoder, semhash))
-        else:
-            (encoder, semhash), sf_seconds = cached, 0.0
-        index = self.online(encoder=encoder)
-        lo = 0
-        for record_ids, signatures in signature_slabs(
-            self.shingler, self.hasher, dataset, self.pool
-        ):
-            hi = lo + len(record_ids)
-            index.add_signatures(record_ids, signatures, semhash[lo:hi])
-            lo = hi
-        return index, sf_seconds
 
     def online(
         self,

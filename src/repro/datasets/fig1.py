@@ -57,7 +57,7 @@ def fig1_dataset() -> Dataset:
 
 def _interpret_publisher(record):
     # Module-level (not a closure) so the semantic function pickles
-    # into process-sharded workers.
+    # with a checkpointed SA-LSH blocker.
     concept = _PUBLISHER_CONCEPTS.get(record.get("publisher"), "c0")
     return (concept,)
 

@@ -9,8 +9,7 @@ composes the pieces this library already has into that serving surface:
   live corpus,
 * one of the four blockers' :class:`~repro.core.base.OnlineIndex`
   incarnations answering "which records co-block with this one"
-  without a rebuild (optionally on a warm
-  :class:`~repro.utils.parallel.ShardPool`),
+  without a rebuild,
 * a :class:`~repro.er.matching.SimilarityMatcher` scoring the probe
   against exactly those candidates and tiering the answer by the §3
   three-region rule: ``match`` / ``possible`` / ``new``.
@@ -99,8 +98,7 @@ class Resolver:
     blocker:
         Any blocker exposing ``online()`` (LSH, SA-LSH, MP-LSH,
         LSH-Forest). The resolver builds the online index once and
-        mutates it incrementally, always in this process: a blocker's
-        ``pool`` serves only its ``block()``.
+        mutates it incrementally.
     records:
         Initial corpus (indexed as one slab).
     matcher:

@@ -35,25 +35,24 @@ class EvaluationError(ReproError):
 
 
 class TransientRuntimeError(ReproError):
-    """A runtime failure that a retry (or a rebuilt worker pool) may fix.
+    """A runtime failure that retrying the operation may fix.
 
-    The fault-tolerant parallel runtime (DESIGN.md, "Fault tolerance &
-    the degradation ladder") treats these as recoverable: the failed
-    payloads are re-shipped under the active
-    :class:`~repro.utils.retry.RetryPolicy` instead of aborting the
-    whole map.
+    Raised (as :class:`SlabTransportError`) by the signature spill of
+    :mod:`repro.minhash.signature` when a write fails, e.g. on a full
+    disk: the rows written before the failure are salvaged, so the
+    caller can free space and :meth:`~repro.minhash.signature.
+    GrowableSignatureSpill.reopen` the spill to continue.
     """
 
 
 class SlabTransportError(TransientRuntimeError):
-    """A slab or spill file failed an integrity or write check.
+    """A signature spill file failed an integrity or write check.
 
-    Raised when a shared-memory slab (``.npy``/``.pkl``) or a signature
-    spill file is truncated, fails its length+checksum footer, or
-    cannot be written (e.g. a full tmpfs). Carries the offending
-    ``path`` and, for write failures, the OS ``errno`` — the retry
-    path uses both to decide between re-shipping the payload and
-    falling back to a disk-backed slab directory.
+    Raised by :class:`~repro.minhash.signature.GrowableSignatureSpill`
+    and :func:`~repro.minhash.signature.validate_spill` when a spill
+    file is truncated, fails its header checksum or integrity footer,
+    or cannot be written (e.g. a full disk). Carries the offending
+    ``path`` and, for write failures, the OS ``errno``.
     """
 
     def __init__(
@@ -63,29 +62,6 @@ class SlabTransportError(TransientRuntimeError):
         super().__init__(message)
         self.path = path
         self.errno = errno
-
-    def __reduce__(self):
-        # Exceptions pickle by positional args only; carry the keyword
-        # attributes across the worker/parent process boundary too.
-        return (
-            _rebuild_slab_error,
-            (str(self), self.path, self.errno),
-        )
-
-
-def _rebuild_slab_error(message, path, errno):
-    return SlabTransportError(message, path=path, errno=errno)
-
-
-class PoolBrokenError(ReproError):
-    """A persistent worker pool died (or hung past its timeout).
-
-    Raised by :class:`~repro.utils.parallel.ShardPool` when its
-    executor breaks (e.g. an OOM-killed worker) or a map exceeds its
-    ``timeout`` and recovery is disabled or exhausted. The broken
-    executor is always torn down first, so the pool itself stays
-    usable: the next map forks a fresh executor.
-    """
 
 
 class DurabilityError(ReproError):

@@ -11,8 +11,8 @@ Records arrive in *slabs* (:meth:`BandedLSHIndex.add_many`: a whole
 corpus, or a streamed chunk of one): slabs are appended cheaply and
 the buckets of every table are derived lazily, by one vectorized
 sort-and-segment pass over all slabs together, never touching a Python
-dict (see DESIGN.md, "Batch signature engine" and "Parallel &
-streaming runtime"). Buckets *merge across ``add_many`` calls* —
+dict (see DESIGN.md, "Batch signature engine" and "Streaming
+runtime"). Buckets *merge across ``add_many`` calls* —
 records from different slabs sharing a (band key, gate suffix) land in
 one bucket, exactly as if the concatenated corpus had been inserted in
 a single call — which is what lets corpora larger than RAM stream

@@ -21,7 +21,7 @@ Signatures themselves are a pure function of the hashed gram multiset
 — they would be byte-identical even with a private vocabulary per
 slab — so the shared vocabulary is a throughput optimisation plus a
 single token id space for token-level work, not a correctness
-requirement (see DESIGN.md, "Parallel & streaming runtime").
+requirement (see DESIGN.md, "Streaming runtime").
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.minhash.corpus import ShingledCorpus
 from repro.utils.hashing import MERSENNE_PRIME_61, UniversalHashFamily
-from repro.utils.parallel import chunk_spans
 
 #: Upper bound on the number of gathered hash values a single batch
 #: chunk may materialise (elements, not bytes): bounds the working set
@@ -28,6 +27,14 @@ _CHUNK_ELEMENTS = 8_000_000
 #: multi-function chunk, which spreads numpy's per-call cost over many
 #: functions while the chunk is still small enough to stay in cache.
 _PER_FUNCTION_STREAM = 4096
+
+
+def chunk_spans(total: int, per_chunk: int) -> list[tuple[int, int]]:
+    """Split ``range(total)`` into contiguous ``(lo, hi)`` spans."""
+    if per_chunk < 1:
+        raise ConfigurationError(f"per_chunk must be >= 1, got {per_chunk}")
+    return [(lo, min(lo + per_chunk, total)) for lo in range(0, total, per_chunk)]
+
 
 #: Byte budget of one :class:`HashColumns` table: about 31k shingle ids
 #: at k·l = 135, far above a voter bigram vocabulary, while a q=4

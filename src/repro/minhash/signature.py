@@ -10,7 +10,7 @@ Includes the on-disk forms:
 * :class:`GrowableSignatureSpill` appends row slabs to a ``.npy`` file
   of *unknown* final length and patches the header on
   :meth:`~GrowableSignatureSpill.finalize` — for plain generators with
-  no ``len()`` (see DESIGN.md, "Process-sharded streaming runtime").
+  no ``len()`` (see DESIGN.md, "Growable signature spill").
 
 Either way signature matrices larger than RAM spill to disk instead of
 failing.
@@ -30,7 +30,6 @@ from repro.minhash.minhash import MinHasher
 from repro.minhash.shingling import Shingler
 from repro.records.dataset import Dataset
 from repro.utils import faults
-from repro.utils.parallel import slab_integrity_enabled
 
 
 @dataclass(frozen=True)
@@ -343,7 +342,7 @@ class GrowableSignatureSpill:
             return np.empty((0, self.num_hashes), dtype=np.uint64)
         offset = SPILL_DATA_OFFSET + self._rows * 8 * self.num_hashes
         try:
-            faults.maybe_fail("spill.write_error", path=self.path)
+            faults.maybe_fail("spill.write_error")
             self._file.write(np.ascontiguousarray(matrix).tobytes())
             self._file.flush()
         except OSError as exc:
@@ -385,15 +384,13 @@ class GrowableSignatureSpill:
 
         Idempotent: later calls reopen the finalized file. The returned
         memory map is read-only; an empty stream finalizes to a valid
-        ``(0, num_hashes)`` array. When slab integrity is enabled (the
-        default) the file's footer is validated before attaching, so a
-        spill truncated or corrupted behind the writer's back raises
-        :class:`~repro.errors.SlabTransportError` instead of handing
-        out a garbage matrix.
+        ``(0, num_hashes)`` array. The file's footer is validated
+        before attaching, so a spill truncated or corrupted behind the
+        writer's back raises :class:`~repro.errors.SlabTransportError`
+        instead of handing out a garbage matrix.
         """
         self.close()
-        if slab_integrity_enabled():
-            validate_spill(self.path, self.num_hashes)
+        validate_spill(self.path, self.num_hashes)
         return np.load(self.path, mmap_mode="r")
 
     def close(self) -> None:

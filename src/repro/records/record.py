@@ -64,8 +64,8 @@ class Record:
 
     def __reduce__(self):
         # The frozen MappingProxyType does not pickle; rebuild through
-        # __init__ (which re-freezes) so records can ship to the
-        # process-sharded workers.
+        # __init__ (which re-freezes) so records pickle, e.g. in the
+        # datasets a pickled linkage result carries.
         return (Record, (self.record_id, dict(self.fields), self.entity_id))
 
     def __hash__(self) -> int:

@@ -73,7 +73,7 @@ class SemanticFunction(ABC):
     validation and subsumption among known concepts cannot change. A
     failed interpretation is not memoised: an unknown concept raises on
     every call. The memo is LRU-capped and left out of pickles
-    (checkpoints and pool payloads carry the semantic function).
+    (checkpoints carry the semantic function).
     """
 
     def __init__(self, taxonomy: TaxonomyTree | TaxonomyForest) -> None:

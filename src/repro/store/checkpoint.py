@@ -10,7 +10,7 @@ state directory::
             records.json         # RecordStore snapshot (insertion order)
             index.json           # OnlineIndex.checkpoint() state
             encoder.pkl          # frozen SemhashEncoder (SA-LSH only)
-            blocker.pkl          # the blocker (pool stripped)
+            blocker.pkl          # the blocker
             matcher.pkl          # the similarity matcher
         wal.log                  # journal of mutations since wal_seq
 
@@ -20,9 +20,8 @@ directory is fsynced and renamed to its final name, the parent is
 fsynced, and only then is ``CURRENT`` swapped (itself via tmp +
 rename). A crash at any point leaves either the old state intact (the
 tmp directory is swept later by :func:`sweep_orphan_tmp`'s dead-pid
-check, mirroring the shard pool's ``repro-shardpool-*`` sweep) or the
-new checkpoint fully published; there is no window where a reader can
-observe half a snapshot. The write-ahead journal is only reset *after*
+check) or the new checkpoint fully published; there is no window where
+a reader can observe half a snapshot. The write-ahead journal is only reset *after*
 publication — recovery replays journal entries with ``seq`` beyond the
 checkpoint's ``wal_seq``, so a crash between rename and journal reset
 double-covers (harmlessly) rather than losing mutations.
@@ -40,7 +39,6 @@ from pathlib import Path
 
 from repro.errors import DurabilityError
 from repro.utils import faults
-from repro.utils.parallel import _pid_alive
 
 #: Pointer file naming the live checkpoint directory.
 CURRENT_NAME = "CURRENT"
@@ -98,6 +96,17 @@ def tmp_name(final_name: str) -> str:
     return f"{final_name}{TMP_MARKER}{os.getpid()}"
 
 
+def _pid_alive(pid: int) -> bool:
+    """Best-effort liveness probe (signal 0)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # EPERM and friends: someone owns that pid
+        return True
+    return True
+
+
 def sweep_orphan_tmp(parent: str | os.PathLike) -> None:
     """Remove ``*.tmp-<pid>`` entries whose owning process is gone.
 
@@ -105,8 +114,7 @@ def sweep_orphan_tmp(parent: str | os.PathLike) -> None:
     (or tmp ``CURRENT`` file) behind. Every later open of the state
     directory sweeps these: only entries carrying the tmp marker *and*
     a parsable, provably dead pid are removed — in-flight saves from
-    live processes and foreign files are left alone. Mirrors the shard
-    pool's ``repro-shardpool-<pid>-*`` orphan sweep.
+    live processes and foreign files are left alone.
     """
     try:
         entries = os.listdir(parent)
@@ -174,24 +182,6 @@ def latest_checkpoint(state_dir: str | os.PathLike) -> str | None:
     return published[-1][1] if published else None
 
 
-def _pickle_without_pool(obj) -> bytes:
-    """Pickle ``obj`` with any live ``pool`` attribute stripped.
-
-    A warm :class:`~repro.utils.parallel.ShardPool` holds an executor
-    and shared-memory files — process state that cannot (and must not)
-    be persisted. The restored blocker starts poolless; callers re-warm
-    it explicitly if they want one.
-    """
-    pool = getattr(obj, "pool", None)
-    if pool is not None:
-        obj.pool = None
-    try:
-        return pickle.dumps(obj)
-    finally:
-        if pool is not None:
-            obj.pool = pool
-
-
 def write_checkpoint(
     state_dir: str | os.PathLike,
     *,
@@ -241,7 +231,7 @@ def write_checkpoint(
             )
         if blocker is not None:
             files[_BLOCKER_NAME] = _write_file(
-                tmp_dir, _BLOCKER_NAME, _pickle_without_pool(blocker)
+                tmp_dir, _BLOCKER_NAME, pickle.dumps(blocker)
             )
         if matcher is not None:
             files[_MATCHER_NAME] = _write_file(

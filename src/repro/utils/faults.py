@@ -1,29 +1,15 @@
-"""Deterministic fault injection for the parallel runtime.
+"""Deterministic fault injection for the spill and durability layers.
 
-The fault-tolerance layer (DESIGN.md, "Fault tolerance & the
-degradation ladder") is only trustworthy if its failure paths are
-exercised on purpose. This module gives library code named injection
-points it consults via :func:`maybe_fail`/:func:`should_fire` — a
-no-op unless a :class:`FaultPlan` has been armed, so production runs
-pay one ``is None`` check per consultation.
+The failure paths of the signature spill and of the durable resolver
+(DESIGN.md, "Signature spill integrity" and "Durability & crash
+recovery") are only trustworthy if they are exercised on purpose. This
+module gives library code named injection points it consults via
+:func:`maybe_fail`/:func:`should_fire`/:func:`maybe_crash` — a no-op
+unless a :class:`FaultPlan` has been armed, so production runs pay one
+``is None`` check per consultation.
 
 Injection points
 ----------------
-``pool.worker_kill``
-    Consulted by :meth:`~repro.utils.parallel.ShardPool.map` per
-    payload (parent side, so firing is deterministic regardless of
-    worker scheduling); a firing payload's worker process exits hard,
-    simulating an OOM kill.
-``pool.task_hang``
-    Same consultation site; the firing payload's worker sleeps far past
-    any sane ``timeout``, simulating a wedged task.
-``slab.truncate``
-    Consulted after a slab file is written; firing truncates the file
-    in place — *silent* corruption that only the length+checksum
-    footer can catch.
-``slab.enospc``
-    Consulted before a slab file is written; firing raises
-    ``OSError(ENOSPC)``, simulating a full shared-memory tmpfs.
 ``spill.write_error``
     Consulted by :meth:`~repro.minhash.signature.GrowableSignatureSpill
     .append` before the row write; firing raises ``OSError(ENOSPC)``.
@@ -49,10 +35,8 @@ the first N consultations, an iterable fires exactly those 0-based
 consultation indices, and a ``float`` fires each consultation with
 that probability from a generator seeded per ``(seed, point)`` — so a
 seeded plan replays the identical fault schedule on every run. Plans
-are pid-bound: a plan armed in the parent never fires in forked
-workers (worker-side faults are shipped explicitly by the pool as
-per-task tokens and executed via :func:`execute_worker_fault`), which
-keeps the schedule deterministic under any worker count.
+are pid-bound: a plan armed in one process never fires in a child it
+forks, which keeps the schedule deterministic.
 """
 
 from __future__ import annotations
@@ -63,21 +47,12 @@ import os
 import random
 import signal
 import threading
-import time
 from typing import Iterator
 
 from repro.errors import ConfigurationError
 
 #: Every injection point the library consults.
-POINTS = (
-    "pool.worker_kill",
-    "pool.task_hang",
-    "slab.truncate",
-    "slab.enospc",
-    "spill.write_error",
-    "wal.append",
-    "checkpoint.rename",
-)
+POINTS = ("spill.write_error", "wal.append", "checkpoint.rename")
 
 #: Points whose firing kills the process (SIGKILL) instead of raising.
 CRASH_POINTS = ("wal.append", "checkpoint.rename")
@@ -87,11 +62,6 @@ CRASH_POINTS = ("wal.append", "checkpoint.rename")
 #: ``REPRO_FAULTS="checkpoint.rename:1"`` (fire the first consultation).
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Seconds a ``pool.task_hang`` worker sleeps — far beyond any sane
-#: ``timeout=``, small enough that a leaked sleeper cannot outlive a
-#: test session by much even if termination fails.
-HANG_SECONDS = 600.0
-
 
 class FaultPlan:
     """A seeded, thread-safe schedule of named fault firings.
@@ -100,7 +70,7 @@ class FaultPlan:
     rules; consultation counters are kept per point inside the plan,
     so one plan instance replays one deterministic schedule. Plans are
     bound to the pid that created them: consultations from any other
-    process (forked workers) never fire.
+    process (a forked child) never fire.
     """
 
     def __init__(
@@ -140,8 +110,8 @@ class FaultPlan:
     def fires(self, point: str) -> bool:
         """Consume one consultation of ``point``; True when it fires.
 
-        Inert outside the arming process, so forked workers inheriting
-        an armed plan never double-fire the schedule.
+        Inert outside the arming process, so a forked child inheriting
+        an armed plan never double-fires the schedule.
         """
         if os.getpid() != self._pid:
             return False
@@ -208,40 +178,24 @@ def injected(spec_or_plan, seed: int = 0):
 
 
 def should_fire(point: str) -> bool:
-    """Consult ``point`` without acting — for call sites (the pool's
-    per-payload worker faults) that carry the fault out of band."""
+    """Consult ``point`` without acting — for call sites (the
+    journal's torn-frame crash) that carry the fault out themselves."""
     plan = _active
     if plan is None:
         return False
     return plan.fires(point)
 
 
-def maybe_fail(point: str, *, path: "str | None" = None) -> None:
-    """Consult ``point`` and *perform* its failure when armed and firing.
-
-    Zero-cost when disarmed. ``slab.enospc`` and ``spill.write_error``
-    raise ``OSError(ENOSPC)``; ``slab.truncate`` silently chops the
-    file at ``path`` in half (corruption the integrity footer must
-    catch — no exception here by design).
-    """
+def maybe_fail(point: str) -> None:
+    """Consult ``point`` and raise ``OSError(ENOSPC)`` when armed and
+    firing (the ``spill.write_error`` point). Zero-cost when disarmed."""
     plan = _active
     if plan is None:
         return
-    if not plan.fires(point):
-        return
-    if point in ("slab.enospc", "spill.write_error"):
+    if plan.fires(point):
         raise OSError(
             _errno.ENOSPC, f"injected fault {point}: no space left on device"
         )
-    if point == "slab.truncate":
-        if path is None:
-            return
-        try:
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(max(size // 2, 1))
-        except OSError:  # pragma: no cover - file already gone
-            pass
 
 
 def kill_self() -> None:  # pragma: no cover - the caller never returns
@@ -301,16 +255,3 @@ def arm_from_env(environ: "dict[str, str] | None" = None) -> "FaultPlan | None":
     seed = int(env.get(f"{FAULTS_ENV}_SEED", "0"))
     return arm(FaultPlan(spec, seed=seed))
 
-
-def execute_worker_fault(fault: str) -> None:
-    """Worker-side execution of a fault token shipped with a task.
-
-    ``pool.worker_kill`` exits the worker process hard (no cleanup, no
-    exception — exactly what the OOM killer does);``pool.task_hang``
-    sleeps :data:`HANG_SECONDS` so the parent's ``timeout`` machinery
-    must reap it.
-    """
-    if fault == "pool.worker_kill":
-        os._exit(1)
-    if fault == "pool.task_hang":
-        time.sleep(HANG_SECONDS)

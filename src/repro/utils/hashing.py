@@ -35,7 +35,7 @@ MERSENNE_PRIME_61 = (1 << 61) - 1
 #: Hard cap on the process-wide SHA-1 memo. q-gram vocabularies of even
 #: web-scale corpora stay far below this, so hits stay hot, while a
 #: streaming workload hashing unbounded distinct strings (the long-run
-#: ingestion case — see DESIGN.md, "Parallel & streaming runtime")
+#: ingestion case — see DESIGN.md, "Streaming runtime")
 #: tops out around ~35 MB of cache instead of leaking without bound.
 STABLE_HASH_CACHE_SIZE = 1 << 18
 

@@ -5,8 +5,8 @@
   pickling) whichever form its producer handed in;
 * the banded indexes emit their blocks as CSR rows, and those blocks
   equal the per-record reference engine's tuples on every entry point
-  of LSH and SA-LSH — ``block``, ``block_stream``, ``block_pair``,
-  a ``ShardPool(2)`` cold and warm, and after removals;
+  of LSH and SA-LSH — ``block`` (a blocker's first call and a
+  repeat), ``block_stream``, ``block_pair``, and after removals;
 * blocking, evaluation, meta-blocking and linkage never build the
   tuples (the materialiser is patched to raise);
 * a result pickles after evaluation and meta-blocking, with the same
@@ -34,7 +34,6 @@ from repro.semantic import (
     cora_patterns,
 )
 from repro.taxonomy.builders import bibliographic_tree
-from repro.utils.parallel import ShardPool
 
 TUPLES = (("a", "b"), ("c", "a", "d"), ("b", "e"))
 
@@ -151,12 +150,12 @@ class TestBandedEntryPoints:
         assert make().block(cora_small).blocks == expected
         assert self._stream(make(), records, 41).blocks == expected
 
-    def test_sharded_and_pooled(self, make, cora_small):
+    def test_first_and_repeated_block(self, make, cora_small):
+        # The repeat runs on warm ζ and semhash-row memos.
         expected = _per_record(make, list(cora_small))
-        with ShardPool(2) as pool:
-            blocker = make(pool=pool)
-            assert blocker.block(cora_small).blocks == expected  # cold
-            assert blocker.block(cora_small).blocks == expected  # warm
+        blocker = make()
+        assert blocker.block(cora_small).blocks == expected
+        assert blocker.block(cora_small).blocks == expected
 
     def test_block_pair(self, make, cora_small):
         records = list(cora_small)

@@ -4,33 +4,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.core import LSHBlocker
 from repro.records import read_csv, read_pairs_csv
-from repro.utils.parallel import ShardPool, _available_cpus
-from repro.utils.retry import NO_RETRY
-
-
-def _block_lsh_args(csv_path):
-    """``block`` arguments for the LSH runs the pool tests compare."""
-    return [
-        "block", "--input", str(csv_path), "--technique", "lsh",
-        "--attributes", "first_name,last_name",
-        "--q", "2", "--k", "5", "--l", "10",
-    ]
-
-
-@pytest.fixture()
-def built_pools(monkeypatch):
-    """Every ShardPool the CLI builds during the test, in order."""
-    built = []
-
-    class RecordingPool(ShardPool):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(cli, "ShardPool", RecordingPool)
-    return built
 
 
 @pytest.fixture()
@@ -84,60 +58,6 @@ class TestBlock:
         assert exit_code == 0
         assert isinstance(read_pairs_csv(pairs_path), set)
 
-    def test_pooled_blocking_matches_fresh_pool(
-        self, generated_csv, tmp_path, built_pools
-    ):
-        # --processes 2 opens one shard pool spanning the command; its
-        # pairs equal the serial run and a library call on a
-        # caller-held pool of the same size.
-        serial_path = tmp_path / "serial.csv"
-        pooled_path = tmp_path / "pooled.csv"
-        assert main(_block_lsh_args(generated_csv) + [
-            "--processes", "1", "--out", str(serial_path),
-        ]) == 0
-        assert built_pools == []  # serial: no pool at all
-        assert main(_block_lsh_args(generated_csv) + [
-            "--processes", "2", "--out", str(pooled_path),
-        ]) == 0
-        assert [pool.processes for pool in built_pools] == [2]
-        assert built_pools[0].closed
-        with ShardPool(2) as pool:
-            fresh = LSHBlocker(
-                ("first_name", "last_name"), q=2, k=5, l=10, pool=pool
-            ).block(read_csv(generated_csv))
-        assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
-        assert read_pairs_csv(pooled_path) == fresh.distinct_pairs
-
-    def test_processes_zero_pools_all_cpus(
-        self, generated_csv, tmp_path, built_pools
-    ):
-        serial_path = tmp_path / "serial.csv"
-        pooled_path = tmp_path / "pooled.csv"
-        assert main(_block_lsh_args(generated_csv) + ["--out", str(serial_path)]) == 0
-        assert main(_block_lsh_args(generated_csv) + [
-            "--processes", "0", "--out", str(pooled_path),
-        ]) == 0
-        assert [pool.processes for pool in built_pools] == [_available_cpus()]
-        assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
-
-    def test_retry_flags_configure_the_pool(
-        self, generated_csv, tmp_path, built_pools
-    ):
-        # --retries/--map-timeout shape the command's one pool.
-        serial_path = tmp_path / "serial.csv"
-        pooled_path = tmp_path / "pooled.csv"
-        assert main(_block_lsh_args(generated_csv) + [
-            "--processes", "1", "--out", str(serial_path),
-        ]) == 0
-        assert main(_block_lsh_args(generated_csv) + [
-            "--processes", "2", "--retries", "0", "--map-timeout", "30",
-            "--out", str(pooled_path),
-        ]) == 0
-        (pool,) = built_pools
-        assert pool._retry is NO_RETRY
-        assert pool._map_timeout == 30.0
-        assert read_pairs_csv(pooled_path) == read_pairs_csv(serial_path)
-
     def test_survey_technique_by_name(self, generated_csv, tmp_path):
         pairs_path = tmp_path / "pairs.csv"
         assert main([
@@ -160,8 +80,10 @@ class TestBlock:
         ]) == 2
 
 
-#: Required arguments of the commands that never map on a pool.
-_POOL_FREE_COMMANDS = {
+#: Required arguments of the blocking commands.
+_BLOCKING_COMMANDS = {
+    "block": ["block", "--input", "c.csv", "--attributes", "first_name",
+              "--out", "p.csv"],
     "link": ["link", "--attributes", "first_name"],
     "query": ["query", "--input", "c.csv", "--queries", "q.csv",
               "--attributes", "first_name"],
@@ -171,11 +93,12 @@ _POOL_FREE_COMMANDS = {
 
 
 @pytest.mark.parametrize("flag", ["--processes", "--retries", "--map-timeout"])
-@pytest.mark.parametrize("command", sorted(_POOL_FREE_COMMANDS))
-def test_pool_flags_are_block_only(command, flag, capsys):
-    # Only batch block() maps on a pool, so only `block` takes its knobs.
+@pytest.mark.parametrize("command", sorted(_BLOCKING_COMMANDS))
+def test_pool_flags_are_rejected(command, flag, capsys):
+    # Blocking runs serially in one process: no command takes the
+    # removed process pool's knobs.
     parser = cli.build_parser()
-    args = _POOL_FREE_COMMANDS[command]
+    args = _BLOCKING_COMMANDS[command]
     assert parser.parse_args(args).command == command
     with pytest.raises(SystemExit):
         parser.parse_args(args + [flag, "2"])

@@ -1,14 +1,20 @@
-"""Tests for LSHBlocker, SALSHBlocker and BlockingResult."""
+"""Tests for the LSH blockers and BlockingResult."""
 
 import pytest
 
-from repro.core import LSHBlocker, SALSHBlocker
+from repro.core import (
+    LSHBlocker,
+    LSHForestBlocker,
+    MultiProbeLSHBlocker,
+    SALSHBlocker,
+)
 from repro.core.base import BlockingResult, make_blocks
 from repro.datasets import fig1_dataset, fig1_semantic_function
 from repro.errors import ConfigurationError
 from repro.evaluation import evaluate_blocks
 from repro.records import Dataset, Record
 from repro.reference import record_block_ids
+from repro.semantic import VoterSemanticFunction
 
 
 class TestBlockingResult:
@@ -162,3 +168,33 @@ class TestSALSHBlocker:
             SALSHBlocker(
                 ("title",), q=2, k=2, l=2, semantic_function=sf, mode="nand"
             )
+
+
+class TestEmptyCorpus:
+    """Every LSH blocker degrades to empty blocks on an empty corpus,
+    fresh or after it has blocked a non-empty one."""
+
+    @staticmethod
+    def _blockers(attributes):
+        return [
+            LSHBlocker(attributes, q=2, k=3, l=5),
+            SALSHBlocker(
+                attributes, q=2, k=3, l=5,
+                semantic_function=VoterSemanticFunction(),
+            ),
+            MultiProbeLSHBlocker(attributes, q=2, k=3, l=5),
+            LSHForestBlocker(attributes, q=2, k=3, l=5),
+        ]
+
+    def test_every_blocker_returns_no_blocks(self):
+        empty = Dataset([])
+        for blocker in self._blockers(("a",)):
+            assert blocker.block(empty).blocks == (), blocker.name
+
+    def test_reused_blocker_returns_no_blocks(self, voter_small):
+        # A blocker whose memos and encoder were filled by an earlier
+        # corpus must not carry any of it into an empty one.
+        empty = Dataset([])
+        for blocker in self._blockers(("first_name", "last_name")):
+            assert blocker.block(voter_small).blocks, blocker.name
+            assert blocker.block(empty).blocks == (), blocker.name

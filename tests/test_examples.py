@@ -73,9 +73,9 @@ def test_end_to_end_resolution_runs():
     assert "resolution quality" in result.stdout
 
 
-def test_streaming_sharded_runs():
-    # Reduced corpus; the script asserts streamed-vs-batch and
-    # pooled-vs-serial block identity internally.
-    result = run_example("streaming_sharded.py", "800")
+def test_streaming_spill_runs():
+    # Reduced corpus; the script asserts streamed-vs-batch block
+    # identity internally.
+    result = run_example("streaming_spill.py", "800")
     assert result.returncode == 0, result.stderr
     assert "identical to batch blocks" in result.stdout

@@ -1,5 +1,5 @@
 """Growable signature spill: append-to-file ``.npy`` for unknown-length
-streams (DESIGN.md, "Process-sharded streaming runtime")."""
+streams (DESIGN.md, "Growable signature spill")."""
 
 from __future__ import annotations
 

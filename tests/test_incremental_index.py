@@ -20,8 +20,8 @@ of ``add_many`` / ``remove`` calls (DESIGN.md, "Resolver service"):
   probes, and with the hash-column budget shrunk to a few rows.
 
 The interleavings are seeded-random, so every run replays the same op
-sequences; the pooled variants assert the same contract for blockers
-holding a :class:`~repro.utils.parallel.ShardPool`, cold and warm.
+sequences; they run on fresh blockers and on blockers that already ran
+a batch ``block()``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.semantic import (
     cora_patterns,
 )
 from repro.taxonomy.builders import bibliographic_tree
-from repro.utils.parallel import ShardPool
 from repro.utils.rand import rng_from_seed
 
 BLOCKER_KINDS = ("lsh", "salsh", "mplsh", "forest")
@@ -68,10 +67,10 @@ def _semantic_function(corpus_name, fig1_sf=None):
     return VoterSemanticFunction()
 
 
-def _blocker(kind, corpus_name, fig1_sf=None, **kw):
+def _blocker(kind, corpus_name, fig1_sf=None):
     params = _PARAMS[corpus_name]
     base = dict(q=params["q"], k=params["k"], l=params["l"],
-                seed=params["seed"], **kw)
+                seed=params["seed"])
     attrs = params["attrs"]
     if kind == "lsh":
         return LSHBlocker(attrs, **base)
@@ -250,18 +249,12 @@ class TestProbeMemos:
             (gc.enable if was_collecting else gc.disable)()
 
 
-class TestShardedRuntime:
+class TestAfterBatchBlock:
     @pytest.mark.parametrize("kind", ("lsh", "salsh"))
-    def test_processes_two(self, cora_small, kind):
-        with ShardPool(2) as pool:
-            _exercise(_blocker(kind, "cora", pool=pool), cora_small, seed=21)
-
-    @pytest.mark.parametrize("kind", ("lsh", "salsh"))
-    def test_warm_pool(self, cora_small, kind):
-        with ShardPool(2) as pool:
-            blocker = _blocker(kind, "cora", pool=pool)
-            blocker.block(cora_small)
-            _exercise(blocker, cora_small, seed=22)
+    def test_contract_holds(self, cora_small, kind):
+        blocker = _blocker(kind, "cora")
+        blocker.block(cora_small)
+        _exercise(blocker, cora_small, seed=22)
 
 
 class TestMutationContract:
@@ -372,11 +365,8 @@ class TestDerivedEntryPoints:
         records = list(cora_small)
         half = len(records) // 2
         blocker = _blocker(kind, "cora")
-        with ShardPool(2) as pool:
-            sharded = _blocker(kind, "cora", pool=pool).block(cora_small)
         results = {
             "batch": blocker.block(cora_small),
-            "sharded": sharded,
             "streaming": _stream(blocker, [records], records),
             "linkage-online": blocker.block_pair(
                 Dataset(records[:half], name="src"),
@@ -387,8 +377,7 @@ class TestDerivedEntryPoints:
         for engine, result in results.items():
             metadata = result.metadata
             assert metadata["engine"] == engine
-            assert metadata["processes"] == (2 if engine == "sharded" else 1)
-            assert metadata["pooled"] is (engine == "sharded")
+            assert "processes" not in metadata and "pooled" not in metadata
             for name in names:
                 assert metadata[name] == getattr(blocker, name), (engine, name)
             if kind == "salsh":

@@ -188,6 +188,24 @@ class TestDenseBandLabels:
         assert len(expected) > 0
 
 
+class TestFoldLabels:
+    def test_equal_labels_fold_equal(self):
+        keys = np.array([b"aaaaaaaa", b"bbbbbbbb", b"aaaaaaaa"], dtype="S8")
+        folded = bands.fold_labels(keys)
+        assert folded[0] == folded[2]
+        assert folded[0] != folded[1]
+
+    def test_int_labels(self):
+        labels = np.array([-3, 7, -3, 0], dtype=np.int64)
+        folded = bands.fold_labels(labels)
+        assert folded[0] == folded[2]
+        assert len(set(folded.tolist())) == 3
+
+    def test_bad_width_rejected(self):
+        with pytest.raises(ConfigurationError):
+            bands.fold_labels(np.array([b"abc"], dtype="S3"))
+
+
 class TestSegment:
     @pytest.mark.parametrize(
         "dtype,high",

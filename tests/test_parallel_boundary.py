@@ -1,22 +1,28 @@
-"""One parallel path: a caller-held ``ShardPool`` maps signature slabs.
+"""One serial batch path: the process pool stays gone.
 
-A blocker runs in parallel only through the :class:`~repro.utils.
-parallel.ShardPool` its caller hands it as ``pool=``, and only its
-``block()`` maps on it (the record-slab signature pass of
-:mod:`repro.lsh.sharding`). So (a) no LSH blocker, ``PipelineConfig``,
-``BandedLSHIndex`` or slab function takes a ``processes`` count that
-could pick a second path, (b) ``BandedLSHIndex`` takes no ``pool``,
-because buckets are always grouped in the calling process, and (c) the
-helpers of the removed per-call and band-sharded paths stay gone.
+Blocking runs in the calling process. ``block()`` is
+``online(D).blocks()`` on every LSH blocker, and nothing maps work
+onto worker processes (DESIGN.md, "No process or thread runtime"). So
+(a) the pool's modules do not import, (b) no blocker,
+``PipelineConfig``, ``BandedLSHIndex`` or ``Resolver`` takes a ``pool``
+or a ``processes`` count, (c) the only fault points left are the
+spill's and the durability layer's, (d) the helpers of the removed
+paths stay gone, and (e) importing the CLI loads no process machinery.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import cli, errors
 from repro.core import (
     LSHBlocker,
     LSHForestBlocker,
@@ -25,10 +31,14 @@ from repro.core import (
 )
 from repro.core.base import LSHFamilyBlocker
 from repro.core.pipeline import PipelineConfig
-from repro.lsh import sharding
+from repro.er import Resolver
 from repro.lsh.index import BandedLSHIndex
+from repro.minhash import signature
 from repro.semantic.semhash import SemhashEncoder
-from repro.utils import parallel
+from repro.store import checkpoint
+from repro.utils import faults
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BLOCKERS = (
     LSHFamilyBlocker,
@@ -39,36 +49,40 @@ BLOCKERS = (
 )
 
 
-def _functions(owner):
-    """(name, function) of a class's methods or a module's functions."""
-    if inspect.isclass(owner):
-        return inspect.getmembers(owner, inspect.isfunction)
-    return [
-        (name, member)
-        for name, member in inspect.getmembers(owner, inspect.isfunction)
-        if member.__module__ == owner.__name__
-    ]
-
-
 def _taking(owner, parameter: str) -> list[str]:
+    """Methods (classmethods included) of ``owner`` taking ``parameter``."""
     return [
         f"{owner.__name__}.{name}"
-        for name, function in _functions(owner)
-        if parameter in inspect.signature(function).parameters
+        for name, member in inspect.getmembers(owner)
+        if (inspect.isfunction(member) or inspect.ismethod(member))
+        and parameter in inspect.signature(member).parameters
     ]
 
 
 @pytest.mark.parametrize(
-    "owner", BLOCKERS + (BandedLSHIndex, sharding), ids=lambda o: o.__name__
+    "module", ["repro.utils.parallel", "repro.utils.retry", "repro.lsh.sharding"]
+)
+def test_removed_modules_do_not_import(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize(
+    "owner", BLOCKERS + (BandedLSHIndex, Resolver), ids=lambda o: o.__name__
 )
 def test_no_processes_parameter(owner):
     assert _taking(owner, "processes") == []
 
 
+@pytest.mark.parametrize("owner", BLOCKERS + (Resolver,), ids=lambda o: o.__name__)
+def test_no_pool_parameter(owner):
+    assert _taking(owner, "pool") == []
+
+
 def test_pipeline_config_has_no_processes_field():
     names = {field.name for field in dataclasses.fields(PipelineConfig)}
     assert "processes" not in names
-    assert "pool" in names
+    assert "pool" not in names
 
 
 def test_banded_index_takes_no_pool():
@@ -76,17 +90,40 @@ def test_banded_index_takes_no_pool():
     assert list(inspect.signature(BandedLSHIndex).parameters) == ["num_tables"]
 
 
+def test_fault_points_are_the_spill_and_durability_ones():
+    assert faults.POINTS == ("spill.write_error", "wal.append", "checkpoint.rename")
+
+
 @pytest.mark.parametrize(
     "owner,name",
     [
-        (parallel, "map_processes"),
-        (parallel, "effective_processes"),
-        (sharding, "group_tables_sharded"),
-        (sharding, "_segment_shard"),
-        (sharding, "semantic_signature_slabs"),
-        (sharding, "_semantic_slab"),
         (SemhashEncoder, "from_interpretations"),
+        (LSHFamilyBlocker, "_slab_pass"),
+        (LSHFamilyBlocker, "_processes"),
+        (SALSHBlocker, "_pooled_index"),
+        (errors, "PoolBrokenError"),
+        (faults, "execute_worker_fault"),
+        (faults, "HANG_SECONDS"),
+        (signature, "slab_integrity_enabled"),
+        (checkpoint, "_pickle_without_pool"),
+        (cli, "_pool_context"),
     ],
+    ids=lambda o: getattr(o, "__name__", o),
 )
 def test_removed_paths_stay_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,4 @@
-"""Parallel & streaming runtime equivalence (see DESIGN.md, "Parallel &
-streaming runtime").
+"""Streaming runtime equivalence (see DESIGN.md, "Streaming runtime").
 
 The contract mirrors the batch engine's guarantee: neither the
 hash-function chunk size, nor slab boundaries, nor a memory-mapped

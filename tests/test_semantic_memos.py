@@ -3,7 +3,7 @@
 :meth:`SemanticFunction.interpret` memoises the specific concept set per
 raw concept set, and :class:`SemhashEncoder` memoises one read-only row
 per ζ. Neither may change an answer, hide a failure, or travel with a
-checkpoint or a pool payload.
+checkpoint.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Streamed SA-LSH: sample-frozen encoder + slab streaming (DESIGN.md,
-"Process-sharded streaming runtime").
+"Sample-frozen semantic encoder").
 
 The contract extends the PR 2 streaming guarantee to the semantic
 blocker: with an encoder frozen from the full corpus,
