@@ -2,10 +2,10 @@
 
 Times LSH and SA-LSH blocking on synthetic NC-Voter at 10k/50k records
 (the paper's §6.1 voter parameters q=2, k=9, l=15) under the per-record
-reference loop (``repro.reference``) and the batch engine, the
-slab-streamed LSH path with a memory-mapped signature spill, and the
-streamed SA-LSH path (encoder frozen from the full corpus, growable
-spill). A further section times the survey
+reference loop (``repro.reference``) and the batch engine, and the
+slab-streamed LSH and SA-LSH paths (SA-LSH's encoder frozen from the
+full corpus), each spilling its signatures through a finalized
+growable spill. A further section times the survey
 baselines that run on the batch key-extraction path (TBlo, SorA,
 SorII, SuA) at the same sizes, so the techniques the survey calls
 "blocking one record at a time" finally appear on the same 50k+ axis.
@@ -74,7 +74,7 @@ from repro.datasets import NCVoterLikeGenerator
 from repro.er import Resolver, SimilarityMatcher
 from repro.evaluation import evaluate_blocks, format_table
 from repro.metablocking import run_metablocking
-from repro.minhash import GrowableSignatureSpill, open_signature_memmap
+from repro.minhash import GrowableSignatureSpill
 from repro.records import Record
 from repro.semantic import SemhashEncoder
 from repro.store import Journal, read_journal
@@ -185,13 +185,15 @@ def _run_engine_pair(
     if stream == "lsh":
         blocker = make_blocker()
         with tempfile.TemporaryDirectory() as spill_dir:
-            spill = Path(spill_dir) / "signatures.npy"
+            spill_path = Path(spill_dir) / "signatures.npy"
 
             def run_streamed():
-                signatures = open_signature_memmap(
-                    spill, len(records), blocker.hasher.num_hashes
+                spill = GrowableSignatureSpill(
+                    spill_path, blocker.hasher.num_hashes
                 )
-                return blocker.block_stream(slabs, signatures_out=signatures)
+                result = blocker.block_stream(slabs, signatures_out=spill)
+                spill.finalize()
+                return result
 
             streamed_result, streamed_seconds = _timed(run_streamed, repeats=2)
         assert streamed_result.blocks == batch_result.blocks, (

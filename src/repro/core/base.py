@@ -14,9 +14,9 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
+from repro.lsh.index import RecordLedger
 from repro.minhash.minhash import MinHasher
 from repro.minhash.shingling import Shingler
-from repro.minhash.signature import GrowableSignatureSpill
 from repro.records.blocks import BlockList
 from repro.records.dataset import Dataset, LinkedCorpus
 from repro.records.ground_truth import Pair
@@ -334,7 +334,8 @@ class OnlineIndex(ABC):
       rebuild, identical end state regardless of how the corpus is
       split into calls; ids are unique across all calls (an id already
       indexed, or repeated in a slab, raises
-      :class:`~repro.errors.DatasetError` naming it);
+      :class:`~repro.errors.DatasetError` naming it) and a slab is
+      taken whole or rejected whole;
     * :meth:`remove` drops one record in O(1); the id is *retired*
       (re-adding raises ``KeyError`` — replacements use a fresh id);
     * :meth:`query` returns live candidate ids for a probe record
@@ -342,7 +343,14 @@ class OnlineIndex(ABC):
       co-blocks with — never an exception);
     * :meth:`blocks` equals the owning blocker's batch ``block()``
       over the surviving records in their original insertion order.
+
+    Each implementation keeps its ids in one
+    :class:`~repro.lsh.index.RecordLedger` (``ledger``), from which
+    removal, retirement, the live count and the durable state are
+    derived here once.
     """
+
+    ledger: RecordLedger
 
     @abstractmethod
     def add_many(self, records: Sequence[Record]) -> None:
@@ -352,9 +360,18 @@ class OnlineIndex(ABC):
         """Index one record (convenience wrapper over :meth:`add_many`)."""
         self.add_many([record])
 
-    @abstractmethod
     def remove(self, record_id: str) -> None:
         """Tombstone one indexed record; the id is retired permanently."""
+        self.ledger.retire(record_id)
+
+    def is_retired(self, record_id: str) -> bool:
+        """True when the id was removed (and may never be re-added)."""
+        return record_id in self.ledger.retired
+
+    @property
+    def num_live(self) -> int:
+        """Records indexed and not removed."""
+        return self.ledger.num_live
 
     @abstractmethod
     def query(self, record: Record) -> list[str]:
@@ -371,21 +388,17 @@ class OnlineIndex(ABC):
         equivalence (``blocks()`` after any add/remove interleaving
         equals a from-scratch rebuild over the survivors in insertion
         order), a checkpoint does not persist internal tables — only
-        the state a survivor rebuild cannot rederive: the retired-id
-        set, and for frozen-encoder indexes the encoder itself (under
-        the ``"encoder"`` key, pickled by the checkpoint writer).
+        the state a survivor rebuild cannot rederive: the retired ids
+        (``"retired"``), and for frozen-encoder indexes the encoder
+        itself (under ``"encoder"``, pickled by the checkpoint writer).
         :meth:`restore` applies the dict to an index freshly rebuilt
         from the surviving records.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
+        return {"retired": sorted(self.ledger.retired)}
 
     def restore(self, state: dict) -> None:
         """Apply :meth:`checkpoint` state to a survivor-rebuilt index."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
+        self.ledger.restore(state.get("retired", ()))
 
 
 class LSHFamilyBlocker(Blocker):
@@ -502,20 +515,17 @@ class LSHFamilyBlocker(Blocker):
         calls ``len()``. Record ids must be unique across slabs.
 
         ``online_options`` go to :meth:`online`. The banded blockers
-        (LSH, SA-LSH) take ``signatures_out=``, a spill target for the
-        signature rows: a preallocated uint64 buffer with ``k * l``
-        columns and at least as many rows as records (typically a
-        memory map from :func:`~repro.minhash.signature.
-        open_signature_memmap`), or a :class:`~repro.minhash.signature.
-        GrowableSignatureSpill` when the stream length is unknown (the
-        caller finalizes it afterwards). The banded index keeps each
-        slab's band keys as *views* of its signature rows, so with a
-        spill those views are file-backed pages the OS evicts at will
+        (LSH, SA-LSH) take ``signatures_out=``, a
+        :class:`~repro.minhash.signature.GrowableSignatureSpill` each
+        slab's signature rows are appended to, however long the stream
+        (the caller finalizes it afterwards). The banded index keeps
+        each slab's band keys as *views* of its signature rows, so with
+        a spill those views are file-backed pages the OS evicts at will
         and resident memory is one slab's working set plus the grouped
         index; without one, the views pin every slab's rows in RAM.
 
-        An aborting stream releases a growable spill's file handle
-        (header patched to the rows written so far) before the error
+        An aborting stream releases the spill's file handle (header
+        patched to the rows written so far) before the error
         propagates; a successful stream leaves the spill open for the
         caller to continue or finalize.
         """
@@ -528,7 +538,7 @@ class LSHFamilyBlocker(Blocker):
                 index.add_many(slab)
                 num_slabs += 1
         except BaseException:
-            if isinstance(spill, GrowableSignatureSpill):
+            if spill is not None:
                 spill.close()
             raise
         return self._result(

@@ -10,9 +10,9 @@ one growing vocabulary, minhashed on the corpus-level batch kernels
 into a :class:`~repro.lsh.index.BandedLSHIndex`, whose buckets merge
 across slabs. :class:`~repro.core.base.LSHFamilyBlocker` derives the
 entry points from it — :meth:`~repro.core.base.LSHFamilyBlocker.block`,
-``block_stream`` (slabs, with an optional memory-mapped or growable
-signature spill) and ``block_pair`` — all byte-identical to one batch
-pass over the records. The per-record reference loop it is checked
+``block_stream`` (slabs, with an optional growable signature spill)
+and ``block_pair`` — all byte-identical to one batch pass over the
+records. The per-record reference loop it is checked
 against is :func:`repro.reference.lsh_blocks`.
 """
 
@@ -36,27 +36,34 @@ from repro.records.record import Record
 class _BandedOnlineIndex(OnlineIndex):
     """What the two banded online indexes share: one growing shingle
     vocabulary, an optional signature spill, the
-    :class:`~repro.lsh.index.BandedLSHIndex` their slabs feed, and the
-    probe path's :class:`~repro.minhash.minhash.HashColumns` memo.
+    :class:`~repro.lsh.index.BandedLSHIndex` their slabs feed (whose
+    ledger is theirs), and the probe path's
+    :class:`~repro.minhash.minhash.HashColumns` memo.
 
-    ``signatures_out`` may be a preallocated uint64 buffer (e.g. a
-    :func:`~repro.minhash.signature.open_signature_memmap` map) filled
-    row slab by row slab, or a
-    :class:`~repro.minhash.signature.GrowableSignatureSpill` appended
-    to; either way the band keys the index keeps are views of the
-    file-backed rows, so the accumulated signatures live on disk.
+    ``signatures_out`` is a
+    :class:`~repro.minhash.signature.GrowableSignatureSpill` each slab's
+    signature rows are appended to; the band keys the index keeps are
+    views of the file-backed rows, so the accumulated signatures live
+    on disk.
     """
 
     def __init__(
         self,
         blocker: LSHFamilyBlocker,
-        signatures_out: "np.ndarray | GrowableSignatureSpill | None",
+        signatures_out: GrowableSignatureSpill | None,
     ) -> None:
+        if signatures_out is not None and not isinstance(
+            signatures_out, GrowableSignatureSpill
+        ):
+            raise ConfigurationError(
+                "signatures_out must be a GrowableSignatureSpill, got "
+                f"{type(signatures_out).__name__}"
+            )
         self.blocker = blocker
         self._vocabulary = ShingleVocabulary()
-        self._signatures_out = signatures_out
-        self._cursor = 0
+        self._spill = signatures_out
         self._index = BandedLSHIndex(blocker.l)
+        self.ledger = self._index.ledger
         # Held here, not on the blocker: checkpoints pickle the blocker.
         self._columns = HashColumns(blocker.hasher)
 
@@ -71,22 +78,9 @@ class _BandedOnlineIndex(OnlineIndex):
         return record_band_keys(signature, blocker.k, blocker.l)
 
     def _insert(self, record_ids, signatures: np.ndarray, gate_entries=None):
-        """The one insertion path: check the ids, spill the rows, then
-        bulk-insert their band keys."""
-        self._index.check_new_ids(record_ids)
-        out = self._signatures_out
-        lo, hi = self._cursor, self._cursor + len(record_ids)
-        if isinstance(out, np.ndarray):
-            if hi > out.shape[0]:
-                raise ConfigurationError(
-                    f"signatures_out holds {out.shape[0]} rows; "
-                    f"streamed records exceed it at {hi}"
-                )
-            out[lo:hi] = signatures
-            signatures = out[lo:hi]
-        elif isinstance(out, GrowableSignatureSpill):
-            signatures = out.append(signatures)
-        self._cursor = hi
+        """Spill a checked slab's rows, then bulk-insert their band keys."""
+        if self._spill is not None:
+            signatures = self._spill.append(signatures)
         blocker = self.blocker
         self._index.add_many(
             record_ids,
@@ -96,13 +90,6 @@ class _BandedOnlineIndex(OnlineIndex):
 
     def remove(self, record_id: str) -> None:
         self._index.remove(record_id)
-
-    def is_retired(self, record_id: str) -> bool:
-        return self._index.is_retired(record_id)
-
-    @property
-    def num_live(self) -> int:
-        return self._index.num_live
 
     def blocks(self) -> BlockList:
         return self._index.blocks()
@@ -125,7 +112,7 @@ class OnlineLSHIndex(_BandedOnlineIndex):
         blocker: "LSHBlocker",
         records: Iterable[Record] = (),
         *,
-        signatures_out: "np.ndarray | GrowableSignatureSpill | None" = None,
+        signatures_out: GrowableSignatureSpill | None = None,
     ) -> None:
         super().__init__(blocker, signatures_out)
         self.add_many(records)
@@ -136,24 +123,15 @@ class OnlineLSHIndex(_BandedOnlineIndex):
             records, vocabulary=self._vocabulary
         )
         if corpus.num_records:
-            self.add_signatures(
+            self.ledger.check(corpus.record_ids)
+            self._insert(
                 corpus.record_ids, blocker.hasher.signature_matrix(corpus)
             )
-
-    def add_signatures(self, record_ids, signatures: np.ndarray) -> None:
-        """Index a slab whose signature rows are already computed."""
-        self._insert(record_ids, signatures)
 
     def query(self, record: Record) -> list[str]:
         return self._index.query_keys(
             self._probe_keys(record), record_id=record.record_id
         )
-
-    def checkpoint(self) -> dict:
-        return {"kind": "lsh", "retired": self._index.retired_ids()}
-
-    def restore(self, state: dict) -> None:
-        self._index.restore_retired(state.get("retired", ()))
 
 
 class LSHBlocker(LSHFamilyBlocker):
@@ -171,7 +149,7 @@ class LSHBlocker(LSHFamilyBlocker):
         self,
         records: Iterable[Record] = (),
         *,
-        signatures_out: "np.ndarray | GrowableSignatureSpill | None" = None,
+        signatures_out: GrowableSignatureSpill | None = None,
     ) -> OnlineLSHIndex:
         """A mutable :class:`OnlineLSHIndex` seeded with ``records``."""
         return OnlineLSHIndex(self, records, signatures_out=signatures_out)

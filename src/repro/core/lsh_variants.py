@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.base import LSHFamilyBlocker, OnlineIndex, make_blocks
 from repro.errors import ConfigurationError
 from repro.lsh.bands import split_bands_matrix
-from repro.lsh.index import check_new_ids, grouped_indices
+from repro.lsh.index import RecordLedger, grouped_indices
 from repro.minhash.corpus import ShingledCorpus, ShingleVocabulary
 from repro.minhash.minhash import MinHasher, compact_vocabulary, sentinel_stream
 from repro.records.record import Record
@@ -168,6 +168,21 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
             f"probes={self.num_probes})"
         )
 
+    def _perturbed_keys(
+        self, minima: np.ndarray, runners: np.ndarray, table: int
+    ) -> list[np.ndarray]:
+        """One table's probe keys, one array per probe row: each
+        record's band key with that row swapped for its runner-up."""
+        k = self.k
+        lo = table * k
+        band = minima[:, lo : lo + k]
+        keys = []
+        for probe_row in range(self.num_probes):
+            perturbed = band.copy()
+            perturbed[:, probe_row] = runners[:, lo + probe_row]
+            keys.append(np.ascontiguousarray(perturbed).reshape(-1).view(f"S{8 * k}"))
+        return keys
+
     def _probe_groups(
         self, ids: np.ndarray, minima: np.ndarray, runners: np.ndarray
     ) -> list[list[str]]:
@@ -183,19 +198,9 @@ class MultiProbeLSHBlocker(LSHFamilyBlocker):
         groups: list[list[str]] = []
         entry_record = np.repeat(np.arange(n), self.num_probes)
         for table in range(self.l):
-            lo = table * self.k
-            band = minima[:, lo : lo + self.k]
             # Probe keys in (record-major, probe-row) order, matching the
             # per-record insertion order of the reference engine.
-            probe_cols = []
-            for probe_row in range(self.num_probes):
-                perturbed = band.copy()
-                perturbed[:, probe_row] = runners[:, lo + probe_row]
-                probe_cols.append(
-                    np.ascontiguousarray(perturbed)
-                    .reshape(-1)
-                    .view(f"S{8 * self.k}")
-                )
+            probe_cols = self._perturbed_keys(minima, runners, table)
             if probe_cols:
                 probe_keys = np.stack(probe_cols, axis=1).reshape(-1)
             else:
@@ -307,100 +312,33 @@ class LSHForestBlocker(LSHFamilyBlocker):
 
 
 class _VariantOnlineBase(OnlineIndex):
-    """Shared slab/tombstone bookkeeping of the variant online indexes.
+    """What the variant online indexes share: one growing shingle
+    vocabulary, one :class:`~repro.lsh.index.RecordLedger` whose id
+    slabs their per-slab signature arrays line up with, and the query
+    emitter.
 
-    Both variants accumulate per-slab signature arrays (one growing
-    shingle vocabulary, signatures identical to the batch rows) and
-    tombstone removals by id; :meth:`blocks` concatenates the surviving
-    rows in insertion order and reruns the owning blocker's batch
-    grouping, so incremental results equal a from-scratch rebuild.
-    Removed ids are retired permanently, as in
-    :class:`~repro.lsh.index.BandedLSHIndex`.
+    :meth:`blocks` concatenates the surviving rows in insertion order
+    and reruns the owning blocker's batch grouping, so incremental
+    results equal a from-scratch rebuild.
     """
 
     def __init__(self, blocker: LSHFamilyBlocker) -> None:
         self.blocker = blocker
         self._vocabulary = ShingleVocabulary()
-        self._id_slabs: list[np.ndarray] = []
-        self._ids_seen: set[str] = set()
-        self._tombstones: set[str] = set()
-
-    def add_many(self, records) -> None:
-        blocker = self.blocker
-        corpus = blocker.shingler.shingle_corpus(
-            records, vocabulary=self._vocabulary
-        )
-        if corpus.num_records:
-            self.add_signatures(corpus.record_ids, *self._signature_rows(corpus))
-
-    def _take_ids(self, record_ids) -> None:
-        """Check a slab's ids (see :func:`~repro.lsh.index.
-        check_new_ids`) and record them as indexed."""
-        check_new_ids(record_ids, self._ids_seen, self._tombstones)
-        self._ids_seen.update(record_ids)
-        self._id_slabs.append(np.asarray(record_ids, dtype=object))
-
-    def remove(self, record_id: str) -> None:
-        if record_id in self._tombstones or record_id not in self._ids_seen:
-            raise KeyError(record_id)
-        self._tombstones.add(record_id)
-
-    def is_retired(self, record_id: str) -> bool:
-        return record_id in self._tombstones
-
-    @property
-    def num_live(self) -> int:
-        return len(self._ids_seen) - len(self._tombstones)
-
-    def checkpoint(self) -> dict:
-        return {"kind": self.blocker.name, "retired": sorted(self._tombstones)}
-
-    def restore(self, state: dict) -> None:
-        for record_id in state.get("retired", ()):
-            if (
-                record_id in self._ids_seen
-                and record_id not in self._tombstones
-            ):
-                raise KeyError(
-                    f"cannot retire live record {record_id!r} during "
-                    "restore; retired ids must be absent from the "
-                    "survivor rebuild"
-                )
-            self._ids_seen.add(record_id)
-            self._tombstones.add(record_id)
-
-    def _all_ids(self) -> np.ndarray:
-        if not self._id_slabs:
-            return np.empty(0, dtype=object)
-        if len(self._id_slabs) == 1:
-            return self._id_slabs[0]
-        return np.concatenate(self._id_slabs)
-
-    def _keep_mask(self, ids_all: np.ndarray) -> np.ndarray | None:
-        if not self._tombstones:
-            return None
-        tombstones = self._tombstones
-        return np.fromiter(
-            (rid not in tombstones for rid in ids_all.tolist()),
-            dtype=bool,
-            count=ids_all.size,
-        )
+        self.ledger = RecordLedger()
 
     def _emit(
         self, members, seen: set[str], found: list[str], record_id: str
     ) -> None:
+        retired = self.ledger.retired
         for member in members or ():
             if (
                 member not in seen
-                and member not in self._tombstones
+                and member not in retired
                 and member != record_id
             ):
                 seen.add(member)
                 found.append(member)
-
-
-def _concatenated(slabs: list[np.ndarray]) -> np.ndarray:
-    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
 
 
 class OnlineMultiProbeIndex(_VariantOnlineBase):
@@ -434,49 +372,41 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
         self._maps_cursor = 0
         self.add_many(records)
 
-    def _signature_rows(self, corpus: ShingledCorpus):
-        return self.blocker.hasher.signature_matrix_with_runner_up(corpus)
-
-    def add_signatures(
-        self, record_ids, minima: np.ndarray, runners: np.ndarray
-    ) -> None:
-        """Index a slab whose minima and runner-ups are computed."""
-        self._take_ids(record_ids)
+    def add_many(self, records) -> None:
+        blocker = self.blocker
+        corpus = blocker.shingler.shingle_corpus(
+            records, vocabulary=self._vocabulary
+        )
+        if not corpus.num_records:
+            return
+        self.ledger.check(corpus.record_ids)
+        minima, runners = blocker.hasher.signature_matrix_with_runner_up(corpus)
+        self.ledger.append(corpus.record_ids)
         self._minima_slabs.append(minima)
         self._runner_slabs.append(runners)
 
     def _ensure_maps(self) -> None:
-        for slab in range(self._maps_cursor, len(self._id_slabs)):
+        slabs = self.ledger.slabs
+        for slab in range(self._maps_cursor, len(slabs)):
             self._extend_maps(
-                self._id_slabs[slab].tolist(),
+                slabs[slab].tolist(),
                 self._minima_slabs[slab],
                 self._runner_slabs[slab],
             )
-        self._maps_cursor = len(self._id_slabs)
+        self._maps_cursor = len(slabs)
 
     def _extend_maps(
         self, record_ids, minima: np.ndarray, runners: np.ndarray
     ) -> None:
         blocker = self.blocker
-        k = blocker.k
-        exact_keys = split_bands_matrix(minima, k, blocker.l)
+        exact_keys = split_bands_matrix(minima, blocker.k, blocker.l)
         for table in range(blocker.l):
             exact_map = self._exact_maps[table]
             for rid, key in zip(record_ids, exact_keys[:, table].tolist()):
                 exact_map.setdefault(key, []).append(rid)
             probe_map = self._probe_maps[table]
-            lo = table * k
-            band = minima[:, lo : lo + k]
-            for probe_row in range(blocker.num_probes):
-                perturbed = band.copy()
-                perturbed[:, probe_row] = runners[:, lo + probe_row]
-                keys = (
-                    np.ascontiguousarray(perturbed)
-                    .reshape(-1)
-                    .view(f"S{8 * k}")
-                    .tolist()
-                )
-                for rid, key in zip(record_ids, keys):
+            for keys in blocker._perturbed_keys(minima, runners, table):
+                for rid, key in zip(record_ids, keys.tolist()):
                     probe_map.setdefault(key, []).append(rid)
 
     def query(self, record: Record) -> list[str]:
@@ -485,38 +415,30 @@ class OnlineMultiProbeIndex(_VariantOnlineBase):
         minima, runners = blocker.hasher.signature_with_runner_up(
             blocker.shingler.shingle_ids(record)
         )
-        k = blocker.k
+        minima, runners = minima.reshape(1, -1), runners.reshape(1, -1)
+        exact_keys = split_bands_matrix(minima, blocker.k, blocker.l)[0].tolist()
         seen: set[str] = set()
         found: list[str] = []
-        for table in range(blocker.l):
-            lo = table * k
-            band = np.ascontiguousarray(minima[lo : lo + k])
-            exact_key = band.view(f"S{8 * k}")[0]
-            self._emit(
-                self._exact_maps[table].get(exact_key),
-                seen, found, record.record_id,
-            )
+        for table, exact_key in enumerate(exact_keys):
+            exact_map = self._exact_maps[table]
+            self._emit(exact_map.get(exact_key), seen, found, record.record_id)
             self._emit(
                 self._probe_maps[table].get(exact_key),
                 seen, found, record.record_id,
             )
-            for probe_row in range(blocker.num_probes):
-                perturbed = band.copy()
-                perturbed[probe_row] = runners[lo + probe_row]
-                probe_key = perturbed.view(f"S{8 * k}")[0]
+            for keys in blocker._perturbed_keys(minima, runners, table):
                 self._emit(
-                    self._exact_maps[table].get(probe_key),
-                    seen, found, record.record_id,
+                    exact_map.get(keys[0]), seen, found, record.record_id
                 )
         return found
 
     def blocks(self):
-        ids_all = self._all_ids()
+        ids_all = self.ledger.ids()
         if ids_all.size == 0:
             return make_blocks(())
-        minima = _concatenated(self._minima_slabs)
-        runners = _concatenated(self._runner_slabs)
-        keep = self._keep_mask(ids_all)
+        minima = np.concatenate(self._minima_slabs)
+        runners = np.concatenate(self._runner_slabs)
+        keep = self.ledger.live_mask(ids_all)
         if keep is not None:
             ids_all = ids_all[keep]
             minima = minima[keep]
@@ -528,11 +450,11 @@ class OnlineForestIndex(_VariantOnlineBase):
     """The engine of :class:`LSHForestBlocker`, built once, then mutated.
 
     :meth:`blocks` rebuilds the survivor prefix trees with the batch
-    descent (cached until the next mutation). :meth:`query` descends
-    each table's survivor tree along the query's band values: at every
-    split it follows the partition matching the query's next signature
-    position — an empty match means the query would occupy a leaf of
-    its own, contributing no candidates from that table.
+    descent (cached until the ledger next mutates). :meth:`query`
+    descends each table's survivor tree along the query's band values:
+    at every split it follows the partition matching the query's next
+    signature position — an empty match means the query would occupy a
+    leaf of its own, contributing no candidates from that table.
     """
 
     def __init__(
@@ -542,41 +464,38 @@ class OnlineForestIndex(_VariantOnlineBase):
     ) -> None:
         super().__init__(blocker)
         self._signature_slabs: list[np.ndarray] = []
-        self._live: tuple[np.ndarray, np.ndarray] | None = None
+        #: ``(ledger version, live ids, live signatures)``.
+        self._live: tuple[int, np.ndarray, np.ndarray] | None = None
         self.add_many(records)
 
-    def _signature_rows(self, corpus: ShingledCorpus):
-        return (self.blocker.hasher.signature_matrix(corpus),)
-
-    def add_signatures(self, record_ids, signatures: np.ndarray) -> None:
-        """Index a slab whose signature rows are computed."""
-        self._take_ids(record_ids)
+    def add_many(self, records) -> None:
+        blocker = self.blocker
+        corpus = blocker.shingler.shingle_corpus(
+            records, vocabulary=self._vocabulary
+        )
+        if not corpus.num_records:
+            return
+        self.ledger.check(corpus.record_ids)
+        signatures = blocker.hasher.signature_matrix(corpus)
+        self.ledger.append(corpus.record_ids)
         self._signature_slabs.append(signatures)
-        self._live = None
-
-    def remove(self, record_id: str) -> None:
-        super().remove(record_id)
-        self._live = None
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        self._live = None
 
     def _live_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._live is None:
-            ids_all = self._all_ids()
+        ledger = self.ledger
+        if self._live is None or self._live[0] != ledger.version:
+            ids_all = ledger.ids()
             if self._signature_slabs:
-                signatures = _concatenated(self._signature_slabs)
+                signatures = np.concatenate(self._signature_slabs)
             else:
                 signatures = np.empty(
                     (0, self.blocker.hasher.num_hashes), dtype=np.uint64
                 )
-            keep = self._keep_mask(ids_all)
+            keep = ledger.live_mask(ids_all)
             if keep is not None:
                 ids_all = ids_all[keep]
                 signatures = signatures[keep]
-            self._live = (ids_all, signatures)
-        return self._live
+            self._live = ledger.version, ids_all, signatures
+        return self._live[1], self._live[2]
 
     def _descend(
         self,

@@ -20,8 +20,6 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.base import BlockingResult, LSHFamilyBlocker
 from repro.core.lsh_blocker import _BandedOnlineIndex
 from repro.errors import ConfigurationError, SemanticFunctionError
@@ -44,9 +42,10 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
     buckets, so after any interleaving of adds and removes
     :meth:`blocks` equals :meth:`SALSHBlocker.block_stream` (same
     encoder) over the surviving records. When no encoder is given, one
-    is frozen from the first non-empty slab — records added later
-    encode against that fixed bit set, exactly like the streamed path's
-    sample-fitted encoder.
+    is frozen from the first non-empty slab the index takes (a rejected
+    slab freezes nothing) — records added later encode against that
+    fixed bit set, exactly like the streamed path's sample-fitted
+    encoder.
 
     :meth:`query` gates the probe record through the same w-way family.
     A record whose interpretation the semantic function cannot produce
@@ -62,7 +61,7 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
         records: Iterable[Record] = (),
         *,
         encoder: SemhashEncoder | None = None,
-        signatures_out: "np.ndarray | GrowableSignatureSpill | None" = None,
+        signatures_out: GrowableSignatureSpill | None = None,
     ) -> None:
         super().__init__(blocker, signatures_out)
         self.encoder = encoder
@@ -78,30 +77,23 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
         if not records:
             return
         blocker = self.blocker
-        if self.encoder is None:
-            # Checked before freezing: a rejected first slab must leave
-            # the index without an encoder.
-            self._index.check_new_ids([record.record_id for record in records])
-            self.encoder = SemhashEncoder(blocker.semantic_function, records)
-            self._gates = blocker._gates(self.encoder.num_bits)
+        self.ledger.check([record.record_id for record in records])
+        encoder, gates = self.encoder, self._gates
+        if encoder is None:
+            encoder = SemhashEncoder(blocker.semantic_function, records)
+            gates = blocker._gates(encoder.num_bits)
         corpus = blocker.shingler.shingle_corpus(
             records, vocabulary=self._vocabulary
         )
-        self.add_signatures(
+        semhash = encoder.signature_matrix(records)
+        self._insert(
             corpus.record_ids,
             blocker.hasher.signature_matrix(corpus),
-            self.encoder.signature_matrix(records),
+            [gates.gate_entries(table, semhash) for table in range(blocker.l)],
         )
-
-    def add_signatures(
-        self, record_ids, signatures: np.ndarray, semhash: np.ndarray
-    ) -> None:
-        """Index a slab whose minhash and semhash rows are computed."""
-        entries = [
-            self._gates.gate_entries(table, semhash)
-            for table in range(self.blocker.l)
-        ]
-        self._insert(record_ids, signatures, entries)
+        # Frozen together, and only once the slab is in: a first slab
+        # rejected anywhere above leaves the index without either.
+        self.encoder, self._gates = encoder, gates
 
     # remove() and blocks() repeat the shared bodies so that they live
     # in this class's own namespace, where erbench's traced mode wraps
@@ -119,13 +111,10 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
             # at all (e.g. an incomplete pattern table): semantically it
             # matches nothing, so it blocks with nothing.
             return []
-        suffixes = self._gates.probe_suffixes(semhash)
-
-        def gate(table: int, _record_id: str):
-            return suffixes[table]
-
         return self._index.query_keys(
-            self._probe_keys(record), gate, record_id=record.record_id
+            self._probe_keys(record),
+            self._gates.probe_suffixes(semhash),
+            record_id=record.record_id,
         )
 
     def blocks(self) -> BlockList:
@@ -136,11 +125,7 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
         # rebuild must gate later additions against the *same* bit set
         # the pre-crash index froze (the checkpoint writer pickles the
         # "encoder" value; everything else is JSON).
-        return {
-            "kind": "salsh",
-            "retired": self._index.retired_ids(),
-            "encoder": self.encoder,
-        }
+        return {**super().checkpoint(), "encoder": self.encoder}
 
     def restore(self, state: dict) -> None:
         encoder = state.get("encoder")
@@ -150,7 +135,7 @@ class OnlineSALSHIndex(_BandedOnlineIndex):
             # pre-crash encoder must still gate future additions.
             self.encoder = encoder
             self._gates = self.blocker._gates(encoder.num_bits)
-        self._index.restore_retired(state.get("retired", ()))
+        super().restore(state)
 
 
 class SALSHBlocker(LSHFamilyBlocker):
@@ -241,7 +226,7 @@ class SALSHBlocker(LSHFamilyBlocker):
         records: Iterable[Record] = (),
         *,
         encoder: SemhashEncoder | None = None,
-        signatures_out: "np.ndarray | GrowableSignatureSpill | None" = None,
+        signatures_out: GrowableSignatureSpill | None = None,
     ) -> OnlineSALSHIndex:
         """A mutable :class:`OnlineSALSHIndex` seeded with ``records``.
 
@@ -279,7 +264,7 @@ class SALSHBlocker(LSHFamilyBlocker):
         slabs: Iterable[Iterable[Record]],
         *,
         encoder: SemhashEncoder,
-        signatures_out: "np.ndarray | GrowableSignatureSpill | None" = None,
+        signatures_out: GrowableSignatureSpill | None = None,
     ) -> BlockingResult:
         """Block a corpus streamed as record slabs under a frozen encoder.
 

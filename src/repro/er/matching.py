@@ -245,17 +245,14 @@ class SimilarityMatcher:
             scores += self._weights[attribute] * column
         return scores
 
-    def _label(self, score: float) -> str:
+    def label_for(self, score: float) -> str:
+        """Three-region label of a score — 'match', 'possible' or
+        'non-match' (the resolver's confidence tiers)."""
         if score >= self.match_threshold:
             return "match"
         if score >= self.possible_threshold:
             return "possible"
         return "non-match"
-
-    def label_for(self, score: float) -> str:
-        """Three-region label of a score — 'match', 'possible' or
-        'non-match' (the resolver's confidence tiers)."""
-        return self._label(score)
 
     def score_against(
         self, probe: Record, candidates: Iterable[Record]
@@ -290,7 +287,7 @@ class SimilarityMatcher:
 
     def classify(self, dataset: Dataset, pair: Pair) -> MatchDecision:
         score = self.score(dataset, pair)
-        return MatchDecision(pair=pair, score=score, label=self._label(score))
+        return MatchDecision(pair=pair, score=score, label=self.label_for(score))
 
     def match_pairs(
         self, dataset: Dataset, candidate_pairs: Iterable[Pair]
@@ -300,7 +297,7 @@ class SimilarityMatcher:
         pairs = sorted(candidate_pairs)
         scores = self.score_pairs(dataset, pairs)
         return [
-            MatchDecision(pair=pair, score=score, label=self._label(score))
+            MatchDecision(pair=pair, score=score, label=self.label_for(score))
             for pair, score in zip(pairs, scores.tolist())
         ]
 

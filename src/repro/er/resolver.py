@@ -23,10 +23,11 @@ allocate_id`.
 
 Durability (DESIGN.md, "Durability & crash recovery"): constructed with
 a ``state_dir``, the resolver writes an initial checkpoint and then
-journals every mutation through a :class:`~repro.store.journal.Journal`
-*before* applying it, each ``add_many`` batch as one atomic frame. A
-mutation is acknowledged — survives kill −9 — exactly when the call
-returns; :meth:`Resolver.open` rebuilds the latest checkpoint and
+journals every mutation through a :class:`~repro.store.journal.Journal`:
+an ``add_many`` batch as one atomic frame once the index has taken it
+(so no frame holds a batch replay would reject), a removal before it
+applies. A mutation is acknowledged — survives kill −9 — exactly when
+the call returns; :meth:`Resolver.open` rebuilds the latest checkpoint and
 replays the journal tail through the same apply path, so recovered
 ``blocks()``/``query()`` are byte-identical to a from-scratch build
 over the acknowledged survivors (the incremental ≡ rebuild contract
@@ -40,7 +41,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.errors import ConfigurationError, DatasetError, DurabilityError
+from repro.errors import (
+    ConfigurationError,
+    DatasetError,
+    DurabilityError,
+    ReproError,
+)
 from repro.records.dataset import LinkedCorpus, RecordStore
 from repro.records.record import Record
 from repro.er.matching import SimilarityMatcher
@@ -107,7 +113,7 @@ class Resolver:
     state_dir:
         Optional durability root. When given, the constructor writes
         an initial checkpoint there and every later mutation is
-        journaled before it is applied; :meth:`open` restores the
+        journaled before the call returns; :meth:`open` restores the
         resolver after a crash or restart.
     fsync:
         Journal fsync discipline (``"always"``/``"batch"``/``"never"``,
@@ -224,12 +230,15 @@ class Resolver:
         """Index a batch of new records.
 
         Validates every id upfront — present ids, intra-batch
-        duplicates and retired (removed) ids are rejected before the
-        journal, the store or the index mutates, so a failed call
-        leaves the service (and its durable state) unchanged. A
-        durable resolver journals the whole batch as one frame before
-        applying it: after a crash either every record of the batch is
-        recovered or none is.
+        duplicates and retired (removed) ids are rejected before
+        anything mutates. The index then takes the batch whole or
+        rejects it whole (say, a record the semantic function cannot
+        interpret), leaving the service unchanged. Only a batch the
+        index took is journaled, as one frame — after a crash either
+        every record of the batch is recovered or none is — and then
+        stored. Should the journal append fail, the batch is taken back
+        out of the index before the error propagates; its ids stay
+        retired in memory, as a removed record's do.
         """
         staged = list(records)
         retired = sorted(
@@ -249,18 +258,23 @@ class Resolver:
                     f"duplicate record id {record.record_id!r}"
                 )
             seen.add(record.record_id)
-        if self._journal is not None:
-            self._journal.append(
-                "add",
-                {
-                    "records": [
-                        [r.record_id, dict(r.fields), r.entity_id]
-                        for r in staged
-                    ]
-                },
-            )
-        self.store.add_many(staged)
         self.index.add_many(staged)
+        if self._journal is not None:
+            try:
+                self._journal.append(
+                    "add",
+                    {
+                        "records": [
+                            [r.record_id, dict(r.fields), r.entity_id]
+                            for r in staged
+                        ]
+                    },
+                )
+            except BaseException:
+                for record in staged:
+                    self.index.remove(record.record_id)
+                raise
+        self.store.add_many(staged)
 
     def remove(self, record_id: str) -> Record:
         """Drop one record from store and index; returns the record.
@@ -401,23 +415,22 @@ class Resolver:
     def _apply_entry(self, entry: dict) -> None:
         """Apply one journal entry without re-journaling it."""
         op = entry.get("op")
+        if op not in ("add", "remove"):
+            raise DurabilityError(
+                f"journal entry {entry.get('seq')} has unknown op {op!r}"
+            )
         try:
             if op == "add":
                 staged = [
                     Record(rid, fields, entity_id=entity)
                     for rid, fields, entity in entry["records"]
                 ]
-                self.store.add_many(staged)
                 self.index.add_many(staged)
-            elif op == "remove":
+                self.store.add_many(staged)
+            else:
                 self.store.remove(entry["record_id"])
                 self.index.remove(entry["record_id"])
-            else:
-                raise DurabilityError(
-                    f"journal entry {entry.get('seq')} has unknown op "
-                    f"{op!r}"
-                )
-        except (KeyError, TypeError, ValueError, DatasetError) as exc:
+        except (KeyError, TypeError, ValueError, ReproError) as exc:
             raise DurabilityError(
                 f"journal entry {entry.get('seq')} does not apply to the "
                 f"checkpointed state: {exc}"

@@ -22,10 +22,6 @@ class SemanticFunctionError(ReproError):
     """A semantic function produced an invalid interpretation."""
 
 
-class BlockingError(ReproError):
-    """A blocker could not produce blocks for the given dataset."""
-
-
 class DatasetError(ReproError):
     """A dataset or generator was asked for something impossible."""
 
@@ -37,11 +33,12 @@ class EvaluationError(ReproError):
 class TransientRuntimeError(ReproError):
     """A runtime failure that retrying the operation may fix.
 
-    Raised (as :class:`SlabTransportError`) by the signature spill of
-    :mod:`repro.minhash.signature` when a write fails, e.g. on a full
-    disk: the rows written before the failure are salvaged, so the
-    caller can free space and :meth:`~repro.minhash.signature.
-    GrowableSignatureSpill.reopen` the spill to continue.
+    Raised (as :class:`SlabTransportError`) by
+    :meth:`~repro.minhash.signature.GrowableSignatureSpill.append` when
+    a write fails, e.g. on a full disk: the spill closes with the rows
+    written before the failure sealed in, so the caller can free space,
+    :meth:`~repro.minhash.signature.GrowableSignatureSpill.reopen` the
+    file and append the rest.
     """
 
 

@@ -95,30 +95,14 @@ def count_common_keys(sorted_keys: np.ndarray, probe_keys: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class LinkageMetrics:
+class LinkageMetrics(BlockingMetrics):
     """Clean-clean measures of one bipartite blocking result.
 
-    Same definitions as :class:`BlockingMetrics` with the clean-clean
-    pair spaces: Γ is the cross-side candidate set, Ω is the |S|×|T|
-    cross product, and Ωtp is the bipartite ground truth (entities
-    labelled on both sides).
+    Same fields and definitions as :class:`BlockingMetrics` with the
+    clean-clean pair spaces: Γ is the cross-side candidate set, Ω is
+    the |S|×|T| cross product, and Ωtp is the bipartite ground truth
+    (entities labelled on both sides).
     """
-
-    pc: float
-    pq: float
-    rr: float
-    fm: float
-    pq_star: float
-    fm_star: float
-    num_blocks: int
-    num_distinct_pairs: int
-    num_multiset_pairs: int
-    num_true_positives: int
-    max_block_size: int
-
-    def row(self) -> list[float]:
-        """The headline measures in report order (PC, PQ, RR, FM)."""
-        return [self.pc, self.pq, self.rr, self.fm]
 
     def __str__(self) -> str:
         return (

@@ -2,7 +2,6 @@
 
 from repro.lsh.family import SensitivityParams, amplify_sensitivity
 from repro.lsh.bands import (
-    band_keys,
     record_band_keys,
     split_bands,
     split_bands_matrix,
@@ -19,7 +18,6 @@ __all__ = [
     "amplify_sensitivity",
     "split_bands",
     "split_bands_matrix",
-    "band_keys",
     "record_band_keys",
     "BandedLSHIndex",
     "grouped_indices",

@@ -66,16 +66,6 @@ def record_band_keys(signature: np.ndarray, k: int, l: int) -> list[bytes]:
     )[0].tolist()
 
 
-def band_keys(signature: np.ndarray, k: int, l: int) -> list[int]:
-    """Hashed band keys — one Python int per hash table.
-
-    Collapses each k-tuple with the builtin tuple hash; cheaper to store
-    than tuples while preserving exact-equality collisions with
-    overwhelmingly high probability.
-    """
-    return [hash(band) for band in split_bands(signature, k, l)]
-
-
 def fold_labels(labels: np.ndarray) -> np.ndarray:
     """Deterministic uint64 fold of band keys.
 

@@ -22,13 +22,14 @@ paper-literal record-at-a-time dict loop
 (:func:`repro.reference.banded_buckets`).
 
 Beyond construction, the index is a *mutable, long-lived* structure
-(the online resolver path): :meth:`BandedLSHIndex.remove` tombstones a
-record without regrouping, and :meth:`BandedLSHIndex.query_keys`
-answers "which live records share a bucket with these band keys"
-without mutating anything. Tombstoned entries are dropped *before*
-the deferred grouping runs, so :meth:`BandedLSHIndex.blocks` after
-removals is byte-identical to rebuilding the index from the surviving
-records in their original insertion order. Removed ids are retired permanently — re-adding one
+(the online resolver path). Its :class:`RecordLedger` owns the ids:
+:meth:`BandedLSHIndex.remove` retires a record without regrouping, and
+:meth:`BandedLSHIndex.query_keys` answers "which live records share a
+bucket with these band keys" without mutating anything. Retired
+entries are dropped *before* the deferred grouping runs, so
+:meth:`BandedLSHIndex.blocks` after removals is byte-identical to
+rebuilding the index from the surviving records in their original
+insertion order. Removed ids are retired permanently — re-adding one
 would resurrect its dead bucket entries — so replacements must use a
 fresh id.
 """
@@ -36,8 +37,7 @@ fresh id.
 from __future__ import annotations
 
 import gc
-from itertools import repeat
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,67 +45,123 @@ from repro.errors import DatasetError
 from repro.lsh.bands import dense_band_labels
 from repro.records.blocks import BlockList
 
-GateFn = Callable[[int, str], Sequence[Hashable]]
-#: A gate takes (table_index, record_id) and returns the bucket-key
-#: suffixes under which the record is inserted in that table. Returning
-#: an empty sequence excludes the record from the table entirely.
 
+class RecordLedger:
+    """The record ids an online index holds, and which of them are retired.
 
-def check_new_ids(
-    record_ids: Sequence[str], seen: set[str], retired: set[str]
-) -> None:
-    """Reject a slab of ids an index cannot take, before it mutates.
+    Each online index keeps one ledger (the banded ones through their
+    :class:`BandedLSHIndex`); it owns
 
-    A retired id raises ``KeyError`` (re-adding it would resurrect its
-    dead entries); an id already indexed, or repeated within the slab,
-    raises :class:`~repro.errors.DatasetError` naming it (indexing it
-    twice would put one record in a bucket twice). ``seen`` holds every
-    id the index has taken, retired ones included.
+    * ``slabs``: one id array per accepted slab, in insertion order —
+      the rows derived arrays (band keys, signatures) line up with;
+    * ``seen`` (every id ever taken, retired ones included) and
+      ``retired`` (removed ids, never to be taken again);
+    * ``version``, a count of mutations: caches derived from the ids
+      compare it instead of being cleared by each mutator.
+
+    An id enters once. :meth:`check` is the one id check, run on every
+    slab before anything of the index mutates; :meth:`append` then
+    records the slab.
     """
-    if retired and not retired.isdisjoint(record_ids):
-        reused = sorted(retired.intersection(record_ids))
-        raise KeyError(
-            f"record ids {reused!r} were removed and are retired; "
-            "re-adding them would resurrect their dead entries"
+
+    def __init__(self) -> None:
+        self.slabs: list[np.ndarray] = []
+        self.seen: set[str] = set()
+        self.retired: set[str] = set()
+        self.version = 0
+
+    def check(self, record_ids: Sequence[str]) -> None:
+        """Raise unless every id of a slab is new; nothing changes.
+
+        A retired id raises ``KeyError`` (re-adding it would resurrect
+        its dead entries); an id already indexed, or repeated within
+        the slab, raises :class:`~repro.errors.DatasetError` naming it
+        (indexing it twice would put one record in a bucket twice).
+        """
+        retired = self.retired
+        if retired and not retired.isdisjoint(record_ids):
+            reused = sorted(retired.intersection(record_ids))
+            raise KeyError(
+                f"record ids {reused!r} were removed and are retired; "
+                "re-adding them would resurrect their dead entries"
+            )
+        fresh = set(record_ids)
+        if len(fresh) == len(record_ids) and self.seen.isdisjoint(fresh):
+            return
+        slab: set[str] = set()
+        for record_id in record_ids:
+            if record_id in self.seen or record_id in slab:
+                raise DatasetError(f"duplicate record id {record_id!r}")
+            slab.add(record_id)
+
+    def append(self, record_ids: Sequence[str]) -> None:
+        """Record a checked, non-empty slab as indexed."""
+        self.seen.update(record_ids)
+        self.slabs.append(np.asarray(record_ids, dtype=object))
+        self.version += 1
+
+    def retire(self, record_id: str) -> None:
+        """Retire one indexed id; ``KeyError`` if it was never taken or
+        is retired already."""
+        if record_id in self.retired or record_id not in self.seen:
+            raise KeyError(record_id)
+        self.retired.add(record_id)
+        self.version += 1
+
+    def restore(self, record_ids: Iterable[str]) -> None:
+        """Re-register retired ids on an index rebuilt from survivors.
+
+        A checkpoint restores an online index by re-inserting the
+        surviving records and then replaying the retired-id set through
+        this method, so re-adding a removed id keeps raising after
+        recovery exactly as it did before the crash. The ids must not
+        name live records (they were removed, so a survivor rebuild
+        never contains them).
+        """
+        restored = set(record_ids)
+        live = (restored & self.seen) - self.retired
+        if live:
+            raise KeyError(
+                f"cannot retire live records {sorted(live)!r} during "
+                "restore; retired ids must be absent from the survivor "
+                "rebuild"
+            )
+        self.seen |= restored
+        self.retired |= restored
+        self.version += 1
+
+    @property
+    def num_live(self) -> int:
+        """Ids taken minus ids retired."""
+        return len(self.seen) - len(self.retired)
+
+    def ids(self) -> np.ndarray:
+        """Every taken id in insertion order, retired ones included."""
+        slabs = self.slabs
+        if not slabs:
+            return np.empty(0, dtype=object)
+        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
+
+    def live_mask(self, ids: np.ndarray) -> np.ndarray | None:
+        """True at the live positions of ``ids`` (as :meth:`ids` returns
+        them); ``None`` when nothing is retired."""
+        retired = self.retired
+        if not retired:
+            return None
+        return np.fromiter(
+            (record_id not in retired for record_id in ids.tolist()),
+            dtype=bool,
+            count=ids.size,
         )
-    fresh = set(record_ids)
-    if len(fresh) == len(record_ids) and seen.isdisjoint(fresh):
-        return
-    slab: set[str] = set()
-    for record_id in record_ids:
-        if record_id in seen or record_id in slab:
-            raise DatasetError(f"duplicate record id {record_id!r}")
-        slab.add(record_id)
 
 
-#: Marker object coding "no gate" entries when gated and ungated slabs
-#: meet in one table (they must not share buckets with any real suffix).
-_NO_GATE = object()
-
-
-def _scalar_code(codes: dict[Hashable, int], suffix: Hashable) -> int:
-    """Negative integer code of a shared (AND-style) gate suffix.
-
-    Negative codes can never collide with OR-gate suffixes, which are
-    non-negative semhash bit indices; distinct scalar suffixes get
-    distinct codes, and equal suffixes from different slabs get the
-    same code — so cross-slab bucket merging matches a dict keyed by
-    (band key, suffix).
-    """
-    code = codes.get(suffix)
-    if code is None:
-        code = -1 - len(codes)
-        codes[suffix] = code
-    return code
-
-
-#: Batch gate entries for one table: ``(entry_rows, suffixes)`` where
-#: ``entry_rows`` are record row indices (one per insertion, possibly
-#: repeated for multi-suffix OR gates) and ``suffixes`` is either a
-#: single hashable shared by all entries (AND gates) or a per-entry
-#: int array (OR gates). An empty ``entry_rows`` excludes every record
-#: from the table.
-GateEntries = tuple[np.ndarray, "np.ndarray | Hashable"]
+#: Batch gate entries for one table: ``(entry_rows, suffixes)``, two
+#: aligned int64 arrays. ``entry_rows`` are record row indices (one per
+#: insertion, repeated for multi-suffix OR gates) and ``suffixes`` the
+#: integer suffix codes: semhash bit indices for OR gates, one fixed
+#: negative code for AND gates. An empty ``entry_rows`` excludes every
+#: record from the table.
+GateEntries = tuple[np.ndarray, np.ndarray]
 
 
 def _segment(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,29 +207,6 @@ def grouped_indices(labels: np.ndarray) -> list[np.ndarray]:
     return [
         order[starts[g] : ends[g]] for g in first_occurrence
     ]
-
-
-class _PendingSlab:
-    """One ``add_many`` call, kept raw until the index is finalised.
-
-    Grouping is deferred so that buckets can merge across slabs: the
-    index concatenates every slab's keys (and gate entries) per table
-    and groups them in one pass, which is both cheaper than re-grouping
-    on every call and required for streamed corpora to produce the same
-    blocks as a single bulk insertion.
-    """
-
-    __slots__ = ("ids", "key_matrix", "gate_entries")
-
-    def __init__(
-        self,
-        ids: np.ndarray,
-        key_matrix: np.ndarray,
-        gate_entries: "Sequence[GateEntries | None] | None",
-    ) -> None:
-        self.ids = ids
-        self.key_matrix = key_matrix
-        self.gate_entries = gate_entries
 
 
 class _BulkBuckets:
@@ -223,20 +256,19 @@ class BandedLSHIndex:
         if num_tables < 1:
             raise ValueError(f"need at least one table, got {num_tables}")
         self.num_tables = num_tables
-        self._pending: list[_PendingSlab] = []
-        #: Lazily derived buckets of all pending slabs, merged: the
-        #: bulk id array and one (or no) bucket group per table;
-        #: ``None`` marks the cache stale (new slabs arrived or records
-        #: were removed since the last grouping).
-        self._bulk: tuple[np.ndarray, list[_BulkBuckets | None]] | None = None
-        #: Ids ever inserted and ids since retired.
-        self._ids_seen: set[str] = set()
-        self._tombstones: set[str] = set()
-        #: Lazy per-table query maps over the bulk slabs:
-        #: ``(band key, suffix) -> [record ids in insertion order]``.
-        #: Extended incrementally (``_query_cursor`` counts the slabs
-        #: already folded in); removals filter at lookup time, so
-        #: neither mutation invalidates the maps.
+        #: The ids of the inserted slabs, in step with ``_pending``.
+        self.ledger = RecordLedger()
+        #: ``(key_matrix, gate_entries)`` of each inserted slab.
+        self._pending: list[tuple[np.ndarray, Sequence[GateEntries] | None]] = []
+        #: Lazily derived buckets of all slabs, merged: the ledger
+        #: version they were grouped at, the bulk id array and one (or
+        #: no) bucket group per table.
+        self._bulk: tuple[int, np.ndarray, list[_BulkBuckets | None]] | None = None
+        #: Lazy per-table query maps over the slabs: ``band key`` (or
+        #: ``(band key, suffix)`` when gated) ``-> [record ids in
+        #: insertion order]``. Extended incrementally (``_query_cursor``
+        #: counts the slabs already folded in); removals filter at
+        #: lookup time, so neither mutation invalidates the maps.
         self._query_maps: list[dict] | None = None
         self._query_cursor = 0
 
@@ -244,7 +276,7 @@ class BandedLSHIndex:
         self,
         record_ids: Sequence[str],
         key_matrix: np.ndarray,
-        gate_entries: Sequence[GateEntries | None] | None = None,
+        gate_entries: Sequence[GateEntries] | None = None,
     ) -> None:
         """Insert a slab of records (a whole corpus, or a chunk of one).
 
@@ -259,7 +291,8 @@ class BandedLSHIndex:
             ``S{8k}`` bytes; 64-bit integer keys work too).
         gate_entries:
             Optional per-table batch gates (see :data:`GateEntries`);
-            ``None`` inserts every record once per table.
+            ``None`` inserts every record once per table. An index's
+            slabs are either all gated or all ungated.
 
         Buckets come out of :meth:`blocks` in first-occurrence order
         with members in insertion order — exactly what a
@@ -271,8 +304,9 @@ class BandedLSHIndex:
         :meth:`bucket_sizes`, where all slabs are concatenated per
         table and bucketed together, so records from different slabs
         with equal (band key, gate suffix) share a bucket. Record ids
-        must be unique across slabs, as within a dataset (the online
-        indexes check each slab with :meth:`check_new_ids` first).
+        must be new to the index: callers run ``ledger.check`` on each
+        slab first, before anything else of theirs mutates (the online
+        indexes do).
         """
         n = len(record_ids)
         key_matrix = np.asarray(key_matrix)
@@ -285,33 +319,15 @@ class BandedLSHIndex:
             raise ValueError(
                 f"expected {self.num_tables} gate entries, got {len(gate_entries)}"
             )
+        if self._pending and (gate_entries is None) != (self._pending[0][1] is None):
+            raise ValueError("an index's slabs are either all gated or all ungated")
         if n == 0:
             return
-        if self._tombstones and not self._tombstones.isdisjoint(record_ids):
-            retired = sorted(self._tombstones.intersection(record_ids))
-            raise KeyError(
-                f"record ids {retired!r} were removed and are retired; "
-                "re-adding them would resurrect their dead bucket entries"
-            )
-        self._ids_seen.update(record_ids)
-        self._pending.append(
-            _PendingSlab(
-                np.asarray(record_ids, dtype=object), key_matrix, gate_entries
-            )
-        )
-        self._bulk = None
-
-    def check_new_ids(self, record_ids: Sequence[str]) -> None:
-        """Raise unless these ids are new to the index.
-
-        ``KeyError`` for a retired id, :class:`~repro.errors.DatasetError`
-        for one already indexed or repeated in the slab; nothing
-        changes either way.
-        """
-        check_new_ids(record_ids, self._ids_seen, self._tombstones)
+        self.ledger.append(record_ids)
+        self._pending.append((key_matrix, gate_entries))
 
     def remove(self, record_id: str) -> None:
-        """Tombstone one record — O(1), no regrouping.
+        """Retire one record — O(1), no regrouping.
 
         The record stops appearing in :meth:`blocks`, :meth:`query_keys`
         and :meth:`bucket_sizes`; dead entries are dropped *before* the
@@ -325,73 +341,10 @@ class BandedLSHIndex:
         KeyError
             If the id was never inserted or is already removed.
         """
-        if record_id in self._tombstones or record_id not in self._ids_seen:
-            raise KeyError(record_id)
-        self._tombstones.add(record_id)
-        self._bulk = None
-
-    def is_retired(self, record_id: str) -> bool:
-        """True when the id was removed (and may never be re-added)."""
-        return record_id in self._tombstones
-
-    @property
-    def num_live(self) -> int:
-        """Distinct inserted ids minus tombstoned ones."""
-        return len(self._ids_seen) - len(self._tombstones)
-
-    def retired_ids(self) -> list[str]:
-        """Sorted retired ids — the checkpointable removal state."""
-        return sorted(self._tombstones)
-
-    def restore_retired(self, record_ids: Iterable[str]) -> None:
-        """Re-register retired ids on an index rebuilt from survivors.
-
-        A checkpoint restores an online index by re-inserting the
-        surviving records and then replaying the retired-id set through
-        this method, so re-adding a removed id keeps raising after
-        recovery exactly as it did before the crash. The ids must not
-        name live records (they were removed, so a survivor rebuild
-        never contains them).
-        """
-        for record_id in record_ids:
-            if record_id in self._ids_seen and record_id not in self._tombstones:
-                raise KeyError(
-                    f"cannot retire live record {record_id!r} during "
-                    "restore; retired ids must be absent from the "
-                    "survivor rebuild"
-                )
-            self._ids_seen.add(record_id)
-            self._tombstones.add(record_id)
-        self._bulk = None
-
-    def _bulk_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(ids, bases, keep)`` of the bulk slabs.
-
-        ``ids`` concatenates every slab's ids in insertion order — the
-        array entry rows index; ``bases`` is each slab's first row, and
-        ``keep`` the live-row mask (``None`` when nothing was removed).
-        """
-        slabs = self._pending
-        if not slabs:
-            return np.empty(0, dtype=object), np.zeros(1, dtype=np.int64), None
-        ids_all = (
-            slabs[0].ids
-            if len(slabs) == 1
-            else np.concatenate([slab.ids for slab in slabs])
-        )
-        bases = np.cumsum([0] + [slab.ids.size for slab in slabs])
-        keep = None
-        if self._tombstones:
-            tombstones = self._tombstones
-            keep = np.fromiter(
-                (rid not in tombstones for rid in ids_all.tolist()),
-                dtype=bool,
-                count=ids_all.size,
-            )
-        return ids_all, bases, keep
+        self.ledger.retire(record_id)
 
     def _merged_bulk(self) -> tuple[np.ndarray, list[_BulkBuckets | None]]:
-        """Group all pending slabs per table, merging across slabs.
+        """Group all slabs per table, merging across slabs.
 
         Returns the bulk id array and one bucket group (or ``None``)
         per table, whose members are rows of that array. Entries are
@@ -399,23 +352,26 @@ class BandedLSHIndex:
         the order a record-at-a-time loop over the concatenated corpus
         inserts them in — so bucket members and first-occurrence
         emission are byte-identical to a single bulk insertion of the
-        whole corpus. Tombstoned records are dropped
-        here, *before* grouping: surviving entries keep their relative
-        order, so partitions, member order and bucket emission order
-        all match an index rebuilt from the survivors alone.
+        whole corpus. Retired records are dropped here, *before*
+        grouping: surviving entries keep their relative order, so
+        partitions, member order and bucket emission order all match an
+        index rebuilt from the survivors alone. The grouping is cached
+        until the ledger next mutates.
         """
-        if self._bulk is not None:
-            return self._bulk
-        ids_all, bases, keep = self._bulk_ids()
+        ledger = self.ledger
+        if self._bulk is not None and self._bulk[0] == ledger.version:
+            return self._bulk[1], self._bulk[2]
+        ids_all = ledger.ids()
+        keep = ledger.live_mask(ids_all)
+        bases = np.cumsum([0] + [slab.size for slab in ledger.slabs])
         bulk: list[_BulkBuckets | None] = [None] * self.num_tables
-        slabs = self._pending
-        if slabs:
+        if self._pending:
             for table in range(self.num_tables):
                 bulk[table] = self._group_entries(
-                    self._table_entries(table, slabs, bases, keep)
+                    self._table_entries(table, bases, keep)
                 )
-        self._bulk = ids_all, bulk
-        return self._bulk
+        self._bulk = ledger.version, ids_all, bulk
+        return ids_all, bulk
 
     @staticmethod
     def _group_entries(
@@ -430,38 +386,32 @@ class BandedLSHIndex:
         return _BulkBuckets(entry_rows[order], starts, ends, emit_order)
 
     def _table_entries(
-        self,
-        table: int,
-        slabs: list[_PendingSlab],
-        bases: np.ndarray,
-        keep: np.ndarray | None = None,
+        self, table: int, bases: np.ndarray, keep: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """One table's merged entries: ``(entry_rows, labels)``.
 
-        ``entry_rows`` index the bulk id array (:meth:`_bulk_ids`), in
+        ``entry_rows`` index the bulk id array (``ledger.ids()``), in
         serial insertion order (slab-major, record-major,
-        suffix-ascending for OR gates); bucketing groups equal int64
-        ``labels`` — the band keys' exact group numbers
-        (:func:`~repro.lsh.bands.dense_band_labels`), combined with an
-        integer suffix code when gates apply. ``None`` when the gates
-        exclude every record from the table, or when ``keep`` (the
-        per-record tombstone mask) leaves no entry standing. Band
-        labels are derived from *all* keys including tombstoned rows;
-        only the label values differ from a survivor-only rebuild —
-        partitioning and first-occurrence emission are label-value
-        invariant, so the grouped result is identical.
+        suffix-ascending for OR gates); ``bases`` is each slab's first
+        row. Bucketing groups equal int64 ``labels`` — the band keys'
+        exact group numbers
+        (:func:`~repro.lsh.bands.dense_band_labels`), combined with the
+        suffix code when gates apply. ``None`` when the gates exclude
+        every record from the table, or when ``keep`` (the live-row
+        mask) leaves no entry standing. Band labels are derived from
+        *all* keys including retired rows; only the label values
+        differ from a survivor-only rebuild — partitioning and
+        first-occurrence emission are label-value invariant, so the
+        grouped result is identical.
         """
+        slabs = self._pending
         keys_all = (
-            slabs[0].key_matrix[:, table]
+            slabs[0][0][:, table]
             if len(slabs) == 1
-            else np.concatenate([slab.key_matrix[:, table] for slab in slabs])
+            else np.concatenate([keys[:, table] for keys, _ in slabs])
         )
         band_label = dense_band_labels(keys_all)
-        gates = [
-            None if slab.gate_entries is None else slab.gate_entries[table]
-            for slab in slabs
-        ]
-        if all(gate is None for gate in gates):
+        if slabs[0][1] is None:
             # Band labels group directly; no per-entry suffixes.
             if keep is None:
                 return np.arange(band_label.size, dtype=np.int64), band_label
@@ -469,44 +419,24 @@ class BandedLSHIndex:
             if rows.size == 0:
                 return None
             return rows, band_label[rows]
-        # Distinct (band, suffix) pairs need distinct labels: give
-        # every suffix an integer code — OR-gate bit indices stay
-        # themselves (non-negative, comparable across slabs), shared
-        # AND-style suffixes get negative codes by first occurrence —
-        # then stride the band label by the code range.
-        scalar_codes: dict[Hashable, int] = {}
-        rows_parts: list[np.ndarray] = []
-        suffix_parts: list[np.ndarray] = []
-        for slab, gate, base in zip(slabs, gates, bases):
-            if gate is None:
-                rows = np.arange(slab.ids.size, dtype=np.int64) + base
-                suffix_values = np.full(
-                    rows.size, _scalar_code(scalar_codes, _NO_GATE), np.int64
-                )
-            else:
-                entry_rows, suffixes = gate
-                entry_rows = np.asarray(entry_rows, dtype=np.int64)
-                if entry_rows.size == 0:
-                    continue
-                rows = entry_rows + base
-                if isinstance(suffixes, np.ndarray):
-                    suffix_values = suffixes.astype(np.int64, copy=False)
-                else:
-                    suffix_values = np.full(
-                        rows.size, _scalar_code(scalar_codes, suffixes), np.int64
-                    )
-            rows_parts.append(rows)
-            suffix_parts.append(suffix_values)
-        if not rows_parts:
-            return None
-        entry_rows = np.concatenate(rows_parts)
-        suffix_values = np.concatenate(suffix_parts)
+        # Distinct (band, suffix) pairs need distinct labels: stride
+        # the band label by the range of the suffix codes, which are
+        # comparable across slabs (bit indices, or the AND code).
+        entry_rows = np.concatenate(
+            [
+                np.asarray(gates[table][0], dtype=np.int64) + base
+                for (_, gates), base in zip(slabs, bases)
+            ]
+        )
+        suffix_values = np.concatenate(
+            [np.asarray(gates[table][1], dtype=np.int64) for _, gates in slabs]
+        )
         if keep is not None:
             mask = keep[entry_rows]
             entry_rows = entry_rows[mask]
             suffix_values = suffix_values[mask]
-            if entry_rows.size == 0:
-                return None
+        if entry_rows.size == 0:
+            return None
         low = int(suffix_values.min())
         span = int(suffix_values.max()) - low + 1
         labels = band_label[entry_rows] * span + (suffix_values - low)
@@ -548,9 +478,9 @@ class BandedLSHIndex:
         ]
 
     def _ensure_query_maps(self) -> list[dict]:
-        """Fold any new bulk slabs into the per-table query maps.
+        """Fold any new slabs into the per-table query maps.
 
-        The maps index the entries by ``(band key, suffix)`` with
+        The maps index the entries by band key (and gate suffix) with
         members in insertion order. The fold is append-only — each slab
         is visited exactly once across the index's lifetime, so a query
         after ``add_many`` costs O(new slab entries), not O(index).
@@ -564,50 +494,52 @@ class BandedLSHIndex:
         """
         if self._query_maps is None:
             self._query_maps = [{} for _ in range(self.num_tables)]
-        if self._query_cursor < len(self._pending):
+        cursor = self._query_cursor
+        if cursor < len(self._pending):
             collecting = gc.isenabled()
             gc.disable()
             try:
-                for slab in self._pending[self._query_cursor:]:
-                    self._extend_query_maps(slab)
+                for ids, (key_matrix, gates) in zip(
+                    self.ledger.slabs[cursor:], self._pending[cursor:]
+                ):
+                    self._extend_query_maps(ids, key_matrix, gates)
             finally:
                 if collecting:
                     gc.enable()
             self._query_cursor = len(self._pending)
         return self._query_maps
 
-    def _extend_query_maps(self, slab: _PendingSlab) -> None:
+    def _extend_query_maps(
+        self,
+        ids: np.ndarray,
+        key_matrix: np.ndarray,
+        gates: Sequence[GateEntries] | None,
+    ) -> None:
         # One tolist() per array, then plain Python: a one-record slab
         # would otherwise pay numpy's per-call cost several times per
         # table.
-        ids = slab.ids.tolist()
-        for table, keys in enumerate(slab.key_matrix.T.tolist()):
+        ids = ids.tolist()
+        for table, keys in enumerate(key_matrix.T.tolist()):
             bucket_map = self._query_maps[table]
-            gate = None if slab.gate_entries is None else slab.gate_entries[table]
-            if gate is None:
+            if gates is None:
                 for rid, key in zip(ids, keys):
-                    bucket_map.setdefault((key, _NO_GATE), []).append(rid)
+                    bucket_map.setdefault(key, []).append(rid)
                 continue
-            entry_rows, suffixes = gate
-            rows = np.asarray(entry_rows, dtype=np.int64).tolist()
-            if isinstance(suffixes, np.ndarray):
-                suffixes = suffixes.tolist()
-            else:
-                suffixes = repeat(suffixes)
-            for row, suffix in zip(rows, suffixes):
+            entry_rows, suffixes = gates[table]
+            for row, suffix in zip(entry_rows.tolist(), suffixes.tolist()):
                 bucket_map.setdefault((keys[row], suffix), []).append(ids[row])
 
     def query_keys(
         self,
         keys: Sequence[Hashable],
-        gate: GateFn | None = None,
+        suffixes: Sequence[Sequence[int]] | None = None,
         *,
         record_id: str | None = None,
     ) -> list[str]:
         """Live records sharing at least one bucket with these band keys.
 
         The query does not mutate the index: nothing is inserted, and
-        the lazily built bulk query maps stay valid across later
+        the lazily built query maps stay valid across later
         ``add_many``/``remove`` calls (new slabs are folded in on the
         next query; removals filter at lookup time).
 
@@ -617,10 +549,12 @@ class BandedLSHIndex:
             One band key per table, in the key convention of the
             inserted slabs (:func:`~repro.lsh.bands.record_band_keys`
             for :func:`~repro.lsh.bands.split_bands_matrix` slabs).
-        gate:
-            Optional semantic gate; for each table the query probes one
-            bucket per suffix the gate yields (an empty yield skips the
-            table, mirroring insertion-side exclusion).
+        suffixes:
+            For a gated index, the probe's gate suffix codes per table
+            (e.g. :meth:`~repro.semantic.hashing.WWaySemanticHashFamily.
+            probe_suffixes`); the query probes one bucket per suffix,
+            and an empty tuple skips the table, mirroring
+            insertion-side exclusion. ``None`` for an ungated index.
         record_id:
             Optional id excluded from the result (the query record
             itself, when it is already indexed).
@@ -635,19 +569,21 @@ class BandedLSHIndex:
         if not self._pending:
             return []
         query_maps = self._ensure_query_maps()
-        tombstones = self._tombstones
+        retired = self.ledger.retired
         seen: set[str] = set()
         found: list[str] = []
-        for table_index, key in enumerate(keys):
-            suffixes: Sequence[Hashable] = (
-                (_NO_GATE,) if gate is None else gate(table_index, record_id or "")
+        for table, key in enumerate(keys):
+            bucket_map = query_maps[table]
+            buckets = (
+                (bucket_map.get(key, ()),)
+                if suffixes is None
+                else [bucket_map.get((key, suffix), ()) for suffix in suffixes[table]]
             )
-            bucket_map = query_maps[table_index]
-            for suffix in suffixes:
-                for member in bucket_map.get((key, suffix), ()):
+            for bucket in buckets:
+                for member in bucket:
                     if (
                         member not in seen
-                        and member not in tombstones
+                        and member not in retired
                         and member != record_id
                     ):
                         seen.add(member)

@@ -3,12 +3,7 @@
 from repro.minhash.corpus import ShingledCorpus, ShingleVocabulary
 from repro.minhash.shingling import Shingler
 from repro.minhash.minhash import MinHasher
-from repro.minhash.signature import (
-    GrowableSignatureSpill,
-    SignatureMatrix,
-    build_signature_matrix,
-    open_signature_memmap,
-)
+from repro.minhash.signature import GrowableSignatureSpill
 
 __all__ = [
     "ShingledCorpus",
@@ -16,7 +11,4 @@ __all__ = [
     "Shingler",
     "MinHasher",
     "GrowableSignatureSpill",
-    "SignatureMatrix",
-    "build_signature_matrix",
-    "open_signature_memmap",
 ]

@@ -42,27 +42,6 @@ def chunk_spans(total: int, per_chunk: int) -> list[tuple[int, int]]:
 _HASH_COLUMN_BYTES = 32 << 20
 
 
-def ensure_signature_out(
-    out: np.ndarray | None, num_records: int, num_hashes: int
-) -> np.ndarray:
-    """Validate (or allocate) a signature output buffer.
-
-    ``out`` may be any writable uint64 array of shape ``(num_records,
-    num_hashes)`` — typically a slice of a memory-mapped ``.npy`` file
-    created by :func:`repro.minhash.signature.open_signature_memmap`,
-    which lets signature matrices larger than RAM spill to disk.
-    """
-    if out is None:
-        return np.empty((num_records, num_hashes), dtype=np.uint64)
-    if out.shape != (num_records, num_hashes):
-        raise ConfigurationError(
-            f"out has shape {out.shape}, expected {(num_records, num_hashes)}"
-        )
-    if out.dtype != np.uint64:
-        raise ConfigurationError(f"out must be uint64, got {out.dtype}")
-    return out
-
-
 def sentinel_stream(
     corpus: ShingledCorpus,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,7 +126,6 @@ class MinHasher:
         corpus: ShingledCorpus,
         *,
         chunk_elements: int = _CHUNK_ELEMENTS,
-        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Minhash signatures for a whole corpus in one vectorized pass.
 
@@ -176,18 +154,13 @@ class MinHasher:
             Working-set cap per block (uint64 values gathered along a
             short stream, hashed over the vocabulary for a long one, or
             gathered per record block).
-        out:
-            Optional preallocated ``(num_records, num_hashes)`` uint64
-            buffer, e.g. a memory-mapped ``.npy`` slice from
-            :func:`~repro.minhash.signature.open_signature_memmap`, so
-            signature matrices larger than RAM spill to disk.
 
         Returns a ``(num_records, num_hashes)`` uint64 matrix whose row
         ``i`` is byte-identical to ``signature(shingle_ids(record_i))``,
         including the empty-set sentinel rows.
         """
         n = corpus.num_records
-        out = ensure_signature_out(out, n, self.num_hashes)
+        out = np.empty((n, self.num_hashes), dtype=np.uint64)
         if n == 0:
             return out
         if corpus.value_tokens.size == 0:

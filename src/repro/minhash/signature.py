@@ -1,19 +1,15 @@
-"""Signature matrices: minhash signatures for a whole dataset.
+"""The on-disk signature spill: :class:`GrowableSignatureSpill`.
 
-Includes the on-disk forms:
-
-* :func:`open_signature_memmap` creates a fixed-size ``.npy``-backed
-  memory map that :meth:`MinHasher.signature_matrix` (via its ``out=``
-  argument) and :meth:`repro.core.lsh_blocker.LSHBlocker.block_stream`
-  (via ``signatures_out=``) fill slab by slab — for streams whose
-  record count is known up front;
-* :class:`GrowableSignatureSpill` appends row slabs to a ``.npy`` file
-  of *unknown* final length and patches the header on
-  :meth:`~GrowableSignatureSpill.finalize` — for plain generators with
-  no ``len()`` (see DESIGN.md, "Growable signature spill").
-
-Either way signature matrices larger than RAM spill to disk instead of
-failing.
+A spill appends row slabs of minhash signatures to a ``.npy`` file of
+*unknown* final length and patches the header on
+:meth:`~GrowableSignatureSpill.finalize`, so a stream of any length —
+a plain generator with no ``len()`` — spills its signature matrix to
+disk instead of holding it in RAM (see DESIGN.md, "Growable signature
+spill"). :meth:`~repro.core.base.LSHFamilyBlocker.block_stream` on the
+banded blockers takes one through ``signatures_out=``. A closed spill
+carries an integrity footer (:func:`validate_spill`), and a write
+failure salvages the rows before it, so
+:meth:`~GrowableSignatureSpill.reopen` can continue.
 """
 
 from __future__ import annotations
@@ -21,99 +17,11 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SlabTransportError
-from repro.minhash.minhash import MinHasher
-from repro.minhash.shingling import Shingler
-from repro.records.dataset import Dataset
 from repro.utils import faults
-
-
-@dataclass(frozen=True)
-class SignatureMatrix:
-    """Minhash signatures for every record of a dataset.
-
-    Attributes
-    ----------
-    record_ids:
-        Row order of the matrix.
-    matrix:
-        ``(num_records, num_hashes)`` uint64 array.
-    """
-
-    record_ids: tuple[str, ...]
-    matrix: np.ndarray
-
-    def row(self, record_id: str) -> np.ndarray:
-        """Signature of one record (O(1) via a lazily built id index).
-
-        Raises :class:`KeyError` for unknown ids (previously a
-        ``ValueError`` from the linear ``list.index`` scan).
-        """
-        index = self._row_index().get(record_id)
-        if index is None:
-            raise KeyError(record_id)
-        return self.matrix[index]
-
-    def _row_index(self) -> dict[str, int]:
-        """id → row mapping, built once on first lookup.
-
-        The dataclass is frozen, so the cache is stashed through
-        ``object.__setattr__``; ``record_ids`` never mutates, which
-        keeps the mapping valid for the matrix's lifetime.
-        """
-        cached = self.__dict__.get("_row_index_cache")
-        if cached is None:
-            cached = {rid: i for i, rid in enumerate(self.record_ids)}
-            object.__setattr__(self, "_row_index_cache", cached)
-        return cached
-
-    @property
-    def num_records(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_hashes(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_signature_matrix(
-    dataset: Dataset,
-    shingler: Shingler,
-    hasher: MinHasher,
-) -> SignatureMatrix:
-    """Shingle and minhash every record of ``dataset``.
-
-    Runs on the corpus-level batch engine: one interned shingling pass
-    and a chunked vectorized minhash, byte-identical to hashing each
-    record separately.
-    """
-    corpus = shingler.shingle_corpus(dataset)
-    return SignatureMatrix(
-        record_ids=corpus.record_ids,
-        matrix=hasher.signature_matrix(corpus),
-    )
-
-
-def open_signature_memmap(
-    path: str | os.PathLike, num_records: int, num_hashes: int
-) -> np.memmap:
-    """Create a writable ``.npy``-backed signature matrix on disk.
-
-    The returned ``(num_records, num_hashes)`` uint64 memory map can be
-    passed whole to :meth:`MinHasher.signature_matrix` (``out=``) or to
-    :meth:`repro.core.lsh_blocker.LSHBlocker.block_stream`
-    (``signatures_out=``), which fills consecutive row slabs as records
-    stream in. The file is a valid ``.npy`` array, so a later process
-    can reopen it with ``np.load(path, mmap_mode="r")``.
-    """
-    return np.lib.format.open_memmap(
-        os.fspath(path), mode="w+", dtype=np.uint64,
-        shape=(num_records, num_hashes),
-    )
 
 
 #: Fixed byte length of the spill's ``.npy`` header dict (padding
@@ -217,7 +125,7 @@ def validate_spill(path: str | os.PathLike, num_hashes: int) -> int:
         )
     # Round-trip check: the patched header must parse back (through
     # numpy's own reader, not our renderer) to exactly the advertised
-    # shape — what np.load, rows_so_far() and reopen() will all see.
+    # shape — what np.load and reopen() will both see.
     try:
         with open(path, "rb") as handle:
             version = np.lib.format.read_magic(handle)
@@ -244,16 +152,15 @@ def validate_spill(path: str | os.PathLike, num_hashes: int) -> int:
 
 
 class GrowableSignatureSpill:
-    """Append-to-file signature spill for streams of unknown length.
+    """Append-to-file signature spill for streams of any length.
 
-    Where :func:`open_signature_memmap` needs ``num_records`` up front,
-    a growable spill starts from a placeholder ``.npy`` header with
-    shape ``(0, num_hashes)``, appends row slabs as raw chunked writes,
-    and rewrites the (fixed-length) header with the final row count on
-    :meth:`finalize` — the slab pattern of the PR 2 memory-mapped spill
-    without the up-front count. Each :meth:`append` returns a read-only
-    *file-backed* view of the rows it just wrote, so band keys derived
-    from it stay pageable instead of pinning every slab in RAM.
+    A spill starts from a placeholder ``.npy`` header with shape
+    ``(0, num_hashes)``, appends row slabs as raw chunked writes, and
+    rewrites the (fixed-length) header with the final row count on
+    :meth:`finalize`, so the record count never has to be known up
+    front. Each :meth:`append` returns a read-only *file-backed* view
+    of the rows it just wrote, so band keys derived from it stay
+    pageable instead of pinning every slab in RAM.
 
     Until :meth:`finalize` runs the file's header undersells the data
     (readers see zero rows); after it the file is a plain ``.npy`` that
@@ -289,9 +196,9 @@ class GrowableSignatureSpill:
         the header round-trip, so a spill that :meth:`close` patched
         after a failed append is accepted exactly at its salvaged row
         count. The integrity footer is dropped and the writer
-        positioned after the existing rows: :meth:`rows_so_far`
-        immediately reports every previously written row and later
-        appends extend them; :meth:`close` re-seals the file.
+        positioned after the existing rows: :attr:`num_records` counts
+        every previously written row and later appends extend them;
+        :meth:`close` re-seals the file.
         """
         if num_hashes < 1:
             raise ConfigurationError(
@@ -361,22 +268,6 @@ class GrowableSignatureSpill:
         return np.memmap(
             self.path, dtype=np.uint64, mode="r", offset=offset,
             shape=(n, self.num_hashes),
-        )
-
-    def rows_so_far(self) -> np.ndarray:
-        """Read-only file-backed view of every row appended so far.
-
-        Unlike :meth:`finalize` this neither patches the header nor
-        closes the handle, so a long-lived writer — the online index
-        spilling signature slabs as records arrive — can inspect its
-        accumulated matrix mid-stream and keep appending afterwards.
-        An empty spill returns a plain ``(0, num_hashes)`` array.
-        """
-        if self._rows == 0:
-            return np.empty((0, self.num_hashes), dtype=np.uint64)
-        return np.memmap(
-            self.path, dtype=np.uint64, mode="r",
-            offset=SPILL_DATA_OFFSET, shape=(self._rows, self.num_hashes),
         )
 
     def finalize(self) -> np.memmap:

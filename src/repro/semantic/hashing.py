@@ -12,11 +12,12 @@ per-table bucket construction stays O(n):
 * **OR** — a record enters once per set bit among the w chosen; two
   records collide iff they share a set chosen bit, which is exactly
   ``h_g1 ∨ ... ∨ h_gw``.
+
+Gate suffixes are integer codes in both modes: the OR gate's semhash
+bit indices, and the AND gate's one negative code, :data:`AND_SUFFIX`.
 """
 
 from __future__ import annotations
-
-from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from repro.lsh.collision import wway_collision_probability
 from repro.utils.cache import LRUCache
 from repro.utils.rand import rng_from_seed
 
-_AND_SUFFIX = "all"
+#: The AND gate's one suffix code; negative, so never a bit index.
+AND_SUFFIX = -1
 
 #: Distinct semhash rows :meth:`WWaySemanticHashFamily.probe_suffixes`
 #: keeps. A taxonomy-driven semhash takes few distinct rows (a voter
@@ -86,21 +88,19 @@ class WWaySemanticHashFamily:
         """The w bit indices drawn for one hash table."""
         return self._chosen[table]
 
-    def gate_suffixes(self, table: int, signature: np.ndarray) -> Sequence[Hashable]:
-        """Bucket-key suffixes for one record in one table.
+    def gate_suffixes(self, table: int, signature: np.ndarray) -> tuple[int, ...]:
+        """Bucket-key suffix codes for one record in one table.
 
         Empty result means the record is excluded from the table.
         """
         chosen = self._chosen[table]
         if self.mode == "and":
             if all(signature[i] for i in chosen):
-                return (_AND_SUFFIX,)
+                return (AND_SUFFIX,)
             return ()
         return tuple(i for i in chosen if signature[i])
 
-    def probe_suffixes(
-        self, signature: np.ndarray
-    ) -> tuple[Sequence[Hashable], ...]:
+    def probe_suffixes(self, signature: np.ndarray) -> tuple[tuple[int, ...], ...]:
         """:meth:`gate_suffixes` of one semhash row in every table.
 
         The single-record query path: memoised by the row's dtype and
@@ -119,15 +119,16 @@ class WWaySemanticHashFamily:
 
     def gate_entries(
         self, table: int, signatures: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | str]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Batch form of :meth:`gate_suffixes` for a whole corpus.
 
         ``signatures`` is the ``(n, num_bits)`` semhash matrix (row
-        order = record order). Returns ``(entry_rows, suffixes)`` in the
-        shape :meth:`repro.lsh.index.BandedLSHIndex.add_many` expects:
+        order = record order). Returns two aligned int64 arrays
+        ``(entry_rows, suffixes)``, the shape
+        :meth:`repro.lsh.index.BandedLSHIndex.add_many` expects:
 
         * **AND** — ``entry_rows`` are the records with all chosen bits
-          set; ``suffixes`` is the shared ``"all"`` suffix.
+          set, each under :data:`AND_SUFFIX`.
         * **OR** — one entry per (record, set chosen bit), in the same
           (record-major, ascending bit) order the per-record gate
           produces; ``suffixes`` are the global bit indices.
@@ -135,7 +136,8 @@ class WWaySemanticHashFamily:
         chosen = np.asarray(self._chosen[table], dtype=np.int64)
         sub = signatures[:, chosen] != 0
         if self.mode == "and":
-            return np.flatnonzero(sub.all(axis=1)), _AND_SUFFIX
+            entry_rows = np.flatnonzero(sub.all(axis=1)).astype(np.int64)
+            return entry_rows, np.full(entry_rows.size, AND_SUFFIX, dtype=np.int64)
         entry_rows, chosen_positions = np.nonzero(sub)
         return entry_rows.astype(np.int64), chosen[chosen_positions]
 

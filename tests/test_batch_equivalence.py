@@ -32,7 +32,6 @@ from repro.minhash.minhash import (
     compact_vocabulary,
     sentinel_stream,
 )
-from repro.minhash.signature import open_signature_memmap
 from repro.records import Dataset, Record
 from repro.reference import banded_buckets, per_record_blocks
 from repro.semantic import (
@@ -318,23 +317,6 @@ class TestLayoutSwitch:
         assert corpus.num_tokens + 1 == stream
         minima, runners = assert_kernels_match_per_record(corpus)
         assert np.array_equal(minima, runners)
-
-    @pytest.mark.parametrize("stream", SWITCH_STREAMS)
-    def test_memmap_out_slice(self, tmp_path, stream):
-        counts = [300] * ((stream - 1) // 300) + [(stream - 1) % 300]
-        corpus = shingled(token_titles(counts))
-        hasher = MinHasher(10, seed=2)
-        expected = hasher.signature_matrix(corpus)
-        mm = open_signature_memmap(
-            tmp_path / "sig.npy", corpus.num_records + 5, 10
-        )
-        mm[:] = 0
-        returned = hasher.signature_matrix(corpus, out=mm[3 : 3 + corpus.num_records])
-        mm.flush()
-        reread = np.load(tmp_path / "sig.npy", mmap_mode="r")
-        assert np.array_equal(returned, expected)
-        assert np.array_equal(reread[3 : 3 + corpus.num_records], expected)
-        assert not reread[:3].any() and not reread[3 + corpus.num_records :].any()
 
     @pytest.mark.parametrize("stream", SWITCH_STREAMS)
     def test_streamed_slab_with_compacted_vocabulary(self, stream):

@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import LSHBlocker
-from repro.errors import ConfigurationError
-from repro.minhash import (
-    GrowableSignatureSpill,
-    MinHasher,
-    Shingler,
-    open_signature_memmap,
-)
+from repro.errors import ConfigurationError, SlabTransportError
+from repro.minhash import GrowableSignatureSpill, MinHasher, Shingler
+from repro.utils import faults
 
 VOTER_ATTRS = ("first_name", "last_name")
 
@@ -67,27 +63,38 @@ class TestGrowableSpill:
         spill.finalize()
         with pytest.raises(ConfigurationError):
             spill.append(np.zeros((1, 4), dtype=np.uint64))
+        # A growable spill is the one spill type the indexes take.
+        blocker = LSHBlocker(VOTER_ATTRS, q=2, k=2, l=2, seed=0)
+        with pytest.raises(ConfigurationError):
+            blocker.online(signatures_out=np.zeros((10, 4), dtype=np.uint64))
 
-    def test_matches_fixed_memmap_bytes(self, tmp_path, voter_small):
-        # The growable file, once finalized, is byte-for-byte loadable
-        # like the fixed open_signature_memmap spill.
-        shingler = Shingler(VOTER_ATTRS, q=2)
-        hasher = MinHasher(6, seed=1)
-        corpus = shingler.shingle_corpus(voter_small)
-        expected = hasher.signature_matrix(corpus)
+    def test_reopen_after_salvaged_write_error(self, tmp_path):
+        # A failed append salvages the rows before it; reopening the
+        # salvaged file and appending the rest gives the same matrix as
+        # a spill that never failed.
+        slabs = [
+            np.arange(lo, lo + 24, dtype=np.uint64).reshape(4, 6)
+            for lo in range(0, 96, 24)
+        ]
+        clean = GrowableSignatureSpill(tmp_path / "clean.npy", 6)
+        for slab in slabs:
+            clean.append(slab)
+        expected = np.asarray(clean.finalize())
 
-        fixed = open_signature_memmap(
-            tmp_path / "fixed.npy", corpus.num_records, 6
-        )
-        fixed[:] = expected
-        fixed.flush()
-        grow = GrowableSignatureSpill(tmp_path / "grown.npy", 6)
-        grow.append(expected[:300])
-        grow.append(expected[300:])
-        grow.finalize()
-        assert np.array_equal(
-            np.load(tmp_path / "fixed.npy"), np.load(tmp_path / "grown.npy")
-        )
+        path = tmp_path / "faulted.npy"
+        spill = GrowableSignatureSpill(path, 6)
+        with faults.injected({"spill.write_error": (2,)}):
+            spill.append(slabs[0])
+            spill.append(slabs[1])
+            with pytest.raises(SlabTransportError):
+                spill.append(slabs[2])
+        assert spill.finalized
+
+        resumed = GrowableSignatureSpill.reopen(path, 6)
+        assert resumed.num_records == 8
+        resumed.append(slabs[2])
+        resumed.append(slabs[3])
+        assert np.array_equal(np.asarray(resumed.finalize()), expected)
 
 
 class TestSpillLifecycle:

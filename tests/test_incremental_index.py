@@ -36,8 +36,14 @@ from repro.core import (
     MultiProbeLSHBlocker,
     SALSHBlocker,
 )
-from repro.errors import DatasetError, SemanticFunctionError
+from repro.errors import (
+    ConfigurationError,
+    DatasetError,
+    SemanticFunctionError,
+    SlabTransportError,
+)
 from repro.lsh.bands import record_band_keys
+from repro.minhash import GrowableSignatureSpill
 from repro.minhash import minhash as minhash_module
 from repro.records import Dataset, Record
 from repro.semantic import (
@@ -47,6 +53,7 @@ from repro.semantic import (
     cora_patterns,
 )
 from repro.taxonomy.builders import bibliographic_tree
+from repro.utils import faults
 from repro.utils.rand import rng_from_seed
 
 BLOCKER_KINDS = ("lsh", "salsh", "mplsh", "forest")
@@ -106,18 +113,15 @@ def _reference_query(blocker, online, probe):
         blocker.hasher.signature(blocker.shingler.shingle_ids(probe)),
         blocker.k, blocker.l,
     )
-    gate = None
+    suffixes = None
     if isinstance(blocker, SALSHBlocker):
         try:
             semhash = online.encoder.encode(probe)
         except SemanticFunctionError:
             return []
         gates = blocker._gates(online.encoder.num_bits)
-
-        def gate(table, _record_id):
-            return gates.gate_suffixes(table, semhash)
-
-    return online._index.query_keys(keys, gate, record_id=probe.record_id)
+        suffixes = [gates.gate_suffixes(t, semhash) for t in range(blocker.l)]
+    return online._index.query_keys(keys, suffixes, record_id=probe.record_id)
 
 
 def _check_equivalent(blocker, online, inserted, removed, probes):
@@ -275,6 +279,19 @@ class TestMutationContract:
         assert online.num_live == len(records) - 1
 
     @pytest.mark.parametrize("kind", BLOCKER_KINDS)
+    def test_restore_retires_only_absent_ids(self, cora_small, kind):
+        records = list(cora_small)[:30]
+        online = _blocker(kind, "cora").online(records)
+        with pytest.raises(KeyError):
+            online.restore({"retired": ["gone", records[0].record_id]})
+        assert not online.is_retired("gone")
+        online.restore({"retired": ["gone"]})
+        assert online.is_retired("gone")
+        assert online.num_live == len(records)
+        with pytest.raises(KeyError):
+            online.add(Record("gone", dict(records[0].fields)))
+
+    @pytest.mark.parametrize("kind", BLOCKER_KINDS)
     def test_query_never_mutates(self, cora_small, kind, fig1):
         records = list(cora_small)[:30]
         online = _blocker(kind, "cora").online(records)
@@ -333,6 +350,38 @@ class TestDuplicateIds:
         slabs = [records[:30], [records[0], records[30]]]
         with pytest.raises(DatasetError, match=repr(records[0].record_id)):
             _stream(_blocker(kind, "cora"), slabs, records)
+
+
+class TestRejectedFirstSlab:
+    """SA-LSH freezes its encoder and gates together, and only from a
+    slab it takes whole."""
+
+    def test_gates_rejecting_the_frozen_bits_leave_no_encoder(self, voter_small):
+        blocker = SALSHBlocker(
+            ("first_name", "last_name"), q=2, k=3, l=4,
+            semantic_function=VoterSemanticFunction(), w=50,
+        )
+        online = blocker.online()
+        records = list(voter_small)[:40]
+        for _ in range(2):  # the retry is rejected the same way
+            with pytest.raises(ConfigurationError):
+                online.add_many(records)
+        assert online.encoder is None
+        assert online.query(records[0]) == []
+        assert online.blocks() == ()
+        assert online.num_live == 0
+
+    def test_failed_spill_append_freezes_nothing(self, tmp_path, voter_small):
+        blocker = _blocker("salsh", "voter")
+        spill = GrowableSignatureSpill(tmp_path / "spill.npy", blocker.k * blocker.l)
+        online = blocker.online(signatures_out=spill)
+        records = list(voter_small)[:40]
+        with faults.injected({"spill.write_error": 1}):
+            with pytest.raises(SlabTransportError):
+                online.add_many(records)
+        assert online.encoder is None
+        assert online.num_live == 0
+        assert online.query(records[0]) == []
 
 
 class TestDerivedEntryPoints:

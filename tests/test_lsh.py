@@ -12,7 +12,6 @@ from repro.lsh import (
     BandedLSHIndex,
     SensitivityParams,
     amplify_sensitivity,
-    band_keys,
     banded_collision_probability,
     salsh_collision_probability,
     split_bands,
@@ -61,10 +60,6 @@ class TestBands:
         with pytest.raises(ConfigurationError):
             split_bands(np.arange(10, dtype=np.uint64), k=3, l=4)
 
-    def test_band_keys_equal_for_equal_bands(self):
-        signature = np.arange(6, dtype=np.uint64)
-        assert band_keys(signature, 2, 3) == band_keys(signature.copy(), 2, 3)
-
 
 def _keys(*rows: list[int]) -> np.ndarray:
     """A key matrix with one row of integer band keys per record."""
@@ -90,7 +85,9 @@ class TestBandedLSHIndex:
     def test_gate_excludes_records(self):
         index = BandedLSHIndex(1)
         # "b" has no gate entry: excluded from the table.
-        index.add_many(["a", "b", "c"], _keys([7], [7], [7]), [(_rows(0, 2), "s")])
+        index.add_many(
+            ["a", "b", "c"], _keys([7], [7], [7]), [(_rows(0, 2), _rows(-1, -1))]
+        )
         assert index.blocks() == [("a", "c")]
 
     def test_gate_multiple_suffixes_or_semantics(self):

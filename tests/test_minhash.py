@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.minhash import MinHasher, Shingler, build_signature_matrix
-from repro.records import Dataset, Record
+from repro.minhash import MinHasher, Shingler
+from repro.records import Record
 
 
 def record(rid, title, authors=""):
@@ -128,14 +128,3 @@ class TestMinHasher:
         assert np.array_equal(empty1, empty2)
         assert not np.array_equal(empty1, full)
 
-
-class TestSignatureMatrix:
-    def test_build_matrix_shape_and_rows(self):
-        ds = Dataset([record("a", "alpha"), record("b", "beta")])
-        shingler = Shingler(("title",), q=2)
-        hasher = MinHasher(8, seed=1)
-        matrix = build_signature_matrix(ds, shingler, hasher)
-        assert matrix.num_records == 2
-        assert matrix.num_hashes == 8
-        expected = hasher.signature(shingler.shingle_ids(ds["a"]))
-        assert np.array_equal(matrix.row("a"), expected)

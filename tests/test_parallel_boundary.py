@@ -7,7 +7,9 @@ onto worker processes (DESIGN.md, "No process or thread runtime"). So
 ``PipelineConfig``, ``BandedLSHIndex`` or ``Resolver`` takes a ``pool``
 or a ``processes`` count, (c) the only fault points left are the
 spill's and the durability layer's, (d) the helpers of the removed
-paths stay gone, and (e) importing the CLI loads no process machinery.
+paths stay gone — the fixed-size signature memmap and the
+compute/insert split of the online indexes among them — and (e)
+importing the CLI loads no process machinery.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli, errors
+from repro import cli, errors, minhash
 from repro.core import (
     LSHBlocker,
     LSHForestBlocker,
@@ -30,10 +32,13 @@ from repro.core import (
     SALSHBlocker,
 )
 from repro.core.base import LSHFamilyBlocker
+from repro.core.lsh_blocker import OnlineLSHIndex
+from repro.core.lsh_variants import OnlineForestIndex, OnlineMultiProbeIndex
+from repro.core.salsh_blocker import OnlineSALSHIndex
 from repro.core.pipeline import PipelineConfig
 from repro.er import Resolver
 from repro.lsh.index import BandedLSHIndex
-from repro.minhash import signature
+from repro.minhash import MinHasher, signature
 from repro.semantic.semhash import SemhashEncoder
 from repro.store import checkpoint
 from repro.utils import faults
@@ -107,11 +112,25 @@ def test_fault_points_are_the_spill_and_durability_ones():
         (signature, "slab_integrity_enabled"),
         (checkpoint, "_pickle_without_pool"),
         (cli, "_pool_context"),
+        (signature, "open_signature_memmap"),
+        (signature, "SignatureMatrix"),
+        (signature, "build_signature_matrix"),
+        (minhash, "open_signature_memmap"),
+        (minhash, "SignatureMatrix"),
+        (minhash, "build_signature_matrix"),
+        (OnlineLSHIndex, "add_signatures"),
+        (OnlineSALSHIndex, "add_signatures"),
+        (OnlineMultiProbeIndex, "add_signatures"),
+        (OnlineForestIndex, "add_signatures"),
     ],
     ids=lambda o: getattr(o, "__name__", o),
 )
 def test_removed_paths_stay_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_signature_matrix_takes_no_out_buffer():
+    assert "out" not in inspect.signature(MinHasher.signature_matrix).parameters
 
 
 def test_importing_the_cli_loads_no_process_machinery():

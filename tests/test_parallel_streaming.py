@@ -1,13 +1,13 @@
 """Streaming runtime equivalence (see DESIGN.md, "Streaming runtime").
 
 The contract mirrors the batch engine's guarantee: neither the
-hash-function chunk size, nor slab boundaries, nor a memory-mapped
-signature backing file may change a single byte of the output. Covers
-chunked signature matrices (plain and runner-up), preallocated /
-memory-mapped ``out=`` buffers, incremental ``shingle_corpus`` appends
-over a shared :class:`ShingleVocabulary`, cross-slab bucket merging in
+hash-function chunk size nor slab boundaries may change a single byte
+of the output. Covers chunked signature matrices (plain and
+runner-up), incremental ``shingle_corpus`` appends over a shared
+:class:`ShingleVocabulary`, cross-slab bucket merging in
 ``BandedLSHIndex.add_many`` (with and without semantic gates),
-``LSHBlocker.block_stream``, and the bounded :class:`LRUCache`.
+``LSHBlocker.block_stream``, and the bounded :class:`LRUCache`. The
+signature spill has its own suite (``tests/test_growable_spill.py``).
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from repro.core.lsh_variants import _MinHasherWithRunnerUp
 from repro.errors import ConfigurationError
 from repro.lsh.bands import split_bands_matrix
 from repro.lsh.index import BandedLSHIndex
-from repro.minhash import (
-    MinHasher,
-    Shingler,
-    ShingleVocabulary,
-    open_signature_memmap,
-)
+from repro.minhash import MinHasher, Shingler, ShingleVocabulary
 from repro.records import Dataset, Record
 from repro.semantic import SemhashEncoder, VoterSemanticFunction
 from repro.semantic.hashing import WWaySemanticHashFamily
@@ -52,7 +47,20 @@ EDGE_TITLES = [
 
 
 class TestParallelSignatureMatrix:
-    def test_workers_byte_identical(self, voter_small):
+    def test_workers_with_tiny_chunks(self):
+        # chunk_elements=1 forces one chunk per hash function, so every
+        # chunk really runs as its own unit of work.
+        corpus = Shingler(("title",), q=2).shingle_corpus(
+            title_dataset(EDGE_TITLES)
+        )
+        hasher = MinHasher(24, seed=5)
+        serial = hasher.signature_matrix(corpus)
+        chunked = hasher.signature_matrix(corpus, chunk_elements=1)
+        assert np.array_equal(serial, chunked)
+
+
+class TestChunkedSignatureMatrix:
+    def test_chunking_byte_identical(self, voter_small):
         # The chunk-size cap splits the hash functions into serial
         # chunks (here 1, 5 with a ragged tail, and all 48 at once);
         # every split writes the same bytes.
@@ -67,57 +75,16 @@ class TestParallelSignatureMatrix:
             )
             assert np.array_equal(serial, chunked)
 
-    def test_workers_with_tiny_chunks(self):
-        # chunk_elements=1 forces one chunk per hash function, so every
-        # chunk really runs as its own unit of work.
-        corpus = Shingler(("title",), q=2).shingle_corpus(
-            title_dataset(EDGE_TITLES)
-        )
-        hasher = MinHasher(24, seed=5)
-        serial = hasher.signature_matrix(corpus)
-        chunked = hasher.signature_matrix(corpus, chunk_elements=1)
-        assert np.array_equal(serial, chunked)
-
-    def test_runner_up_workers_byte_identical(self, cora_small):
+    def test_runner_up_chunking_byte_identical(self, cora_small):
         shingler = Shingler(("authors", "title"), q=3)
         hasher = _MinHasherWithRunnerUp(num_hashes=20, seed=2)
         corpus = shingler.shingle_corpus(cora_small)
         min_serial, run_serial = hasher.signature_matrix_with_runner_up(corpus)
-        min_par, run_par = hasher.signature_matrix_with_runner_up(
+        min_chunked, run_chunked = hasher.signature_matrix_with_runner_up(
             corpus, chunk_elements=1
         )
-        assert np.array_equal(min_serial, min_par)
-        assert np.array_equal(run_serial, run_par)
-
-    def test_out_buffer_and_memmap(self, tmp_path, voter_small):
-        shingler = Shingler(VOTER_ATTRS, q=2)
-        hasher = MinHasher(16, seed=1)
-        corpus = shingler.shingle_corpus(voter_small)
-        expected = hasher.signature_matrix(corpus)
-
-        preallocated = np.empty_like(expected)
-        returned = hasher.signature_matrix(corpus, out=preallocated)
-        assert returned is preallocated
-        assert np.array_equal(preallocated, expected)
-
-        mm = open_signature_memmap(
-            tmp_path / "sig.npy", corpus.num_records, 16
-        )
-        hasher.signature_matrix(corpus, out=mm)
-        mm.flush()
-        # The spilled file is a plain .npy readable by a later process.
-        reread = np.load(tmp_path / "sig.npy", mmap_mode="r")
-        assert np.array_equal(np.asarray(reread), expected)
-
-    def test_out_shape_and_dtype_validated(self):
-        corpus = Shingler(("title",), q=2).shingle_corpus(
-            title_dataset(["ab", "cd"])
-        )
-        hasher = MinHasher(4, seed=0)
-        with pytest.raises(ConfigurationError):
-            hasher.signature_matrix(corpus, out=np.empty((2, 5), dtype=np.uint64))
-        with pytest.raises(ConfigurationError):
-            hasher.signature_matrix(corpus, out=np.empty((2, 4), dtype=np.int64))
+        assert np.array_equal(min_serial, min_chunked)
+        assert np.array_equal(run_serial, run_chunked)
 
 
 class TestIncrementalShingling:
@@ -284,31 +251,6 @@ class TestStreamedBlocking:
         assert streamed.blocks == reference.blocks
         assert streamed.metadata["engine"] == "streaming"
         assert streamed.metadata["num_slabs"] == 8
-
-    def test_block_stream_with_memmap_spill(self, tmp_path, voter_small):
-        blocker = LSHBlocker(VOTER_ATTRS, q=2, k=4, l=6, seed=11)
-        reference = blocker.block(voter_small)
-        signatures = open_signature_memmap(
-            tmp_path / "stream.npy", len(voter_small), 4 * 6
-        )
-        streamed = blocker.block_stream(
-            self._slabs(voter_small, 97), signatures_out=signatures
-        )
-        assert streamed.blocks == reference.blocks
-        assert streamed.metadata["spilled"] is True
-        # The spilled matrix equals the in-memory one, row for row.
-        corpus = blocker.shingler.shingle_corpus(voter_small)
-        assert np.array_equal(
-            np.asarray(signatures), blocker.hasher.signature_matrix(corpus)
-        )
-
-    def test_block_stream_overflow_rejected(self, tmp_path, voter_small):
-        blocker = LSHBlocker(VOTER_ATTRS, q=2, k=2, l=2, seed=0)
-        too_small = open_signature_memmap(tmp_path / "small.npy", 10, 4)
-        with pytest.raises(ConfigurationError):
-            blocker.block_stream(
-                self._slabs(voter_small, 100), signatures_out=too_small
-            )
 
 
 class TestLRUCache:

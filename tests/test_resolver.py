@@ -30,7 +30,12 @@ from repro.cli import main
 from repro.core import LSHBlocker, SALSHBlocker, build_resolver
 from repro.core.pipeline import PipelineConfig
 from repro.er import Resolver, SimilarityMatcher
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import (
+    ConfigurationError,
+    DatasetError,
+    DurabilityError,
+    SemanticFunctionError,
+)
 from repro.records import Record, RecordStore, write_csv
 from repro.semantic import (
     MissingValuePattern,
@@ -38,6 +43,7 @@ from repro.semantic import (
     VoterSemanticFunction,
     cora_patterns,
 )
+from repro.store.journal import Journal, journal_path
 from repro.taxonomy.builders import BIB_JOURNAL, BIB_THESIS, bibliographic_tree
 
 
@@ -181,26 +187,29 @@ def _journal_only_sf():
     return PatternSemanticFunction(bibliographic_tree(), [journal, thesis])
 
 
+def _journal_resolver(state_dir=None):
+    """A SA-LSH resolver over twelve journal records, its encoder
+    frozen on them."""
+    corpus = [
+        Record(
+            f"j{i}",
+            {"title": f"alpha beta paper {i % 3}", "journal": "J. Test"},
+        )
+        for i in range(12)
+    ]
+    blocker = SALSHBlocker(
+        ("title",), q=2, k=2, l=6, seed=0,
+        semantic_function=_journal_only_sf(), w="all", mode="or",
+    )
+    return Resolver(blocker, corpus, state_dir=state_dir)
+
+
 class TestUnseenSemantics:
     """Regression: probes outside the frozen encoder's world resolve to
     empty candidates instead of raising."""
 
-    def _resolver(self):
-        corpus = [
-            Record(
-                f"j{i}",
-                {"title": f"alpha beta paper {i % 3}", "journal": "J. Test"},
-            )
-            for i in range(12)
-        ]
-        blocker = SALSHBlocker(
-            ("title",), q=2, k=2, l=6, seed=0,
-            semantic_function=_journal_only_sf(), w="all", mode="or",
-        )
-        return Resolver(blocker, corpus)
-
     def test_uninterpretable_probe_resolves_new(self):
-        resolver = self._resolver()
+        resolver = _journal_resolver()
         # No pattern matches (no journal, no institution) and there is
         # no fallback: the semantic function raises for this record.
         probe = Record("probe", {"title": "alpha beta paper 0"})
@@ -210,7 +219,7 @@ class TestUnseenSemantics:
         assert outcome.num_candidates == 0
 
     def test_unseen_leaves_resolve_new(self):
-        resolver = self._resolver()
+        resolver = _journal_resolver()
         # Interprets fine (thesis pattern) but every leaf under C9/C10
         # is absent from the encoder frozen on journal-only records:
         # the all-zero semhash passes no gate.
@@ -221,12 +230,65 @@ class TestUnseenSemantics:
         assert resolver.resolve_one(probe).tier == "new"
 
     def test_interpretable_probe_still_matches(self):
-        resolver = self._resolver()
+        resolver = _journal_resolver()
         probe = Record(
             "probe", {"title": "alpha beta paper 0", "journal": "J. Test"}
         )
         outcome = resolver.resolve_one(probe)
         assert outcome.tier == "match"
+
+
+class TestDurableAddOrder:
+    """A durable add journals only what the index took, and replay
+    names the entry it cannot apply."""
+
+    _uninterpretable = Record("x", {"title": "alpha beta paper 0"})
+
+    def test_batch_the_index_rejects_is_not_journaled(self, tmp_path):
+        state = tmp_path / "state"
+        resolver = _journal_resolver(state)
+        with pytest.raises(SemanticFunctionError):
+            resolver.add(self._uninterpretable)
+        assert resolver.last_seq == 0
+        assert len(resolver) == 12
+        assert resolver.index.num_live == 12
+        resolver.close()
+        with Resolver.open(state) as recovered:
+            assert len(recovered) == 12
+            assert recovered.index.num_live == 12
+
+    def test_failed_journal_append_takes_the_batch_back(
+        self, tmp_path, monkeypatch
+    ):
+        resolver = _journal_resolver(tmp_path / "state")
+        probe = Record("probe", {"title": "alpha beta paper 0", "journal": "J"})
+        answer, blocks = resolver.query(probe), resolver.index.blocks()
+
+        def failing_append(self, op, payload):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Journal, "append", failing_append)
+        twin = Record("y", {"title": "alpha beta paper 0", "journal": "J"})
+        with pytest.raises(OSError):
+            resolver.add(twin)
+        assert len(resolver) == 12
+        assert resolver.index.num_live == 12
+        assert resolver.query(probe) == answer
+        assert resolver.index.blocks() == blocks
+        assert resolver.index.is_retired("y")
+        resolver.close()
+
+    def test_unreadable_frame_fails_replay_naming_its_seq(self, tmp_path):
+        state = tmp_path / "state"
+        _journal_resolver(state).close()
+        journal = Journal.open(journal_path(state))
+        record = self._uninterpretable
+        seq = journal.append(
+            "add", {"records": [[record.record_id, dict(record.fields), None]]}
+        )
+        journal.close()
+        with pytest.raises(DurabilityError, match=f"journal entry {seq} "):
+            Resolver.open(state)
 
 
 class TestProbeSemantics:

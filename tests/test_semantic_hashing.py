@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.semantic import WWaySemanticHashFamily
+from repro.semantic.hashing import AND_SUFFIX
 
 
 def sig(*bits):
@@ -42,7 +43,7 @@ class TestConstruction:
 class TestAndGate:
     def test_all_bits_set_passes(self):
         family = WWaySemanticHashFamily(3, 3, "and", 1, seed=0)
-        assert family.gate_suffixes(0, sig(1, 1, 1)) == ("all",)
+        assert family.gate_suffixes(0, sig(1, 1, 1)) == (AND_SUFFIX,)
 
     def test_any_bit_missing_excludes(self):
         family = WWaySemanticHashFamily(3, 3, "and", 1, seed=0)

@@ -5,7 +5,7 @@ The contract extends the PR 2 streaming guarantee to the semantic
 blocker: with an encoder frozen from the full corpus,
 ``SALSHBlocker.block_stream`` must produce blocks byte-identical to
 :meth:`block` for any slab layout (including slab=1 and a single slab
-larger than the corpus) and any spill target. With an encoder fitted on
+larger than the corpus), spilled or not. With an encoder fitted on
 a small sample the bit set may shrink; recall must stay within
 tolerance of the full-corpus configuration.
 """
@@ -18,7 +18,7 @@ import pytest
 from repro.core import SALSHBlocker
 from repro.errors import ConfigurationError
 from repro.evaluation import evaluate_blocks
-from repro.minhash import GrowableSignatureSpill, open_signature_memmap
+from repro.minhash import GrowableSignatureSpill
 from repro.semantic import (
     PatternSemanticFunction,
     SemhashEncoder,
@@ -113,24 +113,6 @@ class TestStreamedEqualsBatch:
             _slabs(list(cora_small), slab_size), encoder=encoder
         )
         assert streamed.blocks == reference.blocks
-
-    def test_voter_with_fixed_memmap_spill(self, tmp_path, voter_small):
-        blocker = _voter_blocker()
-        reference = blocker.block(voter_small)
-        signatures = open_signature_memmap(
-            tmp_path / "salsh.npy", len(voter_small), 3 * 5
-        )
-        streamed = blocker.block_stream(
-            _slabs(list(voter_small), 97),
-            encoder=SemhashEncoder(VoterSemanticFunction(), voter_small),
-            signatures_out=signatures,
-        )
-        assert streamed.blocks == reference.blocks
-        assert streamed.metadata["spilled"] is True
-        corpus = blocker.shingler.shingle_corpus(voter_small)
-        assert np.array_equal(
-            np.asarray(signatures), blocker.hasher.signature_matrix(corpus)
-        )
 
     def test_voter_generator_with_growable_spill(self, tmp_path, voter_small):
         # A plain generator of slabs — nothing may call len() on it —
