@@ -5,7 +5,6 @@ blockers' entry points."""
 from __future__ import annotations
 
 import time
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -22,35 +21,13 @@ from repro.records.dataset import Dataset, LinkedCorpus
 from repro.records.ground_truth import Pair
 from repro.records.record import Record
 from repro.records.pairs import (
+    ArrayBlockingGraph,
     csr_source_counts,
-    decode_pair_keys,
     encode_pair_keys,
     enumerate_csr_cross_pairs,
-    enumerate_csr_pairs,
     pairs_from_keys,
     unique_bipartite_keys,
-    unique_pair_keys,
 )
-
-@dataclass(frozen=True)
-class BlockArrays:
-    """CSR array form of a block collection over a local id vocabulary.
-
-    ``ids`` is the sorted list of distinct record ids appearing in any
-    block; block ``b`` holds the vocabulary positions
-    ``indices[offsets[b]:offsets[b + 1]]`` (``int32``, duplicates
-    preserved). Because the vocabulary is sorted, position order equals
-    lexicographic id order, which makes pair keys over these indices
-    decode directly into canonical ``sorted_pair`` tuples.
-    """
-
-    ids: list[str]
-    offsets: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.offsets) - 1
 
 
 @dataclass(frozen=True)
@@ -87,74 +64,43 @@ class BlockingResult:
         object.__setattr__(self, "blocks", BlockList.of(self.blocks))
 
     def __getstate__(self) -> dict[str, Any]:
-        # Cached derivations (local arrays, pair keys, the weak
-        # per-dataset map, which cannot pickle) are recomputed on demand.
+        # Derived caches (the blocking graph, the decoded pair set) are
+        # rebuilt on demand.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def local_arrays(self) -> BlockArrays:
-        """The blocks over the sorted local vocabulary: the ids present
-        in some block, ranked lexicographically (one sort)."""
-        blocks = self.blocks
-        present = blocks.present_rows()
-        ids, rank = np.unique(blocks.ids[present], return_inverse=True)
-        remap = np.zeros(len(blocks.ids), dtype=np.int32)
-        remap[present] = rank.reshape(-1)
-        return BlockArrays(
-            ids=ids.tolist(), offsets=blocks.offsets, indices=remap[blocks.indices]
-        )
+    def graph(self) -> ArrayBlockingGraph:
+        """Γ as the blocking graph, built once and shared.
 
-    @cached_property
-    def pair_keys_local(self) -> np.ndarray:
-        """Γ as sorted ``uint64`` pair keys over the local vocabulary."""
-        arrays = self.local_arrays
-        left, right = enumerate_csr_pairs(arrays.offsets, arrays.indices)
-        return unique_pair_keys(left, right)
+        Its sorted edge keys are the one enumeration of the distinct
+        pairs: :meth:`pair_keys` and :attr:`distinct_pairs` read them,
+        and so does meta-blocking
+        (:func:`repro.metablocking.run_metablocking`).
+        """
+        return ArrayBlockingGraph.from_blocks(self.blocks)
 
     @cached_property
     def distinct_pairs(self) -> frozenset[Pair]:
         """Γ — distinct candidate pairs across all blocks.
 
-        Compatibility view: decodes :attr:`pair_keys_local` back to id
-        tuples (the sorted local vocabulary makes them canonical).
+        Compatibility view: decodes the graph's edge keys back to id
+        tuples (its sorted vocabulary makes them canonical).
         """
-        return frozenset(pairs_from_keys(self.pair_keys_local, self.local_arrays.ids))
-
-    @cached_property
-    def _per_dataset_cache(self) -> "weakref.WeakKeyDictionary[Dataset, np.ndarray]":
-        # Weak keys: cached encodings die with their dataset instead of
-        # pinning whole corpora to a long-lived result.
-        return weakref.WeakKeyDictionary()
+        graph = self.graph
+        return frozenset(pairs_from_keys(graph.edge_keys, graph.ids))
 
     def pair_keys(self, dataset: Dataset) -> np.ndarray:
         """Γ as sorted ``uint64`` pair keys over the dataset's id codec.
 
-        Reuses the cached local enumeration when one exists (one
-        ``encode_ids`` over the vocabulary plus a translation);
-        otherwise encodes the block list's vocabulary — only the ids
-        some block references, one lookup each — and enumerates the CSR
-        over those codes. Raises :class:`~repro.errors.DatasetError`
-        when a block references an id outside the dataset.
+        Translates the graph's edge keys: one ``encode_ids`` over its
+        vocabulary — only the ids some block references — then one
+        sort. Raises :class:`~repro.errors.DatasetError` when a block
+        references an id outside the dataset.
         """
-        cached = self._per_dataset_cache.get(dataset)
-        if cached is not None:
-            return cached
-        if "pair_keys_local" in self.__dict__:
-            codes = dataset.encode_ids(self.local_arrays.ids)
-            lo, hi = decode_pair_keys(self.pair_keys_local)
-            if lo.size:
-                keys = np.sort(encode_pair_keys(codes[lo], codes[hi]))
-            else:
-                keys = np.empty(0, dtype=np.uint64)
-        else:
-            blocks = self.blocks
-            present = blocks.present_rows()
-            codes = np.zeros(len(blocks.ids), dtype=np.int64)
-            codes[present] = dataset.encode_ids(blocks.ids[present].tolist())
-            keys = unique_pair_keys(
-                *enumerate_csr_pairs(blocks.offsets, codes[blocks.indices])
-            )
-        self._per_dataset_cache[dataset] = keys
+        graph = self.graph
+        codes = dataset.encode_ids(graph.ids)
+        keys = encode_pair_keys(codes[graph.edge_left], codes[graph.edge_right])
+        keys.sort()
         return keys
 
     @property

@@ -236,9 +236,10 @@ class Resolver:
         interpret), leaving the service unchanged. Only a batch the
         index took is journaled, as one frame — after a crash either
         every record of the batch is recovered or none is — and then
-        stored. Should the journal append fail, the batch is taken back
-        out of the index before the error propagates; its ids stay
-        retired in memory, as a removed record's do.
+        stored. Should the journal append fail, the index is rebuilt
+        from the store, as :meth:`open` rebuilds it, with the encoder it
+        had before the batch; the batch's ids stay retired in memory, as
+        a removed record's do.
         """
         staged = list(records)
         retired = sorted(
@@ -258,6 +259,10 @@ class Resolver:
                     f"duplicate record id {record.record_id!r}"
                 )
             seen.add(record.record_id)
+        # A first SA-LSH batch freezes the encoder; a rollback must not
+        # keep it, because replay freezes one from the first journaled
+        # batch.
+        encoder = getattr(self.index, "encoder", None)
         self.index.add_many(staged)
         if self._journal is not None:
             try:
@@ -271,8 +276,8 @@ class Resolver:
                     },
                 )
             except BaseException:
-                for record in staged:
-                    self.index.remove(record.record_id)
+                retired = [*self.index.ledger.retired, *(r.record_id for r in staged)]
+                self._rebuild_index({"retired": retired, "encoder": encoder})
                 raise
         self.store.add_many(staged)
 
@@ -386,14 +391,7 @@ class Resolver:
                 f"checkpoint {data.name!r} is unusable: {exc}",
                 path=str(state_dir),
             ) from exc
-        survivors = list(resolver.store)
-        index_state = data.index_state or {}
-        encoder = index_state.get("encoder")
-        if encoder is not None:
-            resolver.index = blocker.online(survivors, encoder=encoder)
-        else:
-            resolver.index = blocker.online(survivors)
-        resolver.index.restore(index_state)
+        resolver._rebuild_index(data.index_state or {})
         wal_file = journal_path(state_dir)
         if wal_file.exists():
             entries, _, _ = read_journal(wal_file)
@@ -411,6 +409,19 @@ class Resolver:
         resolver.fsync = fsync
         resolver._journal = journal
         return resolver
+
+    def _rebuild_index(self, state: dict) -> None:
+        """Rebuild the online index from the store's records, then apply
+        index-only ``state`` (an :meth:`~repro.core.base.OnlineIndex.
+        checkpoint` dict: retired ids and, for SA-LSH, the encoder).
+
+        :meth:`open` recovers through it, and a failed journal append
+        rolls back through it.
+        """
+        encoder = state.get("encoder")
+        options = {} if encoder is None else {"encoder": encoder}
+        self.index = self.blocker.online(list(self.store), **options)
+        self.index.restore(state)
 
     def _apply_entry(self, entry: dict) -> None:
         """Apply one journal entry without re-journaling it."""

@@ -59,9 +59,12 @@ def evaluate_blocks(result: BlockingResult, dataset: Dataset) -> BlockingMetrics
     """Score a blocking result against the dataset's ground truth.
 
     Intersects the result's encoded ``uint64`` pair keys with the
-    dataset's cached ``true_match_keys`` (no Python pair sets). No
-    membership pre-check: unknown block ids surface as encode errors
-    from the dataset codec.
+    dataset's cached ``true_match_keys`` (no Python pair sets). The
+    keys are the result's cached blocking graph translated into the
+    dataset codec (:meth:`~repro.core.base.BlockingResult.pair_keys`),
+    so meta-blocking the same result afterwards enumerates nothing
+    again. No membership pre-check: unknown block ids surface as encode
+    errors from the dataset codec.
     """
     try:
         candidate_keys = result.pair_keys(dataset)

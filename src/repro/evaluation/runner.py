@@ -33,13 +33,15 @@ def run_blocking(blocker: Blocker, dataset: Dataset) -> ExperimentResult:
     start = time.perf_counter()
     result = blocker.block(dataset)
     elapsed = time.perf_counter() - start
-    metrics = evaluate_blocks(result, dataset)
+    # Evaluate the copy that is returned, so its cached blocking graph
+    # serves later readers (the CLI's pairs file) too.
+    result = result.with_timing(elapsed)
     return ExperimentResult(
         blocker_name=blocker.name,
         description=blocker.describe(),
-        metrics=metrics,
+        metrics=evaluate_blocks(result, dataset),
         seconds=elapsed,
-        result=result.with_timing(elapsed),
+        result=result,
     )
 
 

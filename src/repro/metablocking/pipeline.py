@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.base import BlockingResult
-from repro.metablocking.graph import build_array_graph
 from repro.metablocking.pruning import prune_array
 from repro.metablocking.weights import compute_weights
 from repro.records.pairs import pairs_from_keys
@@ -16,10 +15,11 @@ def run_metablocking(
 
     The output's blocks are the surviving record pairs (size-2 blocks),
     the standard form for evaluating meta-blocking with PC / PQ* / FM*
-    (Fig. 12). The whole graph-weight-prune pipeline runs on the
-    candidate-pair arrays.
+    (Fig. 12). Weights and pruning run on the result's cached blocking
+    graph (:attr:`~repro.core.base.BlockingResult.graph`), so a result
+    already evaluated is not enumerated again.
     """
-    graph = build_array_graph(result)
+    graph = result.graph
     keys = prune_array(graph, compute_weights(graph, scheme), algorithm)
     # Keys are sorted and the vocabulary is sorted, so the decoded pairs
     # land in sorted() order.

@@ -10,7 +10,8 @@
   k = max(1, floor(Σ_b |b| / |V|)); union over nodes.
 
 :func:`prune_array` applies them to an :class:`ArrayBlockingGraph`
-edge list with vectorized thresholding (WEP), one global lexsort (CEP),
+edge list — the result's shared graph (``BlockingResult.graph``) —
+with vectorized thresholding (WEP), one global lexsort (CEP),
 and per-node segment partitioning of the doubled directed edge list
 (WNP/CNP). Ties break identically to the heaps of the dict-graph
 reference (:func:`repro.reference.metablocking.prune`): by weight, then
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.metablocking.graph import ArrayBlockingGraph
+from repro.records.pairs import ArrayBlockingGraph
 
 #: Pruning algorithm names accepted by :func:`prune_array`.
 PRUNING_ALGORITHMS = ("WEP", "CEP", "WNP", "CNP")
@@ -102,6 +103,9 @@ def _cnp_array(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
     return _survivors(graph, edge_ids[order][keep])
 
 
+_PRUNERS = {"WEP": _wep_array, "CEP": _cep_array, "WNP": _wnp_array, "CNP": _cnp_array}
+
+
 def prune_array(
     graph: ArrayBlockingGraph, weights: np.ndarray, algorithm: str
 ) -> np.ndarray:
@@ -111,21 +115,12 @@ def prune_array(
     ``graph.ids`` (decode with
     :func:`repro.records.pairs.pairs_from_keys`).
     """
+    prune = _PRUNERS.get(algorithm)
+    if prune is None:
+        raise ConfigurationError(
+            f"unknown pruning algorithm {algorithm!r}; known: {PRUNING_ALGORITHMS}"
+        )
     if graph.num_edges == 0:
-        if algorithm not in PRUNING_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown pruning algorithm {algorithm!r}; "
-                f"known: {PRUNING_ALGORITHMS}"
-            )
         return np.empty(0, dtype=np.uint64)
-    if algorithm == "WEP":
-        return _wep_array(graph, weights)
-    if algorithm == "CEP":
-        return _cep_array(graph, weights)
-    if algorithm == "WNP":
-        return _wnp_array(graph, weights)
-    if algorithm == "CNP":
-        return _cnp_array(graph, weights)
-    raise ConfigurationError(
-        f"unknown pruning algorithm {algorithm!r}; known: {PRUNING_ALGORITHMS}"
-    )
+    return prune(graph, weights)
+

@@ -8,7 +8,8 @@
   with ||b|| the comparisons in block b.
 
 :func:`compute_weights` scores an :class:`ArrayBlockingGraph`'s whole
-edge list at once. It evaluates the per-record ``log`` factors of
+edge list at once — the result's shared graph, whose edge keys
+evaluation reads too. It evaluates the per-record ``log`` factors of
 ECBS/EJS with ``math.log`` (one call per record, not per edge) so its
 weights are bitwise identical to the per-edge reference
 (:func:`repro.reference.metablocking.edge_weight`), then combines them
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.metablocking.graph import ArrayBlockingGraph
+from repro.records.pairs import ArrayBlockingGraph
 
 #: Scheme names accepted by :func:`compute_weights`.
 WEIGHT_SCHEMES = ("ARCS", "CBS", "ECBS", "JS", "EJS")
@@ -40,7 +41,10 @@ def compute_weights(graph: ArrayBlockingGraph, scheme: str) -> np.ndarray:
     """Weights of the whole edge list under one scheme (float64).
 
     Aligned with ``graph.edge_keys``; every scheme is one whole-array
-    expression over the precomputed co-occurrence statistics.
+    expression over the graph's co-occurrence statistics. CBS and
+    blocks per record come with the graph; node degrees (EJS) and ARCS
+    are derived on their first read, so only ARCS enumerates the
+    per-pair block ids.
     """
     cbs = graph.common_blocks
     if scheme == "CBS":

@@ -9,18 +9,25 @@ indices::
 Keys are injective for any corpus below 2^32 records, totally ordered,
 and intersect/dedup with plain ``np.unique`` / ``np.intersect1d``. When
 the index codec enumerates ids in lexicographic order (the *local*
-vocabulary of :class:`~repro.core.base.BlockingResult`), numeric key
-order equals the lexicographic order of the decoded ``(id1, id2)``
-tuples, so sorted key arrays decode directly into the canonical
+vocabulary of :class:`ArrayBlockingGraph`), numeric key order equals
+the lexicographic order of the decoded ``(id1, id2)`` tuples, so sorted
+key arrays decode directly into the canonical
 :func:`~repro.records.ground_truth.sorted_pair` form.
+
+:class:`ArrayBlockingGraph` is the one enumeration of a block list's
+distinct pairs Γ: evaluation translates its edge keys into a dataset
+codec, and meta-blocking weights and prunes the same edge list.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from repro.records.blocks import BlockList
 from repro.records.ground_truth import Pair
 
 #: Bits reserved for each index half of a pair key (max 2**32 records).
@@ -73,7 +80,7 @@ def enumerate_csr_pairs(
     gathered in bulk, so the expansion is pure numpy with one Python
     iteration per distinct group size. Emission order is therefore
     grouped by size class, not by group id — callers needing per-key
-    group order must sort (see ``build_array_graph``).
+    group order must sort (see :attr:`ArrayBlockingGraph.arcs`).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)
@@ -129,8 +136,6 @@ def unique_bipartite_keys(
     source: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """Sorted distinct bipartite keys of the given cross pairs."""
-    if np.asarray(source).size == 0:
-        return np.empty(0, dtype=np.uint64)
     return sorted_unique_keys(encode_bipartite_keys(source, target))
 
 
@@ -220,17 +225,145 @@ def sorted_unique_keys(keys: np.ndarray) -> np.ndarray:
     table that is far slower than sorting at candidate-pair sizes
     (~25x on half-million-key arrays).
     """
-    if keys.size == 0:
-        return keys.astype(np.uint64, copy=False)
-    ordered = np.sort(keys)
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    ordered = np.sort(keys.astype(np.uint64, copy=False))
+    return ordered[_run_starts(ordered)]
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions where each run of equal values of a sorted array starts."""
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def unique_pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Sorted distinct keys of the given index pairs (Γ from Γm)."""
-    if np.asarray(left).size == 0:
-        return np.empty(0, dtype=np.uint64)
     return sorted_unique_keys(encode_pair_keys(left, right))
+
+
+@dataclass(frozen=True)
+class ArrayBlockingGraph:
+    """The blocking graph of a block list: Γ as one sorted edge list.
+
+    Nodes are the ids some block references, ranked lexicographically
+    (``ids``); edges are the distinct co-occurring pairs, held as
+    sorted ``uint64`` keys over those ranks (``edge_keys``). Built
+    once per :class:`~repro.core.base.BlockingResult` (its ``graph``):
+    ``pair_keys`` translates the edge keys into a dataset codec,
+    ``distinct_pairs`` decodes them, and meta-blocking weights and
+    prunes them. The statistics every weighting scheme reads (CBS,
+    blocks per record) come with the build; the others are derived on
+    first read. Its dict-of-edges oracle is
+    :class:`repro.reference.metablocking.BlockingGraph`.
+    """
+
+    #: Sorted local vocabulary: index -> record id.
+    ids: list[str]
+    #: Block -> member CSR over ``ids``, deduplicated and ascending per
+    #: block.
+    member_offsets: np.ndarray
+    members: np.ndarray
+    #: Original block sizes (duplicates included).
+    block_sizes: np.ndarray
+    #: Distinct edges as sorted ``uint64`` pair keys.
+    edge_keys: np.ndarray
+    #: |B_i ∩ B_j| per edge (CBS, float64).
+    common_blocks: np.ndarray
+    #: |B_i| per vocabulary index (distinct blocks containing the record).
+    blocks_per_record: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, blocks: BlockList) -> "ArrayBlockingGraph":
+        """One pass over the block list's CSR arrays.
+
+        Ranks the present ids, dedupes each block's membership with one
+        sort of combined ``block << 32 | rank`` labels, enumerates the
+        per-block pairs once and sorts their keys once: the runs of
+        equal keys are the edges, their lengths CBS.
+        """
+        present = blocks.present_rows()
+        ids, rank = np.unique(blocks.ids[present], return_inverse=True)
+        remap = np.zeros(len(blocks.ids), dtype=np.uint64)
+        remap[present] = rank.reshape(-1)
+        block_sizes = np.diff(blocks.offsets)
+        num_blocks = block_sizes.size
+        block_labels = np.arange(num_blocks + 1, dtype=np.uint64) << PAIR_SHIFT
+        membership = sorted_unique_keys(
+            np.repeat(block_labels[:-1], block_sizes) | remap[blocks.indices]
+        )
+        member_offsets = np.searchsorted(membership, block_labels)
+        members = (membership & _LOW_MASK).astype(np.int32)
+        # Members ascend within each block, so left < right already.
+        left, right = enumerate_csr_pairs(member_offsets, members)
+        keys = _edge_keys(left, right)
+        keys.sort()
+        starts = _run_starts(keys)
+        return cls(
+            ids=ids.tolist(),
+            member_offsets=member_offsets,
+            members=members,
+            block_sizes=block_sizes,
+            edge_keys=keys[starts],
+            common_blocks=np.diff(np.append(starts, keys.size)).astype(np.float64),
+            blocks_per_record=np.bincount(members, minlength=len(ids)),
+        )
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.ids)
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.edge_keys.size)
+
+    @property
+    def num_blocks(self) -> int:
+        return int(self.block_sizes.size)
+
+    @cached_property
+    def edge_left(self) -> np.ndarray:
+        """Lower endpoint index per edge."""
+        return (self.edge_keys >> PAIR_SHIFT).astype(np.int64)
+
+    @cached_property
+    def edge_right(self) -> np.ndarray:
+        """Higher endpoint index per edge."""
+        return (self.edge_keys & _LOW_MASK).astype(np.int64)
+
+    @cached_property
+    def node_degrees(self) -> np.ndarray:
+        """Distinct-neighbour count |v_i| per vocabulary index."""
+        ends = np.concatenate([self.edge_left, self.edge_right])
+        return np.bincount(ends, minlength=self.num_nodes)
+
+    @cached_property
+    def arcs(self) -> np.ndarray:
+        """Σ_{b ∈ B_i ∩ B_j} 1/||b|| per edge (ARCS, float64).
+
+        The only reader of per-pair block ids, so the pairs are
+        enumerated again, with their blocks, on first read. One lexsort
+        by (key, block) orders each edge's contributions by ascending
+        block, and ``np.add.at`` adds strictly in element order,
+        reproducing the reference's sequential sum bit for bit —
+        ``reduceat``'s pairwise summation rounds differently.
+        """
+        left, right, pair_blocks = enumerate_csr_pairs(
+            self.member_offsets, self.members, with_group_ids=True
+        )
+        keys = _edge_keys(left, right)
+        order = np.lexsort((pair_blocks, keys))
+        comparisons = self.block_sizes * (self.block_sizes - 1) / 2.0
+        contributions = np.zeros(self.num_blocks, dtype=np.float64)
+        np.divide(1.0, comparisons, out=contributions, where=comparisons > 0)
+        arcs = np.zeros(self.num_edges, dtype=np.float64)
+        np.add.at(
+            arcs,
+            np.searchsorted(self.edge_keys, keys[order]),
+            contributions[pair_blocks[order]],
+        )
+        return arcs
+
+
+def _edge_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Keys of index pairs already in ``left < right`` orientation."""
+    return (left.astype(np.uint64) << PAIR_SHIFT) | right.astype(np.uint64)

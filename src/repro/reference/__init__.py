@@ -11,8 +11,8 @@ No library module outside this package imports it
 * :mod:`repro.reference.blocking` — the paper-literal per-record loops
   of LSH and SA-LSH (one signature, one ``split_bands`` and one dict
   append per table and gate suffix), and of MP-LSH and LSH-Forest;
-* :mod:`repro.reference.pairs` — Γ, the bipartite cross pairs and the
-  record → block assignment by per-block Python loops;
+* :mod:`repro.reference.pairs` — Γ and the bipartite cross pairs by
+  per-block Python loops;
 * :mod:`repro.reference.evaluation` — PC/PQ/RR/FM over Python pair sets;
 * :mod:`repro.reference.metablocking` — the dict blocking graph, its
   per-edge weights and heap-based pruning;
@@ -42,7 +42,7 @@ from repro.reference.metablocking import (
     prune,
     run_metablocking,
 )
-from repro.reference.pairs import cross_pairs, distinct_pairs, record_block_ids
+from repro.reference.pairs import cross_pairs, distinct_pairs
 
 __all__ = [
     "BlockingGraph",
@@ -61,7 +61,6 @@ __all__ = [
     "per_record_blocks",
     "prune",
     "qgram_sublists",
-    "record_block_ids",
     "resolve",
     "run_metablocking",
     "salsh_blocks",

@@ -1,9 +1,10 @@
-"""Candidate pairs and block assignments by per-block Python loops.
+"""Candidate pairs by per-block Python loops.
 
-The oracles of :attr:`~repro.core.base.BlockingResult.distinct_pairs`,
-:attr:`~repro.core.base.BipartiteBlockingResult.cross_pairs` and the
-record → block incidence of
-:class:`~repro.metablocking.graph.ArrayBlockingGraph`.
+The oracles of :attr:`~repro.core.base.BlockingResult.distinct_pairs`
+(the decoded edge list of the result's
+:class:`~repro.records.pairs.ArrayBlockingGraph`, which ``pair_keys``
+and meta-blocking read too) and of
+:attr:`~repro.core.base.BipartiteBlockingResult.cross_pairs`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,3 @@ def cross_pairs(result: BipartiteBlockingResult) -> frozenset[Pair]:
                 pairs.add((s, t))
     return frozenset(pairs)
 
-
-def record_block_ids(result: BlockingResult) -> dict[str, list[int]]:
-    """Record id -> indices of the blocks containing it."""
-    assignment: dict[str, list[int]] = {}
-    for index, block in enumerate(result.blocks):
-        for record_id in set(block):
-            assignment.setdefault(record_id, []).append(index)
-    return assignment

@@ -35,6 +35,7 @@ Fsync disciplines
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -197,7 +198,9 @@ class Journal:
         The entry is acknowledged — and must survive any later crash —
         only once this method returns. Under ``fsync="always"`` that
         means the bytes were fsynced; under ``"batch"``/``"never"``
-        the acknowledgement is correspondingly weaker (by opt-in).
+        the acknowledgement is correspondingly weaker (by opt-in). An
+        append whose write, flush or fsync raises truncates its frame
+        away before the error propagates (see :meth:`_drop_tail`).
         """
         if self._file is None:
             raise DurabilityError(
@@ -216,14 +219,36 @@ class Journal:
             self._file.flush()
             os.fsync(self._file.fileno())
             faults.kill_self()
-        self._file.write(frame)
-        self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
-        else:
+        start = self._file.tell()
+        try:
+            self._file.write(frame)
+            self._file.flush()
+            if self.fsync == "always":
+                os.fsync(self._file.fileno())
+        except BaseException:
+            self._drop_tail(start)
+            raise
+        if self.fsync != "always":
             self._unsynced = True
         self._last_seq = seq
         return seq
+
+    def _drop_tail(self, offset: int) -> None:
+        """Cut a failed append's bytes off the file.
+
+        A frame that is not acknowledged must not stay in front of the
+        next one: replay stops at the first torn frame, so any entry
+        acknowledged after it would be lost. When the cut fails too,
+        the journal closes, and every later append raises instead of
+        being acknowledged after torn bytes.
+        """
+        try:
+            self._file.truncate(offset)
+            self._file.seek(offset)
+        except OSError:
+            file, self._file = self._file, None
+            with contextlib.suppress(OSError):
+                file.close()
 
     def sync(self) -> None:
         """Force buffered frames to stable storage (``"batch"`` mode)."""

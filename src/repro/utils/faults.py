@@ -31,12 +31,9 @@ harness in ``tests/test_durability.py`` drives through subprocesses
 armed with :func:`arm_from_env`.
 
 A plan's spec maps point names to *when* they fire: an ``int`` fires
-the first N consultations, an iterable fires exactly those 0-based
-consultation indices, and a ``float`` fires each consultation with
-that probability from a generator seeded per ``(seed, point)`` — so a
-seeded plan replays the identical fault schedule on every run. Plans
-are pid-bound: a plan armed in one process never fires in a child it
-forks, which keeps the schedule deterministic.
+the first N consultations, and an iterable fires exactly those 0-based
+consultation indices — so a plan replays the identical fault schedule
+on every run.
 """
 
 from __future__ import annotations
@@ -44,18 +41,13 @@ from __future__ import annotations
 import contextlib
 import errno as _errno
 import os
-import random
 import signal
-import threading
-from typing import Iterator
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
 #: Every injection point the library consults.
 POINTS = ("spill.write_error", "wal.append", "checkpoint.rename")
-
-#: Points whose firing kills the process (SIGKILL) instead of raising.
-CRASH_POINTS = ("wal.append", "checkpoint.rename")
 
 #: Environment variable :func:`arm_from_env` reads, e.g.
 #: ``REPRO_FAULTS="wal.append:@2"`` (fire consultation index 2) or
@@ -64,20 +56,15 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 
 class FaultPlan:
-    """A seeded, thread-safe schedule of named fault firings.
+    """A deterministic schedule of named fault firings.
 
     ``spec`` maps injection-point names (see :data:`POINTS`) to firing
     rules; consultation counters are kept per point inside the plan,
-    so one plan instance replays one deterministic schedule. Plans are
-    bound to the pid that created them: consultations from any other
-    process (a forked child) never fire.
+    so one plan instance replays one schedule.
     """
 
-    def __init__(
-        self, spec: "dict[str, int | float | Iterator[int] | tuple]",
-        seed: int = 0,
-    ) -> None:
-        self._rules: dict[str, object] = {}
+    def __init__(self, spec: "dict[str, int | Iterable[int]]") -> None:
+        self._rules: dict[str, tuple] = {}
         for point, rule in spec.items():
             if point not in POINTS:
                 raise ConfigurationError(
@@ -91,52 +78,20 @@ class FaultPlan:
                         f"fault count must be >= 0, got {rule} for {point!r}"
                     )
                 self._rules[point] = ("count", rule)
-            elif isinstance(rule, float):
-                if not 0.0 <= rule <= 1.0:
-                    raise ConfigurationError(
-                        f"fault probability must be in [0, 1], got {rule!r}"
-                    )
-                self._rules[point] = (
-                    "random", rule, random.Random(f"{seed}:{point}")
-                )
             else:
                 self._rules[point] = ("indices", frozenset(int(i) for i in rule))
-        self.seed = seed
-        self._pid = os.getpid()
         self._counters: dict[str, int] = {}
-        self._fired: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def fires(self, point: str) -> bool:
-        """Consume one consultation of ``point``; True when it fires.
-
-        Inert outside the arming process, so a forked child inheriting
-        an armed plan never double-fires the schedule.
-        """
-        if os.getpid() != self._pid:
-            return False
+        """Consume one consultation of ``point``; True when it fires."""
         rule = self._rules.get(point)
         if rule is None:
             return False
-        with self._lock:
-            index = self._counters.get(point, 0)
-            self._counters[point] = index + 1
-            if rule[0] == "count":
-                fired = index < rule[1]
-            elif rule[0] == "indices":
-                fired = index in rule[1]
-            else:
-                fired = rule[2].random() < rule[1]
-            if fired:
-                self._fired[point] = self._fired.get(point, 0) + 1
-            return fired
-
-    def fired(self, point: "str | None" = None) -> int:
-        """Firings so far — of one point, or of every point summed."""
-        with self._lock:
-            if point is not None:
-                return self._fired.get(point, 0)
-            return sum(self._fired.values())
+        index = self._counters.get(point, 0)
+        self._counters[point] = index + 1
+        if rule[0] == "count":
+            return index < rule[1]
+        return index in rule[1]
 
 
 #: The armed plan, or None (the fast path: one attribute read per
@@ -163,12 +118,12 @@ def active() -> "FaultPlan | None":
 
 
 @contextlib.contextmanager
-def injected(spec_or_plan, seed: int = 0):
+def injected(spec_or_plan):
     """Arm a plan (or a spec dict) for the duration of a ``with`` block."""
     plan = (
         spec_or_plan
         if isinstance(spec_or_plan, FaultPlan)
-        else FaultPlan(spec_or_plan, seed=seed)
+        else FaultPlan(spec_or_plan)
     )
     arm(plan)
     try:
@@ -252,6 +207,5 @@ def arm_from_env(environ: "dict[str, str] | None" = None) -> "FaultPlan | None":
             spec[point] = (int(rule[1:]),)
         else:
             spec[point] = int(rule)
-    seed = int(env.get(f"{FAULTS_ENV}_SEED", "0"))
-    return arm(FaultPlan(spec, seed=seed))
+    return arm(FaultPlan(spec))
 

@@ -186,7 +186,7 @@ class TestPipelinesStayArrayNative:
         assert metrics.num_blocks == len(result.blocks) > 0
         assert metrics.num_multiset_pairs == result.num_multiset_comparisons
         assert len(pruned.blocks) > 0
-        assert len(result.local_arrays.ids) <= len(cora_small)
+        assert len(result.graph.ids) <= len(cora_small)
 
     def test_link_pipeline(self, voter_small, no_tuples):
         records = list(voter_small)

@@ -13,7 +13,6 @@ from repro.datasets import fig1_dataset, fig1_semantic_function
 from repro.errors import ConfigurationError
 from repro.evaluation import evaluate_blocks
 from repro.records import Dataset, Record
-from repro.reference import record_block_ids
 from repro.semantic import VoterSemanticFunction
 
 
@@ -31,12 +30,6 @@ class TestBlockingResult:
     def test_max_block_size(self):
         result = BlockingResult("x", (("a", "b"), ("a", "b", "c")))
         assert result.max_block_size == 3
-
-    def test_record_block_ids(self):
-        result = BlockingResult("x", (("a", "b"), ("b", "c")))
-        assignment = record_block_ids(result)
-        assert assignment["b"] == [0, 1]
-        assert assignment["a"] == [0]
 
     def test_make_blocks_drops_singletons(self):
         assert make_blocks([["a"], ["a", "b"]]) == (("a", "b"),)

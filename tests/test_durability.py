@@ -21,6 +21,7 @@ code, so they cannot drift.
 
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from durability_driver import apply_op, load_corpus, make_blocker, plan
-from repro.core import LSHBlocker
+from repro.core import LSHBlocker, SALSHBlocker
 from repro.datasets import fig1_dataset, fig1_semantic_function
 from repro.er import Resolver, SimilarityMatcher
 from repro.errors import (
@@ -40,6 +41,7 @@ from repro.errors import (
     DurabilityError,
 )
 from repro.records import Record
+from repro.semantic import VoterSemanticFunction
 from repro.store import (
     Journal,
     latest_checkpoint,
@@ -60,6 +62,32 @@ _DRIVER = str(Path(__file__).resolve().parent / "durability_driver.py")
 
 def _fig1_blocker():
     return LSHBlocker(("title", "authors"), q=3, k=2, l=3, seed=1)
+
+
+class _TornFile:
+    """A journal file whose next write lands half its bytes, then raises
+    ENOSPC; with ``truncates=False`` its truncation fails too."""
+
+    def __init__(self, file, *, truncates: bool = True) -> None:
+        self._file = file
+        self._armed = True
+        self._truncates = truncates
+
+    def write(self, data):
+        if not self._armed:
+            return self._file.write(data)
+        self._armed = False
+        self._file.write(data[: len(data) // 2])
+        self._file.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    def truncate(self, size):
+        if not self._truncates:
+            raise OSError(errno.EIO, "input/output error")
+        return self._file.truncate(size)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
 
 
 # ---------------------------------------------------------------- journal
@@ -137,6 +165,35 @@ class TestJournal:
             journal.append("add", {"records": []})
         entries, _, _ = read_journal(tmp_path / "wal.log")
         assert len(entries) == 2
+
+    def test_failed_append_truncates_its_frame(self, tmp_path):
+        path = tmp_path / "wal.log"
+        journal = Journal.create(path)
+        journal.append("remove", {"record_id": "a"})
+        clean_size = os.path.getsize(path)
+        journal._file = _TornFile(journal._file)
+        with pytest.raises(OSError):
+            journal.append("remove", {"record_id": "b"})
+        assert os.path.getsize(path) == clean_size
+        assert journal.append("remove", {"record_id": "c"}) == 2
+        journal.close()
+        entries, _, _ = read_journal(path)
+        assert [(e["seq"], e["record_id"]) for e in entries] == [(1, "a"), (2, "c")]
+
+    def test_failed_append_that_cannot_truncate_closes_the_journal(
+        self, tmp_path
+    ):
+        path = tmp_path / "wal.log"
+        journal = Journal.create(path)
+        journal.append("remove", {"record_id": "a"})
+        journal._file = _TornFile(journal._file, truncates=False)
+        with pytest.raises(OSError):
+            journal.append("remove", {"record_id": "b"})
+        assert journal.closed
+        with pytest.raises(DurabilityError):
+            journal.append("remove", {"record_id": "c"})
+        with Journal.open(path) as reopened:
+            assert reopened.last_seq == 1
 
 
 # ------------------------------------------------------------- checkpoint
@@ -315,6 +372,62 @@ class TestResolverPersistenceEdges:
         with Resolver.open(state) as recovered:
             assert recovered.resolve_many(records) == expected
 
+    def test_failed_append_fsync_leaves_no_frame(
+        self, tmp_path, fig1, monkeypatch
+    ):
+        records = list(fig1)
+        resolver = Resolver(
+            _fig1_blocker(), records[:3], state_dir=tmp_path / "state"
+        )
+        fsync = os.fsync
+        failures = [OSError(errno.EIO, "input/output error")]
+
+        def fsync_failing_once(fd):
+            if failures:
+                raise failures.pop()
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+        with pytest.raises(OSError):
+            resolver.add(records[3])
+        assert len(resolver) == resolver.index.num_live == 3
+        resolver.close()
+        with Resolver.open(tmp_path / "state") as recovered:
+            assert len(recovered) == 3
+            assert recovered.index.blocks() == resolver.index.blocks()
+
+    def test_failed_append_rollback_unfreezes_the_encoder(
+        self, tmp_path, voter_small, monkeypatch
+    ):
+        # An empty SA-LSH index freezes its encoder from its first batch;
+        # replay freezes it from the first *journaled* batch, so a
+        # rolled-back first batch must leave no encoder behind.
+        records = list(voter_small)[:400]
+        blocker = SALSHBlocker(
+            ("first_name", "last_name"), q=2, k=3, l=6,
+            semantic_function=VoterSemanticFunction(),
+        )
+        resolver = Resolver(blocker, (), state_dir=tmp_path / "state")
+        append = Journal.append
+
+        def append_failing_once(self, op, payload):
+            monkeypatch.setattr(Journal, "append", append)
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(Journal, "append", append_failing_once)
+        with pytest.raises(OSError):
+            resolver.add_many(records[:5])
+        assert resolver.index.encoder is None
+        assert resolver.index.is_retired(records[0].record_id)
+        resolver.add_many(records[5:])
+        resolver.close()
+        with Resolver.open(tmp_path / "state") as recovered:
+            assert (
+                recovered.index.encoder.num_bits
+                == resolver.index.encoder.num_bits
+            )
+            assert recovered.index.blocks() == resolver.index.blocks()
+
     def test_failed_add_leaves_durable_state_unchanged(
         self, tmp_path, fig1
     ):
@@ -372,14 +485,12 @@ class TestBatchAtomicity:
 # ------------------------------------------------------ kill −9 matrix
 
 
-def _run_driver(state_dir, kind, corpus, fault=None, seed_env=None):
+def _run_driver(state_dir, kind, corpus, fault=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC
     env.pop("REPRO_FAULTS", None)
     if fault:
         env["REPRO_FAULTS"] = fault
-    if seed_env:
-        env["REPRO_FAULTS_SEED"] = seed_env
     return subprocess.run(
         [sys.executable, _DRIVER, str(state_dir), kind, corpus],
         capture_output=True, text=True, env=env, timeout=180,

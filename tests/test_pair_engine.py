@@ -24,12 +24,11 @@ from repro.evaluation.objective import blocking_objective
 from repro.metablocking import (
     PRUNING_ALGORITHMS,
     WEIGHT_SCHEMES,
-    build_array_graph,
     compute_weights,
     prune_array,
     run_metablocking,
 )
-from repro.records import Dataset, Record
+from repro.records import Dataset, Record, pairs as pairs_module
 from repro.records.ground_truth import sorted_pair
 from repro.records.pairs import (
     decode_pair_keys,
@@ -165,10 +164,6 @@ class TestPairEnumeration:
             }
             assert decoded == set(result.distinct_pairs)
 
-    def test_pair_keys_cached_per_dataset(self, corpora):
-        dataset, result = corpora[0]
-        assert result.pair_keys(dataset) is result.pair_keys(dataset)
-
     def test_pair_keys_foreign_id_raises(self, voter_slice):
         with pytest.raises(DatasetError):
             BlockingResult("bad", (("ghost-1", "ghost-2"),)).pair_keys(voter_slice)
@@ -210,7 +205,7 @@ class TestMetricsEquivalence:
 
 class TestMetaBlockingEquivalence:
     def _graph_pairs(self, result):
-        graph = build_array_graph(result)
+        graph = result.graph
         return graph, pairs_from_keys(graph.edge_keys, graph.ids)
 
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
@@ -225,7 +220,7 @@ class TestMetaBlockingEquivalence:
     @pytest.mark.parametrize("algorithm", PRUNING_ALGORITHMS)
     def test_pruning_identical(self, scheme, algorithm, corpora):
         for _, result in list(corpora) + [(None, r) for r in EDGE_RESULTS]:
-            graph = build_array_graph(result)
+            graph = result.graph
             weights = compute_weights(graph, scheme)
             kept_array = set(
                 pairs_from_keys(prune_array(graph, weights, algorithm), graph.ids)
@@ -255,17 +250,32 @@ class TestMetaBlockingEquivalence:
         assert graph.degrees is graph.degrees  # cached, not rescanned
         assert graph.degree("ghost") == 0
 
-    def test_incidence_csr_matches_record_block_ids(self, corpora):
-        for _, result in corpora:
-            graph = build_array_graph(result)
-            legacy_assignment = reference.record_block_ids(result)
-            for position, rid in enumerate(graph.ids):
-                start = graph.record_block_offsets[position]
-                stop = graph.record_block_offsets[position + 1]
-                assert (
-                    graph.record_block_ids[start:stop].tolist()
-                    == sorted(legacy_assignment[rid])
-                )
+
+class TestOneEnumeration:
+    """Evaluation and meta-blocking share one enumeration of Γ."""
+
+    def test_evaluate_then_metablock_enumerates_once(self, cora_slice, monkeypatch):
+        result = _blocked(cora_slice, ("authors", "title"))
+        cora_slice.true_match_keys  # noqa: B018 - the truth has its own pass
+        calls = []
+        enumerate_pairs = pairs_module.enumerate_csr_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("with_group_ids", False))
+            return enumerate_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(pairs_module, "enumerate_csr_pairs", counting)
+        metrics = evaluate_blocks(result, cora_slice)
+        pruned = run_metablocking(result, "ECBS", "WNP")
+        assert calls == [False]
+        # ARCS, the one reader of per-pair block ids, enumerates once more.
+        run_metablocking(result, "ARCS", "WEP")
+        run_metablocking(result, "ARCS", "CNP")
+        assert calls == [False, True]
+        assert metrics == reference.evaluate_blocks(result, cora_slice)
+        assert pruned.blocks == reference.run_metablocking(
+            result, "ECBS", "WNP"
+        ).blocks
 
 
 class TestBatchMatcher:

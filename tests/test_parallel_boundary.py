@@ -24,14 +24,15 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli, errors, minhash
+from repro import cli, errors, metablocking, minhash
 from repro.core import (
     LSHBlocker,
     LSHForestBlocker,
     MultiProbeLSHBlocker,
     SALSHBlocker,
 )
-from repro.core.base import LSHFamilyBlocker
+from repro.core import base
+from repro.core.base import BlockingResult, LSHFamilyBlocker
 from repro.core.lsh_blocker import OnlineLSHIndex
 from repro.core.lsh_variants import OnlineForestIndex, OnlineMultiProbeIndex
 from repro.core.salsh_blocker import OnlineSALSHIndex
@@ -39,6 +40,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.er import Resolver
 from repro.lsh.index import BandedLSHIndex
 from repro.minhash import MinHasher, signature
+from repro.records.pairs import ArrayBlockingGraph
 from repro.semantic.semhash import SemhashEncoder
 from repro.store import checkpoint
 from repro.utils import faults
@@ -122,6 +124,11 @@ def test_fault_points_are_the_spill_and_durability_ones():
         (OnlineSALSHIndex, "add_signatures"),
         (OnlineMultiProbeIndex, "add_signatures"),
         (OnlineForestIndex, "add_signatures"),
+        (metablocking, "build_array_graph"),
+        (base, "BlockArrays"),
+        (BlockingResult, "local_arrays"),
+        (BlockingResult, "pair_keys_local"),
+        (ArrayBlockingGraph, "record_block_offsets"),
     ],
     ids=lambda o: getattr(o, "__name__", o),
 )
