@@ -30,7 +30,7 @@ both fail if it does not hold):
   is within ``PC_GAP_BUDGET`` (2 points) of the dedup run scored on
   the same bipartite split (the dedup blocker's recall of cross-side
   true matches), and never more than 2 points *below* the dedup
-  workload's own PC — the role axis must not cost recall. Linkage PC
+  workload's own PC — linkage must not cost recall. Linkage PC
   may legitimately exceed the dedup workload PC: the bipartite truth
   excludes duplicate-duplicate pairs, which on a corrupted corpus are
   the hardest to block (both members carry typos);
@@ -218,13 +218,13 @@ def check_linkage(report: dict) -> None:
     assert headline["pc_gap"] <= PC_GAP_BUDGET, (
         f"corrupted/aligned: linkage PC {headline['linkage_pc']} vs the "
         f"dedup run's same-split PC {headline['dedup_cross_pc']} — gap "
-        f"{headline['pc_gap']} exceeds {PC_GAP_BUDGET}; the role axis "
-        "is costing recall"
+        f"{headline['pc_gap']} exceeds {PC_GAP_BUDGET}; linkage is "
+        "costing recall"
     )
     assert headline["pc_delta_vs_dedup"] >= -PC_GAP_BUDGET, (
         f"corrupted/aligned: linkage PC {headline['linkage_pc']} fell "
         f"more than {PC_GAP_BUDGET} below the dedup workload PC "
-        f"{headline['dedup_pc']} — the role axis is costing recall"
+        f"{headline['dedup_pc']} — linkage is costing recall"
     )
 
 

@@ -26,7 +26,7 @@ from repro.records.pairs import (
     encode_pair_keys,
     enumerate_csr_cross_pairs,
     pairs_from_keys,
-    unique_bipartite_keys,
+    unique_pair_keys,
 )
 
 
@@ -145,54 +145,44 @@ class BipartiteBlockingResult(BlockingResult):
         return self.linked
 
     @cached_property
-    def _source_rows(self) -> np.ndarray:
-        """True at block-vocabulary positions holding a source record
-        that some block references."""
-        source_ids = self._require_linked().source_id_set
+    def _positions(self) -> np.ndarray:
+        """Union-codec position of each block-vocabulary row some block
+        references (0 at the others); an id outside the union raises
+        :class:`~repro.errors.DatasetError` naming it."""
+        union = self._require_linked().union
         blocks = self.blocks
         present = blocks.present_rows()
-        mask = np.zeros(len(blocks.ids), dtype=bool)
-        mask[present] = np.fromiter(
-            (rid in source_ids for rid in blocks.ids[present].tolist()),
-            dtype=bool,
-            count=present.size,
-        )
-        return mask
+        positions = np.zeros(len(blocks.ids), dtype=np.int64)
+        positions[present] = union.encode_ids(blocks.ids[present].tolist())
+        return positions
+
+    @property
+    def _source_rows(self) -> np.ndarray:
+        """True at block-vocabulary rows holding a source record: the
+        union is source-first, so those are the positions below |S|."""
+        return self._positions < len(self._require_linked().source)
 
     @cached_property
     def cross_pair_keys(self) -> np.ndarray:
-        """Γ as sorted bipartite ``uint64`` keys over the linked codec.
+        """Γ as sorted union-codec ``uint64`` keys, ``lo < |S| <= hi``.
 
-        High word: position in ``linked.source``; low word: position in
-        ``linked.target`` — directly intersectable with
-        ``linked.true_match_keys``. Only the ids some block references
-        are encoded, each through its side's codec.
+        A cross pair is the union codec's plain pair key, the source
+        member's position in the high word — directly intersectable
+        with ``linked.true_match_keys``. The referenced ids are encoded
+        once, through ``union.encode_ids``.
         """
-        linked = self._require_linked()
         blocks = self.blocks
-        mask = self._source_rows
-        present = blocks.present_rows()
-        sources = present[mask[present]]
-        targets = present[~mask[present]]
-        positions = np.zeros(len(blocks.ids), dtype=np.int64)
-        if sources.size:
-            positions[sources] = linked.source.encode_ids(
-                blocks.ids[sources].tolist()
-            )
-        if targets.size:
-            positions[targets] = linked.target.encode_ids(
-                blocks.ids[targets].tolist()
-            )
+        positions = self._positions
         left, right = enumerate_csr_cross_pairs(
-            blocks.offsets, blocks.indices, mask
+            blocks.offsets, blocks.indices, self._source_rows
         )
-        return unique_bipartite_keys(positions[left], positions[right])
+        return unique_pair_keys(positions[left], positions[right])
 
     @cached_property
     def cross_pairs(self) -> frozenset[Pair]:
         """Γ as distinct ``(source_id, target_id)`` tuples."""
-        linked = self._require_linked()
-        return frozenset(linked.pairs_from_keys(self.cross_pair_keys))
+        ids = self._require_linked().union.record_ids
+        return frozenset(pairs_from_keys(self.cross_pair_keys, ids))
 
     @property
     def num_cross_multiset_comparisons(self) -> int:

@@ -14,12 +14,12 @@ composes the pieces this library already has into that serving surface:
   against exactly those candidates and tiering the answer by the §3
   three-region rule: ``match`` / ``possible`` / ``new``.
 
-Store and index mutate in lockstep: :meth:`Resolver.add` validates the
-id against both before touching either, so a failed insertion leaves
-the service consistent. Removed ids are retired for the resolver's
-lifetime (the index tombstones them permanently); replacements take a
-fresh id, e.g. from :meth:`~repro.records.dataset.RecordStore.
-allocate_id`.
+Store and index mutate in lockstep: the index checks a batch's ids
+before anything mutates and the store takes the batch only after the
+index did, so a failed insertion leaves the service consistent.
+Removed ids are retired for the resolver's lifetime (the index
+tombstones them permanently); replacements take a fresh id, e.g. from
+:meth:`~repro.records.dataset.RecordStore.allocate_id`.
 
 Durability (DESIGN.md, "Durability & crash recovery"): constructed with
 a ``state_dir``, the resolver writes an initial checkpoint and then
@@ -229,17 +229,17 @@ class Resolver:
     def add_many(self, records: Iterable[Record]) -> None:
         """Index a batch of new records.
 
-        Validates every id upfront — present ids, intra-batch
-        duplicates and retired (removed) ids are rejected before
-        anything mutates. The index then takes the batch whole or
-        rejects it whole (say, a record the semantic function cannot
-        interpret), leaving the service unchanged. Only a batch the
-        index took is journaled, as one frame — after a crash either
-        every record of the batch is recovered or none is — and then
-        stored. Should the journal append fail, the index is rebuilt
-        from the store, as :meth:`open` rebuilds it, with the encoder it
-        had before the batch; the batch's ids stay retired in memory, as
-        a removed record's do.
+        Retired (removed) ids are rejected upfront. The index then
+        takes the batch whole or rejects it whole — an id it holds
+        already or one repeated in the batch (its ledger's one id
+        check), or a record the semantic function cannot interpret —
+        leaving the service unchanged. Only a batch the index took is
+        journaled, as one frame — after a crash either every record of
+        the batch is recovered or none is — and then stored. Should the
+        journal append fail, the index is rebuilt from the store, as
+        :meth:`open` rebuilds it, with the encoder it had before the
+        batch; the batch's ids stay retired in memory, as a removed
+        record's do.
         """
         staged = list(records)
         retired = sorted(
@@ -252,13 +252,6 @@ class Resolver:
                 f"record ids {retired!r} were removed and are retired; "
                 "use fresh ids (see RecordStore.allocate_id)"
             )
-        seen: set[str] = set()
-        for record in staged:
-            if record.record_id in self.store or record.record_id in seen:
-                raise DatasetError(
-                    f"duplicate record id {record.record_id!r}"
-                )
-            seen.add(record.record_id)
         # A first SA-LSH batch freezes the encoder; a rollback must not
         # keep it, because replay freezes one from the first journaled
         # batch.

@@ -12,11 +12,12 @@
 :func:`prune_array` applies them to an :class:`ArrayBlockingGraph`
 edge list — the result's shared graph (``BlockingResult.graph``) —
 with vectorized thresholding (WEP), one global lexsort (CEP),
-and per-node segment partitioning of the doubled directed edge list
-(WNP/CNP). Ties break identically to the heaps of the dict-graph
-reference (:func:`repro.reference.metablocking.prune`): by weight, then
-by pair key / neighbour index — and index order over the sorted local
-vocabulary *is* lexicographic id order.
+per-node weight sums and counts from ``np.bincount`` over both
+endpoints (WNP), and per-node segment partitioning of the doubled
+directed edge list (CNP). Ties break identically to the heaps of the
+dict-graph reference (:func:`repro.reference.metablocking.prune`): by
+weight, then by pair key / neighbour index — and index order over the
+sorted local vocabulary *is* lexicographic id order.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from repro.records.pairs import ArrayBlockingGraph
 PRUNING_ALGORITHMS = ("WEP", "CEP", "WNP", "CNP")
 
 
-def _mean_threshold(mean: float) -> float:
-    """Mean with a relative tolerance.
+def _mean_threshold(mean):
+    """Mean (a float or an array of them) with a relative tolerance.
 
     Summation error can push the computed mean infinitesimally above
     every element when all weights are equal (e.g. a single block under
     ARCS); without the tolerance such graphs would prune *every* edge.
     """
-    return mean - 1e-12 * max(1.0, abs(mean))
+    return mean - 1e-12 * np.maximum(1.0, np.abs(mean))
 
 
 def _wep_array(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
@@ -54,53 +55,36 @@ def _cep_array(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
     return np.sort(graph.edge_keys[order[-budget:]])
 
 
-def _directed_edges(
-    graph: ArrayBlockingGraph, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each edge twice, once per endpoint: (node, neighbour, weight, edge)."""
-    num_edges = graph.num_edges
-    nodes = np.concatenate([graph.edge_left, graph.edge_right])
-    neighbours = np.concatenate([graph.edge_right, graph.edge_left])
-    doubled_weights = np.concatenate([weights, weights])
-    edge_ids = np.concatenate([np.arange(num_edges), np.arange(num_edges)])
-    return nodes, neighbours, doubled_weights, edge_ids
-
-
-def _survivors(graph: ArrayBlockingGraph, edge_ids_kept: np.ndarray) -> np.ndarray:
-    """Union the kept directed entries back onto the sorted edge list."""
-    survive = np.zeros(graph.num_edges, dtype=bool)
-    survive[edge_ids_kept] = True
-    return graph.edge_keys[survive]
-
-
 def _wnp_array(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
-    nodes, _, w, edge_ids = _directed_edges(graph, weights)
-    order = np.argsort(nodes, kind="stable")
-    nodes_sorted, w_sorted = nodes[order], w[order]
-    counts = np.bincount(nodes, minlength=graph.num_nodes)
-    active = counts > 0
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])[active]
-    means = np.add.reduceat(w_sorted, starts) / counts[active]
-    thresholds = np.empty(graph.num_nodes, dtype=np.float64)
-    thresholds[active] = means - 1e-12 * np.maximum(1.0, np.abs(means))
-    keep = w_sorted >= thresholds[nodes_sorted]
-    return _survivors(graph, edge_ids[order][keep])
+    # Each node's mean incident weight, from weight sums and edge counts
+    # over both endpoints; an edge survives when it reaches either
+    # endpoint's threshold (the union over nodes).
+    left, right = graph.edge_left, graph.edge_right
+    n = graph.num_nodes
+    sums = np.bincount(left, weights, n) + np.bincount(right, weights, n)
+    degrees = graph.node_degrees
+    means = np.divide(sums, degrees, out=np.zeros(n), where=degrees > 0)
+    thresholds = _mean_threshold(means)
+    keep = (weights >= thresholds[left]) | (weights >= thresholds[right])
+    return graph.edge_keys[keep]
 
 
 def _cnp_array(graph: ArrayBlockingGraph, weights: np.ndarray) -> np.ndarray:
     if graph.num_nodes == 0:
         return np.empty(0, dtype=np.uint64)
     k = max(1, int(graph.block_sizes.sum()) // graph.num_nodes)
-    nodes, neighbours, w, edge_ids = _directed_edges(graph, weights)
-    # Node-major, then ascending (weight, neighbour) inside each node's
-    # segment: the top-k of nlargest keyed on (weight, neighbour id) are
-    # the last k entries of the segment.
-    order = np.lexsort((neighbours, w, nodes))
-    nodes_sorted = nodes[order]
-    ends = np.cumsum(np.bincount(nodes, minlength=graph.num_nodes))
-    positions = np.arange(nodes_sorted.size)
-    keep = positions >= ends[nodes_sorted] - k
-    return _survivors(graph, edge_ids[order][keep])
+    # Each edge twice, once per endpoint; directed entry i is edge
+    # i mod |E|. Node-major, then ascending (weight, neighbour) inside
+    # each node's segment: the top-k of nlargest keyed on (weight,
+    # neighbour id) are the last k entries of the segment.
+    nodes = np.concatenate([graph.edge_left, graph.edge_right])
+    neighbours = np.concatenate([graph.edge_right, graph.edge_left])
+    order = np.lexsort((neighbours, np.concatenate([weights, weights]), nodes))
+    ends = np.cumsum(graph.node_degrees)
+    keep = np.arange(nodes.size) >= ends[nodes[order]] - k
+    survive = np.zeros(graph.num_edges, dtype=bool)
+    survive[order[keep] % graph.num_edges] = True
+    return graph.edge_keys[survive]
 
 
 _PRUNERS = {"WEP": _wep_array, "CEP": _cep_array, "WNP": _wnp_array, "CNP": _cnp_array}

@@ -2,12 +2,7 @@
 
 from repro.records.record import Record
 from repro.records.blocks import Block, BlockList
-from repro.records.dataset import (
-    DATASET_ROLES,
-    Dataset,
-    LinkedCorpus,
-    RecordStore,
-)
+from repro.records.dataset import Dataset, LinkedCorpus, RecordStore
 from repro.records.ground_truth import (
     entity_clusters,
     sorted_pair,
@@ -23,12 +18,10 @@ from repro.records.io import (
 )
 from repro.records.pairs import (
     decode_pair_keys,
-    encode_bipartite_keys,
     encode_pair_keys,
     enumerate_csr_cross_pairs,
     enumerate_csr_pairs,
     pairs_from_keys,
-    unique_bipartite_keys,
     unique_pair_keys,
 )
 
@@ -38,19 +31,16 @@ __all__ = [
     "BlockList",
     "Dataset",
     "LinkedCorpus",
-    "DATASET_ROLES",
     "RecordStore",
     "sorted_pair",
     "true_match_pairs",
     "entity_clusters",
     "encode_pair_keys",
-    "encode_bipartite_keys",
     "decode_pair_keys",
     "pairs_from_keys",
     "enumerate_csr_pairs",
     "enumerate_csr_cross_pairs",
     "unique_pair_keys",
-    "unique_bipartite_keys",
     "read_csv",
     "write_csv",
     "read_linked_csv",

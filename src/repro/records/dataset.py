@@ -16,12 +16,6 @@ from repro.errors import DatasetError
 from repro.records.ground_truth import Pair, entity_clusters, true_match_pairs
 from repro.records.record import Record
 
-#: Valid values of :attr:`Dataset.role` — the dataset-role axis
-#: (DESIGN.md, "Record linkage & the dataset-role axis"). ``single`` is
-#: the dirty-ER dedup corpus; ``source``/``target`` are the two sides
-#: of a clean-clean :class:`LinkedCorpus`.
-DATASET_ROLES = ("single", "source", "target")
-
 
 class Dataset:
     """An ordered, immutable collection of records.
@@ -32,38 +26,17 @@ class Dataset:
         The records; ids must be unique.
     name:
         Optional human-readable name used in reports.
-    role:
-        The dataset's role on the linkage axis: ``single`` (dedup
-        corpus, the default), or ``source``/``target`` when the dataset
-        is one side of a :class:`LinkedCorpus`.
     """
 
-    def __init__(
-        self,
-        records: Iterable[Record],
-        name: str = "dataset",
-        *,
-        role: str = "single",
-    ) -> None:
-        if role not in DATASET_ROLES:
-            raise DatasetError(
-                f"invalid dataset role {role!r}; expected one of "
-                f"{DATASET_ROLES}"
-            )
+    def __init__(self, records: Iterable[Record], name: str = "dataset") -> None:
         self._records: tuple[Record, ...] = tuple(records)
         self.name = name
-        self.role = role
         seen: set[str] = set()
         for record in self._records:
             if record.record_id in seen:
                 raise DatasetError(f"duplicate record id {record.record_id!r}")
             seen.add(record.record_id)
         self._by_id = {r.record_id: r for r in self._records}
-
-    def with_role(self, role: str, name: str | None = None) -> "Dataset":
-        """A copy of this dataset carrying ``role`` (records shared)."""
-        copy = Dataset(self._records, name=name or self.name, role=role)
-        return copy
 
     # -- collection protocol -------------------------------------------------
 
@@ -146,21 +119,24 @@ class Dataset:
         """
         from repro.records.pairs import enumerate_csr_pairs, unique_pair_keys
 
+        return unique_pair_keys(*enumerate_csr_pairs(*self._cluster_csr))
+
+    @cached_property
+    def _cluster_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entity clusters of two or more records as CSR
+        ``(offsets, indices)`` over dataset positions."""
         index = self._index_by_id
         members = [
             [index[rid] for rid in cluster]
             for cluster in self.clusters.values()
             if len(cluster) >= 2
         ]
-        if not members:
-            return np.empty(0, dtype=np.uint64)
         offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum([len(m) for m in members], out=offsets[1:])
+        np.cumsum([len(m) for m in members], dtype=np.int64, out=offsets[1:])
         indices = np.fromiter(
             (i for m in members for i in m), dtype=np.int32, count=int(offsets[-1])
         )
-        left, right = enumerate_csr_pairs(offsets, indices)
-        return unique_pair_keys(left, right)
+        return offsets, indices
 
     @cached_property
     def clusters(self) -> dict[str, list[str]]:
@@ -238,18 +214,21 @@ class Dataset:
 class LinkedCorpus:
     """Two disjoint datasets posed as a clean-clean linkage problem.
 
-    The composition carries the dataset-role axis end to end: the
-    ``source`` probes an index built over the ``target`` (the
-    production resolver shape), the comparison space is |S|×|T| cross
-    pairs only, and the ground truth is the bipartite subset of entity
-    labels that appear on *both* sides. Record ids must be disjoint
-    across the two sides so the union corpus (what the blockers
-    actually group) stays a valid :class:`Dataset`.
+    Clean-clean ER is the dedup pair space limited to cross pairs
+    (DESIGN.md, "Record linkage as a view of the union corpus"). The
+    corpus is its source-first :attr:`union` plus the boundary
+    ``|S| = len(source)``: union positions below |S| are source
+    records, the rest target records, so a cross pair is the union
+    codec's plain pair key ``(lo << 32) | hi`` with ``lo < |S| <= hi``.
+    The comparison space is |S|×|T| and the ground truth is the
+    union's, limited to that band. Record ids must be disjoint across
+    the two sides so the union stays a valid :class:`Dataset`.
 
     Parameters
     ----------
     source, target:
-        The two sides; roles are coerced to ``source``/``target``.
+        The two sides; the ``source`` probes an index built over the
+        ``target`` (the production resolver shape).
     name:
         Optional name used in reports (defaults to ``source~target``).
     """
@@ -257,10 +236,6 @@ class LinkedCorpus:
     def __init__(
         self, source: Dataset, target: Dataset, name: str | None = None
     ) -> None:
-        if source.role != "source":
-            source = source.with_role("source")
-        if target.role != "target":
-            target = target.with_role("target")
         overlap = sorted(
             set(source.record_ids) & set(target.record_ids)
         )
@@ -282,25 +257,13 @@ class LinkedCorpus:
     def union(self) -> Dataset:
         """Both sides as one dedup-shaped corpus, source records first.
 
-        This is what the blockers group; the bipartite pair space is
-        carved out of its blocks by cross-side enumeration.
+        This is what the blockers group, and its id codec is the one
+        linkage keys are written in.
         """
         return Dataset(
             tuple(self.source.records) + tuple(self.target.records),
             name=f"{self.name}-union",
         )
-
-    @cached_property
-    def source_id_set(self) -> frozenset[str]:
-        return frozenset(self.source.record_ids)
-
-    def side_of(self, record_id: str) -> str:
-        """``"source"`` or ``"target"``; unknown ids raise."""
-        if record_id in self.source_id_set:
-            return "source"
-        if record_id in self.target:
-            return "target"
-        raise DatasetError(f"no record with id {record_id!r}")
 
     @property
     def total_pairs(self) -> int:
@@ -310,64 +273,30 @@ class LinkedCorpus:
     @cached_property
     def true_matches(self) -> set[Pair]:
         """``Ωtp``: (source_id, target_id) pairs sharing an entity."""
-        from repro.records.pairs import decode_pair_keys
+        from repro.records.pairs import pairs_from_keys
 
-        src_ids = self.source.record_ids
-        tgt_ids = self.target.record_ids
-        lo, hi = decode_pair_keys(self.true_match_keys)
-        return {
-            (src_ids[s], tgt_ids[t])
-            for s, t in zip(lo.tolist(), hi.tolist())
-        }
+        return set(pairs_from_keys(self.true_match_keys, self.union.record_ids))
 
     @cached_property
     def true_match_keys(self) -> np.ndarray:
-        """``Ωtp`` as sorted bipartite ``uint64`` keys.
+        """``Ωtp`` as sorted union-codec keys with ``lo < |S| <= hi``.
 
-        The high word is the record's position in ``source``, the low
-        word its position in ``target`` (no min/max canonicalisation —
-        the sides are disjoint). Only entities labelled on both sides
-        contribute, each as a full cross product of its members.
+        The union's truth limited to the cross band: each entity
+        cluster of the union expands into its source × target pairs
+        only, through the cross-pair kernel the candidates use, so a
+        large cluster on one side costs no within-side pairs.
         """
-        from repro.records.pairs import unique_bipartite_keys
+        from repro.records.pairs import enumerate_csr_cross_pairs, unique_pair_keys
 
-        src_clusters = self.source.clusters
-        tgt_clusters = self.target.clusters
-        src_index = {r.record_id: i for i, r in enumerate(self.source)}
-        tgt_index = {r.record_id: i for i, r in enumerate(self.target)}
-        sources: list[int] = []
-        targets: list[int] = []
-        for entity, src_members in src_clusters.items():
-            tgt_members = tgt_clusters.get(entity)
-            if not tgt_members:
-                continue
-            for sid in src_members:
-                s = src_index[sid]
-                for tid in tgt_members:
-                    sources.append(s)
-                    targets.append(tgt_index[tid])
-        if not sources:
-            return np.empty(0, dtype=np.uint64)
-        return unique_bipartite_keys(
-            np.asarray(sources, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
+        union = self.union
+        source_rows = np.arange(len(union)) < len(self.source)
+        return unique_pair_keys(
+            *enumerate_csr_cross_pairs(*union._cluster_csr, source_rows)
         )
 
     @property
     def num_true_matches(self) -> int:
         return int(self.true_match_keys.size)
-
-    def pairs_from_keys(self, keys: np.ndarray) -> list[Pair]:
-        """Decode bipartite keys into ``(source_id, target_id)`` pairs."""
-        from repro.records.pairs import decode_pair_keys
-
-        src_ids = self.source.record_ids
-        tgt_ids = self.target.record_ids
-        lo, hi = decode_pair_keys(keys)
-        return [
-            (src_ids[s], tgt_ids[t])
-            for s, t in zip(lo.tolist(), hi.tolist())
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -234,8 +234,8 @@ def read_linked_csv(
             f"{source_name!r}; the two sides must differ"
         )
     return LinkedCorpus(
-        Dataset(by_dataset[source_name], name=source_name, role="source"),
-        Dataset(by_dataset[target_name], name=target_name, role="target"),
+        Dataset(by_dataset[source_name], name=source_name),
+        Dataset(by_dataset[target_name], name=target_name),
     )
 
 

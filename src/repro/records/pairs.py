@@ -116,29 +116,6 @@ def enumerate_csr_pairs(
     return left, right
 
 
-def encode_bipartite_keys(
-    source: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """``uint64`` keys of cross-dataset pairs (source in the high word).
-
-    Unlike :func:`encode_pair_keys` there is no min/max canonicalisation:
-    the two sides of a :class:`~repro.records.dataset.LinkedCorpus` are
-    disjoint id spaces, so ``(source_idx, target_idx)`` is already the
-    canonical orientation and the codec stays injective over
-    |S|, |T| < 2^32.
-    """
-    src = np.asarray(source).astype(np.uint64, copy=False)
-    tgt = np.asarray(target).astype(np.uint64, copy=False)
-    return (src << PAIR_SHIFT) | tgt
-
-
-def unique_bipartite_keys(
-    source: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Sorted distinct bipartite keys of the given cross pairs."""
-    return sorted_unique_keys(encode_bipartite_keys(source, target))
-
-
 def csr_source_counts(
     offsets: np.ndarray, indices: np.ndarray, source_mask: np.ndarray
 ) -> np.ndarray:

@@ -13,7 +13,8 @@ No library module outside this package imports it
   append per table and gate suffix), and of MP-LSH and LSH-Forest;
 * :mod:`repro.reference.pairs` — Γ and the bipartite cross pairs by
   per-block Python loops;
-* :mod:`repro.reference.evaluation` — PC/PQ/RR/FM over Python pair sets;
+* :mod:`repro.reference.evaluation` — PC/PQ/RR/FM over Python pair sets,
+  and the bipartite truth from entity labels;
 * :mod:`repro.reference.metablocking` — the dict blocking graph, its
   per-edge weights and heap-based pruning;
 * :mod:`repro.reference.er` — the string union-find and the per-pair
@@ -34,7 +35,11 @@ from repro.reference.blocking import (
     salsh_blocks,
 )
 from repro.reference.er import connected_components, match_pairs, resolve
-from repro.reference.evaluation import evaluate_blocks, evaluate_linkage
+from repro.reference.evaluation import (
+    bipartite_truth,
+    evaluate_blocks,
+    evaluate_linkage,
+)
 from repro.reference.metablocking import (
     BlockingGraph,
     build_blocking_graph,
@@ -47,6 +52,7 @@ from repro.reference.pairs import cross_pairs, distinct_pairs
 __all__ = [
     "BlockingGraph",
     "banded_buckets",
+    "bipartite_truth",
     "build_blocking_graph",
     "connected_components",
     "cross_pairs",

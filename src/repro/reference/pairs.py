@@ -26,7 +26,7 @@ def distinct_pairs(result: BlockingResult) -> frozenset[Pair]:
 
 def cross_pairs(result: BipartiteBlockingResult) -> frozenset[Pair]:
     """Γ of a linkage result: ``(source_id, target_id)`` per block."""
-    source_ids = result._require_linked().source_id_set
+    source_ids = set(result._require_linked().source.record_ids)
     pairs: set[Pair] = set()
     for block in result.blocks:
         members = set(block)

@@ -1,21 +1,26 @@
-"""Cross-dataset record linkage: the dataset-role axis end to end.
+"""Cross-dataset record linkage as a view of the union corpus.
 
-Covers the bipartite pair codec, the CSR cross-pair enumeration
-kernel, :class:`LinkedCorpus` semantics, ``block_pair`` on all four
-blockers (no within-side pairs, equality with the filtered
-``block(S ∪ T)`` oracle), clean-clean evaluation
-(array ≡ legacy engines), the linked CSV codec's line-numbered
-errors, and the linkage resolver mode.
+Covers the CSR cross-pair enumeration kernel, :class:`LinkedCorpus`
+semantics (its source-first union and the boundary |S|), cross pairs
+as union-codec keys — property-tested against the set-based oracles
+of :mod:`repro.reference` —, ``block_pair`` on all four blockers (no
+within-side pairs, equality with the filtered ``block(S ∪ T)``
+oracle), clean-clean evaluation (array ≡ reference engines), the
+linked CSV codec's line-numbered errors, and the linkage resolver
+mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import reference
 from repro.core import (
     BipartiteBlockingResult,
+    BlockingResult,
     LSHBlocker,
     LSHForestBlocker,
     MultiProbeLSHBlocker,
@@ -27,15 +32,13 @@ from repro.errors import ConfigurationError, DatasetError, EvaluationError
 from repro.er import Resolver, SimilarityMatcher
 from repro.evaluation import evaluate_linkage
 from repro.records import (
-    DATASET_ROLES,
     Dataset,
     LinkedCorpus,
     Record,
     decode_pair_keys,
-    encode_bipartite_keys,
     enumerate_csr_cross_pairs,
+    pairs_from_keys,
     read_linked_csv,
-    unique_bipartite_keys,
     write_linked_csv,
 )
 from repro.utils.rand import rng_from_seed
@@ -84,40 +87,13 @@ def _split(dataset, seed, name):
 def _oracle_cross_pairs(blocker, linked):
     """Filtered block(S ∪ T): cross-side pairs of each union block."""
     result = blocker.block(linked.union)
-    source_ids = linked.source_id_set
+    source_ids = set(linked.source.record_ids)
     pairs = set()
     for block in result.blocks:
         src = [r for r in block if r in source_ids]
         tgt = [r for r in block if r not in source_ids]
         pairs.update((a, b) for a in src for b in tgt)
     return pairs
-
-
-class TestBipartiteCodec:
-    def test_round_trip(self):
-        src = np.array([0, 5, 123456, 2**31], dtype=np.int64)
-        tgt = np.array([7, 0, 654321, 2**31 + 3], dtype=np.int64)
-        keys = encode_bipartite_keys(src, tgt)
-        lo, hi = decode_pair_keys(keys)
-        assert np.array_equal(lo, src)
-        assert np.array_equal(hi, tgt)
-
-    def test_no_canonicalisation(self):
-        # (3, 1) must stay (3, 1): the sides are disjoint id spaces.
-        keys = encode_bipartite_keys(np.array([3]), np.array([1]))
-        lo, hi = decode_pair_keys(keys)
-        assert (lo[0], hi[0]) == (3, 1)
-
-    def test_unique_sorted_and_deduped(self):
-        src = np.array([2, 1, 2, 1, 0])
-        tgt = np.array([3, 4, 3, 4, 9])
-        keys = unique_bipartite_keys(src, tgt)
-        assert keys.size == 3
-        assert np.array_equal(keys, np.sort(keys))
-
-    def test_unique_empty(self):
-        keys = unique_bipartite_keys(np.empty(0), np.empty(0))
-        assert keys.size == 0 and keys.dtype == np.uint64
 
 
 class TestEnumerateCsrCrossPairs:
@@ -160,52 +136,36 @@ class TestEnumerateCsrCrossPairs:
         assert src.size == 0 and tgt.size == 0
 
 
+def _small_linked():
+    src = Dataset(
+        [Record(f"s{i}", {"t": f"row {i}"}, entity_id=f"e{i}")
+         for i in range(3)],
+        name="left",
+    )
+    tgt = Dataset(
+        [Record(f"t{i}", {"t": f"row {i}"}, entity_id=f"e{i % 2}")
+         for i in range(4)],
+        name="right",
+    )
+    return LinkedCorpus(src, tgt)
+
+
 class TestLinkedCorpus:
-    def _corpus(self):
-        src = Dataset(
-            [Record(f"s{i}", {"t": f"row {i}"}, entity_id=f"e{i}")
-             for i in range(3)],
-            name="left",
-        )
-        tgt = Dataset(
-            [Record(f"t{i}", {"t": f"row {i}"}, entity_id=f"e{i % 2}")
-             for i in range(4)],
-            name="right",
-        )
-        return LinkedCorpus(src, tgt)
-
-    def test_roles_coerced(self):
-        linked = self._corpus()
-        assert linked.source.role == "source"
-        assert linked.target.role == "target"
-        assert set(DATASET_ROLES) == {"single", "source", "target"}
-
-    def test_invalid_role_rejected(self):
-        with pytest.raises(DatasetError):
-            Dataset([], role="probe")
-
     def test_overlapping_ids_rejected(self):
         shared = [Record("x1", {"t": "a"})]
         with pytest.raises(DatasetError, match="x1"):
             LinkedCorpus(Dataset(shared), Dataset(list(shared)))
 
     def test_union_source_first(self):
-        linked = self._corpus()
+        linked = _small_linked()
         ids = [r.record_id for r in linked.union]
         assert ids == ["s0", "s1", "s2", "t0", "t1", "t2", "t3"]
 
-    def test_side_of(self):
-        linked = self._corpus()
-        assert linked.side_of("s1") == "source"
-        assert linked.side_of("t3") == "target"
-        with pytest.raises(DatasetError):
-            linked.side_of("nope")
-
     def test_total_pairs_is_cross_product(self):
-        assert self._corpus().total_pairs == 3 * 4
+        assert _small_linked().total_pairs == 3 * 4
 
     def test_true_matches_bipartite_only(self):
-        linked = self._corpus()
+        linked = _small_linked()
         # e0 -> s0 x {t0, t2}; e1 -> s1 x {t1, t3}; e2 only on source.
         assert linked.true_matches == {
             ("s0", "t0"), ("s0", "t2"), ("s1", "t1"), ("s1", "t3"),
@@ -213,9 +173,19 @@ class TestLinkedCorpus:
         assert linked.num_true_matches == 4
 
     def test_keys_decode_to_pairs(self):
-        linked = self._corpus()
-        decoded = linked.pairs_from_keys(linked.true_match_keys)
+        linked = _small_linked()
+        decoded = pairs_from_keys(linked.true_match_keys, linked.union.record_ids)
         assert set(decoded) == linked.true_matches
+
+    def test_truth_keys_are_the_unions_cross_band(self):
+        linked = _small_linked()
+        # Union positions: s0..s2 are 0..2, t0..t3 are 3..6; |S| = 3.
+        lo, hi = decode_pair_keys(linked.true_match_keys)
+        assert list(zip(lo.tolist(), hi.tolist())) == [(0, 3), (0, 5), (1, 4), (1, 6)]
+        union_keys = linked.union.true_match_keys
+        assert np.isin(linked.true_match_keys, union_keys).all()
+        # The within-target pairs (t0, t2) and (t1, t3) stay out.
+        assert union_keys.size == linked.true_match_keys.size + 2
 
 
 @pytest.mark.parametrize("kind", BLOCKER_KINDS)
@@ -226,8 +196,7 @@ class TestBlockPair:
         assert isinstance(result, BipartiteBlockingResult)
         assert result.linked is linked
         for sid, tid in result.cross_pairs:
-            assert linked.side_of(sid) == "source"
-            assert linked.side_of(tid) == "target"
+            assert sid in linked.source and tid in linked.target
 
     def test_fig1_equals_filtered_union_oracle(self, fig1, fig1_sf, kind):
         linked = _split(fig1, seed=2, name="fig1")
@@ -263,13 +232,13 @@ class TestBipartiteResultShape:
     def test_cross_keys_decode_to_cross_pairs(self, fig1, fig1_sf):
         linked = _split(fig1, seed=2, name="fig1")
         result = _blocker("lsh", "fig1").block_pair(linked)
-        decoded = set(linked.pairs_from_keys(result.cross_pair_keys))
-        assert decoded == set(result.cross_pairs)
+        decoded = pairs_from_keys(result.cross_pair_keys, linked.union.record_ids)
+        assert set(decoded) == set(result.cross_pairs)
 
     def test_multiset_counts_cross_only(self, fig1):
         linked = _split(fig1, seed=2, name="fig1")
         result = _blocker("lsh", "fig1").block_pair(linked)
-        src = linked.source_id_set
+        src = set(linked.source.record_ids)
         expected = sum(
             sum(1 for r in b if r in src) * sum(1 for r in b if r not in src)
             for b in result.blocks
@@ -285,6 +254,62 @@ class TestBipartiteResultShape:
         result = _blocker("lsh", "fig1").block(fig1)
         with pytest.raises(EvaluationError):
             evaluate_linkage(result)
+
+
+@st.composite
+def _linked_blocks(draw):
+    """A random linked corpus (either side may be empty, entity labels
+    shared within and across sides) and random blocks over its union
+    (single-side blocks, ids shared across blocks and repeated inside
+    one)."""
+    ids = draw(
+        st.lists(st.text(alphabet="abst", min_size=1, max_size=3),
+                 unique=True, max_size=10)
+    )
+    cut = draw(st.integers(0, len(ids)))
+    label = st.one_of(st.none(), st.sampled_from(["e0", "e1", "e2"]))
+    records = [Record(rid, {"t": rid}, entity_id=draw(label)) for rid in ids]
+    linked = LinkedCorpus(
+        Dataset(records[:cut], name="src"), Dataset(records[cut:], name="tgt")
+    )
+    blocks = draw(
+        st.lists(st.lists(st.sampled_from(ids), min_size=2, max_size=6),
+                 max_size=6)
+    ) if ids else []
+    return linked, as_bipartite(BlockingResult("random", blocks), linked)
+
+
+class TestUnionCodec:
+    """Cross pairs are union-codec keys ``lo < |S| <= hi``, and every
+    linkage view equals its set-based oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_linked_blocks())
+    def test_views_equal_the_reference_oracles(self, case):
+        linked, result = case
+        oracle = reference.cross_pairs(result)
+        assert result.cross_pairs == oracle
+        keys = result.cross_pair_keys
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, np.unique(keys))
+        lo, hi = decode_pair_keys(keys)
+        assert (lo < len(linked.source)).all()
+        assert (hi >= len(linked.source)).all()
+        assert set(pairs_from_keys(keys, linked.union.record_ids)) == oracle
+        assert linked.true_matches == reference.bipartite_truth(linked)
+        slow = reference.evaluate_linkage(result)
+        assert result.num_cross_multiset_comparisons == slow.num_multiset_pairs
+        assert evaluate_linkage(result) == slow
+
+    @pytest.mark.parametrize(
+        "engine", [evaluate_linkage, reference.evaluate_linkage],
+        ids=["array", "reference"],
+    )
+    def test_block_outside_the_union_is_named(self, engine):
+        blocks = [("s1", "t1"), ("s0", "ghost-7")]
+        result = as_bipartite(BlockingResult("x", blocks), _small_linked())
+        with pytest.raises(EvaluationError, match="ghost-7"):
+            engine(result)
 
 
 class TestLinkedCsv:

@@ -7,8 +7,9 @@ onto worker processes (DESIGN.md, "No process or thread runtime"). So
 ``PipelineConfig``, ``BandedLSHIndex`` or ``Resolver`` takes a ``pool``
 or a ``processes`` count, (c) the only fault points left are the
 spill's and the durability layer's, (d) the helpers of the removed
-paths stay gone — the fixed-size signature memmap and the
-compute/insert split of the online indexes among them — and (e)
+paths stay gone — the fixed-size signature memmap, the
+compute/insert split of the online indexes, and the dataset-role axis
+and bipartite codec linkage no longer needs, among them — and (e)
 importing the CLI loads no process machinery.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli, errors, metablocking, minhash
+from repro import cli, errors, metablocking, minhash, records
 from repro.core import (
     LSHBlocker,
     LSHForestBlocker,
@@ -40,6 +41,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.er import Resolver
 from repro.lsh.index import BandedLSHIndex
 from repro.minhash import MinHasher, signature
+from repro.records import Dataset, LinkedCorpus, Record, dataset, pairs
 from repro.records.pairs import ArrayBlockingGraph
 from repro.semantic.semhash import SemhashEncoder
 from repro.store import checkpoint
@@ -129,11 +131,27 @@ def test_fault_points_are_the_spill_and_durability_ones():
         (BlockingResult, "local_arrays"),
         (BlockingResult, "pair_keys_local"),
         (ArrayBlockingGraph, "record_block_offsets"),
+        (dataset, "DATASET_ROLES"),
+        (records, "DATASET_ROLES"),
+        (Dataset, "with_role"),
+        (pairs, "encode_bipartite_keys"),
+        (pairs, "unique_bipartite_keys"),
+        (records, "encode_bipartite_keys"),
+        (records, "unique_bipartite_keys"),
+        (LinkedCorpus, "pairs_from_keys"),
+        (LinkedCorpus, "side_of"),
+        (LinkedCorpus, "source_id_set"),
     ],
     ids=lambda o: getattr(o, "__name__", o),
 )
 def test_removed_paths_stay_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_dataset_takes_no_role():
+    with pytest.raises(TypeError):
+        Dataset([Record("a", {"t": "x"})], role="source")
+    assert not hasattr(Dataset([]), "role")
 
 
 def test_signature_matrix_takes_no_out_buffer():
